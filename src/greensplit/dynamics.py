@@ -42,14 +42,6 @@ class ModeSet:
     def cycle_time(self) -> float:
         return float(self.durations.sum())
 
-    @property
-    def sparsity(self) -> np.ndarray:
-        """Union support of all modes (the support of any average)."""
-        mask = np.zeros_like(self.modes[0], dtype=bool)
-        for a in self.modes:
-            mask |= a != 0.0
-        return mask
-
 
 @dataclass(frozen=True)
 class AveragedSystem:

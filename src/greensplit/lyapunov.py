@@ -134,8 +134,10 @@ def congestion_cost(a: np.ndarray, output: np.ndarray, x0: np.ndarray) -> float:
         raise DimensionError(
             f"output map of shape {output.shape} does not act on {a.shape[0]} states"
         )
-    if spectral_abscissa(a) >= 0.0:
+    try:
+        # one Schur factorization serves the stability test and the solve
+        w = gramian(a, x0)
+    except UnstableMatrix:
         return math.inf
-    w = gramian(a, x0)
     value = float(np.trace(output @ w @ output.T))
     return max(value, 0.0)

@@ -81,9 +81,6 @@ class Intersection:
     movements: tuple[Movement, ...]
     phases: tuple[tuple[tuple[str, str], ...], ...]
 
-    def phase_movements(self, index: int) -> tuple[tuple[str, str], ...]:
-        return self.phases[index]
-
 
 @dataclass(frozen=True, eq=True)
 class NetworkSpec:
@@ -126,9 +123,6 @@ class NetworkSpec:
             return self._road_by_id[road_id]
         except KeyError:
             raise ValidationError(f"unknown road id {road_id!r}") from None
-
-    def state_offset(self, road_id: str) -> int:
-        return self._offsets[road_id]
 
     def state_slice(self, road_id: str) -> slice:
         start = self._offsets[road_id]

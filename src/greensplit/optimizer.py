@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import ModeSet, average_matrix
 from .errors import DimensionError, NoStableStart, ValidationError, ZeroTrace
-from .lyapunov import congestion_cost, spectral_abscissa
+from .lyapunov import congestion_cost
 from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 
 #: relative stationarity threshold on the projected direction
@@ -115,14 +115,20 @@ class OptimizationReport:
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    epsilon: float, start: np.ndarray, mu: float,
                    max_iter: int, rows: list[dict[str, float]] | None,
-                   outer_index: int, best_cost: float) -> InnerResult:
-    """Drive the smoothed abscissa at fixed weight toward zero."""
+                   outer_index: int, best_cost: float,
+                   root: float | None = None) -> InnerResult:
+    """Drive the smoothed abscissa at fixed weight toward zero.
+
+    ``root`` is a first guess for the first root search; every later search
+    starts from the previous iterate's root.
+    """
     d = start.copy()
     total = d.sum()
     res: SmoothedAbscissa | None = None
     for it in range(max_iter):
         a = average_matrix(mode_set, d)
-        res = smoothed_abscissa(a, output, x0, epsilon)
+        res = smoothed_abscissa(a, output, x0, epsilon, warm_start=root)
+        root = res.value
         tol_alpha = 1e-8 * (1.0 + abs(res.abscissa))
         if abs(res.value) <= tol_alpha:
             return InnerResult(d, res, True, False, it)
@@ -226,10 +232,13 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         iters = 0
         outer = 0
         hit_cap = False
+        root = None    # latest smoothed abscissa, the next search's first guess
         while xi_cur >= 1e-4 * eps0:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
                                    mu, max_inner, rows, outer,
-                                   1.0 / eps_bar)
+                                   1.0 / eps_bar, root)
+            if inner.result is not None:
+                root = inner.result.value
             iters += max(inner.iterations, 1)
             outer += 1
             if inner.achieved:

@@ -10,9 +10,13 @@ the unique root of
 where ``P(s)`` solves ``(A - s I) P + P (A - s I)^T + x0 x0^T = 0``.  The
 map ``g`` is strictly decreasing from ``+inf`` (as ``s`` approaches the
 true abscissa from above, whenever the critical mode couples ``x0`` to the
-output) to ``0``, so a bracketed bisection is globally convergent.  The
-root always lies strictly above the true abscissa and tends to it as
-``epsilon`` goes to zero.
+output) to ``0``.  Its derivative comes in closed form from the adjoint
+pair below, ``g'(s) = -2 trace(Q(s) P(s))``, and ``1/g`` is nearly linear
+near the pole (``g ~ c / (s - alpha)``), so the root is found by Newton's
+method on ``1/g(s) - epsilon``, safeguarded by a bracket: a step that
+leaves the bracket, or stalls, is replaced by bisection (or by doubling
+while the bracket is unbounded above).  The root always lies strictly
+above the true abscissa and tends to it as ``epsilon`` goes to zero.
 
 The sensitivity of the root with respect to the mode durations follows
 from the adjoint pair: with ``Q`` solving the transposed equation driven
@@ -24,7 +28,7 @@ average contributes one vectorized mode matrix per duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,11 +37,14 @@ from .errors import (DegenerateSystem, DimensionError, NoConvergence,
                      SolveFailure, ValidationError, ZeroTrace)
 from .lyapunov import ShiftedLyapunov
 
-#: relative width at which the bisection bracket is considered resolved
+#: relative size of the last Newton step (or of the bracket) at which the
+#: smoothing root is accepted
 ROOT_TOL = 1e-10
 
-_MAX_DOUBLINGS = 90
-_MAX_BISECTIONS = 400
+#: cold start of the root search, above the abscissa relative to 1 + |alpha|
+_LEDGE = 1e-6
+
+_MAX_EVALUATIONS = 400
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class SmoothedAbscissa:
     P: np.ndarray         # shifted Gramian at the root
     Q: np.ndarray         # adjoint solution at the root
     trace_value: float    # g(value); equals 1/epsilon up to the root tolerance
-    evaluations: int
+    evaluations: int      # iterates: a P solve each, and a Q solve where P succeeds
 
 
 def _validate_triple(a: np.ndarray, output: np.ndarray, x0: np.ndarray):
@@ -69,20 +76,9 @@ def _validate_triple(a: np.ndarray, output: np.ndarray, x0: np.ndarray):
     return a, output, x0
 
 
-def smoothing_trace(solver: ShiftedLyapunov, output: np.ndarray,
-                    source: np.ndarray, shift: float) -> float:
-    """Evaluate ``g(shift)``; ``+inf`` when the solve degenerates at the pole."""
-    try:
-        p = solver.solve(source, shift=shift)
-    except SolveFailure:
-        # so close to the pole that the solve breaks down: the trace is
-        # beyond floating-point range there anyway
-        return math.inf
-    return float(np.trace(output @ p @ output.T))
-
-
 def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
-                      epsilon: float, tol: float = ROOT_TOL) -> SmoothedAbscissa:
+                      epsilon: float, tol: float = ROOT_TOL,
+                      warm_start: float | None = None) -> SmoothedAbscissa:
     """Solve the smoothing equation for the given weight.
 
     Parameters
@@ -98,7 +94,12 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
         Smoothing weight; larger values push the root further above the
         true abscissa.
     tol : float
-        Relative bracket width at which bisection stops.
+        Relative size of the Newton step (or of the bracket) at which the
+        root is accepted.
+    warm_start : float, optional
+        First iterate, typically the root for a nearby matrix.  Ignored
+        unless it is finite and above the abscissa ledge; it changes the
+        work done, not the root.
     """
     a, output, x0 = _validate_triple(a, output, x0)
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -109,72 +110,72 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
     solver = ShiftedLyapunov(a)
     alpha = solver.abscissa
     source = np.outer(x0, x0)
+    weight = output.T @ output
     target = 1.0 / epsilon
-    scale = 1.0 + abs(alpha)
-    evaluations = 0
-
-    delta = 1e-6 * scale
-    lo = alpha + delta
-    g_lo = smoothing_trace(solver, output, source, lo)
-    evaluations += 1
-    if g_lo <= 0.0:
-        raise DegenerateSystem(
-            "the smoothing trace vanishes: the initial state never reaches the output"
-        )
-    # root may sit between the abscissa and the default ledge; tighten it
-    while g_lo < target and delta > 0.25 * tol * scale:
-        delta *= 0.25
-        lo = alpha + delta
-        g_lo = smoothing_trace(solver, output, source, lo)
-        evaluations += 1
-        if g_lo <= 0.0:
-            raise DegenerateSystem(
-                "the smoothing trace vanishes: the initial state never reaches the output"
-            )
-    if g_lo < target:
-        # the root is pinched against the abscissa closer than the tolerance
-        root = lo
-        hi = lo
+    ledge = alpha + _LEDGE * (1.0 + abs(alpha))
+    if warm_start is not None and math.isfinite(warm_start) and warm_start > ledge:
+        s = float(warm_start)
     else:
-        step = max(1.0, abs(alpha))
-        hi = lo + step
-        g_hi = smoothing_trace(solver, output, source, hi)
-        evaluations += 1
-        doublings = 0
-        while g_hi >= target:
-            step *= 2.0
-            hi += step
-            g_hi = smoothing_trace(solver, output, source, hi)
-            evaluations += 1
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise NoConvergence(
-                    "no upper bracket for the smoothing root; the trace never "
-                    f"drops below 1/epsilon = {target:.3e}"
-                )
-        iterations = 0
-        while hi - lo > tol * (1.0 + 0.5 * abs(hi + lo)):
-            mid = 0.5 * (lo + hi)
-            if smoothing_trace(solver, output, source, mid) >= target:
-                lo = mid
-            else:
-                hi = mid
-            evaluations += 1
-            iterations += 1
-            if iterations > _MAX_BISECTIONS:
-                raise NoConvergence("bisection failed to resolve the smoothing root")
-        root = 0.5 * (lo + hi)
+        s = ledge
 
-    p = solver.solve(source, shift=root)
-    q = solver.solve(output.T @ output, shift=root, adjoint=True)
-    return SmoothedAbscissa(
-        value=root,
-        abscissa=alpha,
-        epsilon=epsilon,
-        P=p,
-        Q=q,
-        trace_value=float(np.trace(output @ p @ output.T)),
-        evaluations=evaluations,
+    # g >= 1/epsilon on (alpha, lo], g < 1/epsilon on [hi, inf)
+    lo, hi = alpha, math.inf
+    increment = max(1.0, abs(alpha))
+    move = last_move = math.inf
+    best = None    # latest iterate where both solves succeeded
+    for evaluations in range(1, _MAX_EVALUATIONS + 1):
+        newton = math.nan
+        try:
+            p = solver.solve(source, shift=s)
+        except SolveFailure:
+            # so close to the pole that the solve breaks down: the trace is
+            # beyond floating-point range there anyway
+            lo = s
+        else:
+            g = float(np.trace(output @ p @ output.T))
+            if g <= 0.0:
+                raise DegenerateSystem(
+                    "the smoothing trace vanishes: the initial state never reaches the output"
+                )
+            if g >= target:
+                lo = s
+            else:
+                hi = s
+            try:
+                q = solver.solve(weight, shift=s, adjoint=True)
+            except SolveFailure:
+                pass    # no derivative here; g still placed s in the bracket
+            else:
+                best = SmoothedAbscissa(value=s, abscissa=alpha, epsilon=epsilon, P=p, Q=q,
+                                        trace_value=g, evaluations=evaluations)
+                # Newton on h = 1/g - epsilon, with h' = 2 trace(Q P) / g^2
+                slope = 2.0 * float(np.vdot(q, p))
+                if slope > 0.0:
+                    newton = s + (epsilon * g - 1.0) * g / slope
+                    if abs(newton - s) <= tol * (1.0 + abs(s)):
+                        return best
+        if hi - lo <= tol * (1.0 + abs(lo)):
+            # resolved by the bracket: the root is pinched against the
+            # abscissa, or the trace is too noisy for a smaller Newton step
+            if best is None or not lo <= best.value <= hi:
+                raise SolveFailure(
+                    f"the adjoint solve breaks down at the smoothing root {hi!r}"
+                )
+            return replace(best, evaluations=evaluations)
+        # a Newton step must stay inside the bracket and, once the bracket
+        # is bounded, at least halve the move before last
+        if lo < newton < hi and (math.isinf(hi) or abs(newton - s) <= 0.5 * last_move):
+            nxt = newton
+        elif math.isinf(hi):
+            nxt = lo + increment
+            increment *= 2.0
+        else:
+            nxt = 0.5 * (lo + hi)
+        last_move, move = move, abs(nxt - s)
+        s = nxt
+    raise NoConvergence(
+        f"the smoothing root search did not converge in {_MAX_EVALUATIONS} evaluations "
+        f"(bracket [{lo:.6g}, {hi:.6g}], 1/epsilon = {target:.3e})"
     )
 
 

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
+from scipy.optimize import brentq
 
 from greensplit import dynamics
-from greensplit.errors import DegenerateSystem, ValidationError, ZeroTrace
-from greensplit.lyapunov import ShiftedLyapunov, spectral_abscissa
+from greensplit.errors import (DegenerateSystem, SolveFailure, ValidationError,
+                               ZeroTrace)
+from greensplit.lyapunov import (ShiftedLyapunov, congestion_cost,
+                                 spectral_abscissa)
 from greensplit.ssa import (SmoothedAbscissa, duration_gradient,
-                            smoothed_abscissa, smoothing_trace)
+                            smoothed_abscissa)
 
 from conftest import make_hurwitz
 
@@ -55,7 +59,7 @@ def test_trace_is_decreasing_in_shift():
     src = np.outer(x0, x0)
     alpha = solver.abscissa
     shifts = alpha + np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-    values = [smoothing_trace(solver, c, src, s) for s in shifts]
+    values = [np.trace(c @ solver.solve(src, shift=s) @ c.T) for s in shifts]
     assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
 
 
@@ -162,3 +166,84 @@ def test_gradient_duration_scale(four_modes, four_output):
     g1 = duration_gradient(four_modes, res, d)
     g2 = duration_gradient(four_modes, res, 2.0 * d)
     np.testing.assert_allclose(g2, 0.5 * g1, rtol=1e-12)
+
+
+def _reference_trace(a, c, x0, s):
+    """g(s) from scipy's own Lyapunov solver, independent of the Schur cache."""
+    n = a.shape[0]
+    p = solve_continuous_lyapunov(a - s * np.eye(n), -np.outer(x0, x0))
+    return float(np.trace(c @ p @ c.T))
+
+
+def test_root_matches_brentq_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        n = int(rng.integers(2, 8))
+        a = make_hurwitz(rng, n)
+        c = rng.standard_normal((2, n))
+        x0 = rng.standard_normal(n)
+        alpha = spectral_abscissa(a)
+        # place the root at a known offset, then bracket it for brentq
+        offset = rng.uniform(0.05, 2.0)
+        eps = 1.0 / _reference_trace(a, c, x0, alpha + offset)
+        ref = brentq(lambda s: _reference_trace(a, c, x0, s) - 1.0 / eps,
+                     alpha + 0.5 * offset, alpha + 2.0 * offset + 1.0,
+                     xtol=1e-15, rtol=1e-15)
+        res = smoothed_abscissa(a, c, x0, eps)
+        assert abs(res.value - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def test_warm_start_does_not_move_root():
+    rng = np.random.default_rng(32)
+    for _ in range(6):
+        a = make_hurwitz(rng, 6)
+        c = rng.standard_normal((2, 6))
+        x0 = rng.standard_normal(6)
+        cold = smoothed_abscissa(a, c, x0, 1.0)
+        starts = (cold.abscissa - 1.0, cold.abscissa, cold.value + 1e3,
+                  np.nan, np.inf, -np.inf, cold.value)
+        for start in starts:
+            warm = smoothed_abscissa(a, c, x0, 1.0, warm_start=start)
+            assert abs(warm.value - cold.value) <= 1e-10 * (1.0 + abs(cold.value))
+        # starting on the root accepts it after a single evaluation
+        assert smoothed_abscissa(a, c, x0, 1.0, warm_start=cold.value).evaluations == 1
+
+
+def test_pinched_root_stays_above_abscissa():
+    # with a tiny weight the root sits closer to the abscissa than the
+    # tolerance (for a = -1 it is -1 + eps/2, which rounds to -1)
+    cases = [(np.array([[-1.0]]), np.eye(1), np.ones(1)),
+             (np.diag([-0.5, -1.0, -3.0]), np.ones((1, 3)), np.ones(3))]
+    for a, c, x0 in cases:
+        for eps in (1e-12, 1e-16):
+            res = smoothed_abscissa(a, c, x0, eps)
+            assert res.value > res.abscissa
+            assert res.value - res.abscissa <= 1e-9 * (1.0 + abs(res.abscissa))
+            assert np.all(np.isfinite(res.P)) and np.all(np.isfinite(res.Q))
+
+
+def test_adjoint_failure_near_pinched_root_is_reported():
+    # on this matrix the P solves succeed down to 1e-14 above the abscissa
+    # while the Q solves fail their residual check below about 6e-8; a Q
+    # failure must not move the bracket, so no root far above the true one
+    # (about 1e-13 above the abscissa) comes back
+    a = make_hurwitz(np.random.default_rng(33), 6)
+    with pytest.raises(SolveFailure):
+        smoothed_abscissa(a, np.eye(6), np.ones(6), 1e-12)
+
+
+def test_newton_search_evaluation_budget(four_modes, four_output):
+    # measured on this fixture: 5-6 evaluations from a cold start and 3
+    # from the root of a nearby split; bisection to the same tolerance
+    # needs over 30
+    x0 = np.ones(four_modes.n)
+    d = four_modes.durations.astype(float)
+    a = dynamics.average_matrix(four_modes, d)
+    nearby = dynamics.average_matrix(four_modes, d + np.array([1.0, -1.0, 0.5, -0.5]))
+    cost = congestion_cost(a, four_output, x0)
+    for factor in (0.3, 0.9, 1.0, 1.5, 3.0):
+        eps = factor / cost
+        cold = smoothed_abscissa(a, four_output, x0, eps)
+        assert cold.evaluations <= 8
+        warm = smoothed_abscissa(nearby, four_output, x0, eps, warm_start=cold.value)
+        assert warm.evaluations <= 4
