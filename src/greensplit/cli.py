@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import os
 import sys
 from typing import Any
 
@@ -25,28 +24,7 @@ from . import __version__, dynamics, net_model, scenario, sim
 from . import distributed as dist
 from .errors import (DimensionError, GreensplitError, NotConverged,
                      ValidationError)
-from .optimizer import OptimizationReport, optimize
-
-_THREAD_LIMITER = None
-
-
-def _apply_thread_cap() -> None:
-    """Honor GREENSPLIT_THREADS by capping BLAS thread pools."""
-    global _THREAD_LIMITER
-    raw = os.environ.get("GREENSPLIT_THREADS")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"GREENSPLIT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError("GREENSPLIT_THREADS must be at least 1")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    _THREAD_LIMITER = threadpool_limits(limits=n)
+from .optimizer import optimize
 
 
 def _exit_code(exc: GreensplitError) -> int:
@@ -117,26 +95,6 @@ def _fmt(value: Any) -> Any:
     return value
 
 
-def export_plotdata(report: Any, path: str, headers: list[str]) -> None:
-    """Emit the plottable series behind a report as tidy CSV."""
-    if isinstance(report, OptimizationReport):
-        rows = [
-            (i, row["alpha_smooth"], row["kkt_norm"], row["cost"])
-            for i, row in enumerate(report.trajectory)
-        ]
-        _write_csv(path, headers, ["iter", "alpha_tilde", "kkt_norm", "cost"], rows)
-        return
-    if isinstance(report, dist.DistributedResult):
-        rows = [
-            (r, agent, report.errors[r, agent])
-            for r in range(report.errors.shape[0])
-            for agent in range(report.errors.shape[1])
-        ]
-        _write_csv(path, headers, ["round", "agent", "frobenius_error"], rows)
-        return
-    raise ValidationError(f"no plot-data exporter for {type(report).__name__}")
-
-
 def _trajectory_rows(traj: sim.Trajectory,
                      labels: tuple[str, ...]) -> list[tuple]:
     rows = []
@@ -150,7 +108,6 @@ def _trajectory_rows(traj: sim.Trajectory,
 @click.version_option(__version__, prog_name="greensplit")
 def main() -> None:
     """Green-split analysis for signalized road networks."""
-    _wrap(_apply_thread_cap)()
 
 
 @main.command()
@@ -321,7 +278,10 @@ def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
             fh.write("\n")
         click.echo(f"wrote {out}")
     if plot_out is not None:
-        export_plotdata(report, plot_out, _header_lines(network, seed))
+        rows = [(i, row["alpha_smooth"], row["kkt_norm"], row["cost"])
+                for i, row in enumerate(report.trajectory)]
+        _write_csv(plot_out, _header_lines(network, seed),
+                   ["iter", "alpha_tilde", "kkt_norm", "cost"], rows)
         click.echo(f"wrote {plot_out}")
 
 
@@ -369,7 +329,11 @@ def distributed_cmd(scenario_ref: str, agents: str, rounds: int | None,
     click.echo(f"{graph.n_agents} agents agreed after {result.rounds} rounds "
                f"(max error {result.errors[-1].max():.3e})")
     if out is not None:
-        export_plotdata(result, out, _header_lines(network, 0))
+        rows = [(r, agent, result.errors[r, agent])
+                for r in range(result.errors.shape[0])
+                for agent in range(result.errors.shape[1])]
+        _write_csv(out, _header_lines(network, 0),
+                   ["round", "agent", "frobenius_error"], rows)
         click.echo(f"wrote {out}")
 
 

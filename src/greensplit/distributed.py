@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 from scipy import linalg
+from scipy.sparse import csgraph
 
 from .errors import (DimensionError, InconsistentLocal, NotConverged,
-                     UnstableMatrix, ValidationError)
-from .lyapunov import solve_lyapunov, spectral_abscissa
+                     ValidationError)
+from .lyapunov import solve_lyapunov
 
 #: relative singular-value cutoff for rank decisions
 RANK_TOL = 1e-10
@@ -75,12 +75,6 @@ class CommGraph:
                     edges.append((k, k + cols))
         return cls.from_edges(rows * cols, edges)
 
-    def _nx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_agents))
-        g.add_edges_from(self.edges)
-        return g
-
     def neighbors(self, agent: int) -> tuple[int, ...]:
         touching = {j for i, j in self.edges if i == agent}
         touching.update(i for i, j in self.edges if j == agent)
@@ -88,14 +82,16 @@ class CommGraph:
 
     @property
     def is_connected(self) -> bool:
-        return nx.is_connected(self._nx())
+        return self.diameter is not None
 
     @property
     def diameter(self) -> int | None:
-        g = self._nx()
-        if not nx.is_connected(g):
-            return None
-        return int(nx.diameter(g)) if self.n_agents > 1 else 0
+        """Longest shortest hop count; ``None`` when the graph is disconnected."""
+        links = np.zeros((self.n_agents, self.n_agents))
+        for i, j in self.edges:
+            links[i, j] = 1.0
+        hops = csgraph.shortest_path(links, directed=False, unweighted=True)
+        return None if np.isinf(hops).any() else int(hops.max())
 
 
 def partition_rows(a: np.ndarray, assignment: np.ndarray, n_agents: int) -> list[np.ndarray]:
@@ -129,12 +125,11 @@ class Agent:
     """One participant: an affine solution set and its pairwise refinement."""
 
     def __init__(self, agent_id: int, share: np.ndarray, rhs: np.ndarray,
-                 n_agents: int, rank_tol: float = RANK_TOL):
+                 n_agents: int):
         self.id = agent_id
         n = share.shape[0]
         self.n = n
         self.n_agents = n_agents
-        self.rank_tol = rank_tol
         nn = n * n
         width = (n_agents + 1) * nn
 
@@ -153,7 +148,7 @@ class Agent:
             raise InconsistentLocal(
                 f"agent {agent_id}: local system residual {gap:.3e}"
             )
-        self.kernel = linalg.null_space(h, rcond=rank_tol)
+        self.kernel = linalg.null_space(h, rcond=RANK_TOL)
         self._h = h
         self._z = z
 
@@ -175,11 +170,11 @@ class Agent:
         if k_i.shape[1] == 0 or k_j.shape[1] == 0:
             self.kernel = np.zeros((self.w_hat.shape[0], 0))
             return
-        joint = linalg.null_space(np.hstack([k_i, -k_j]), rcond=self.rank_tol)
+        joint = linalg.null_space(np.hstack([k_i, -k_j]), rcond=RANK_TOL)
         if joint.shape[1] == 0:
             self.kernel = np.zeros((self.w_hat.shape[0], 0))
             return
-        self.kernel = linalg.orth(k_i @ joint[: k_i.shape[1]], rcond=self.rank_tol)
+        self.kernel = linalg.orth(k_i @ joint[: k_i.shape[1]], rcond=RANK_TOL)
 
     def solution(self) -> np.ndarray:
         """Current estimate of the Lyapunov solution block."""
@@ -219,14 +214,14 @@ class DistributedResult:
 
 def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
                     assignment: np.ndarray | None = None, *,
-                    tol: float = 1e-6, max_rounds: int | None = None,
-                    rank_tol: float = RANK_TOL) -> DistributedResult:
+                    tol: float = 1e-6, max_rounds: int | None = None) -> DistributedResult:
     """Solve ``A X + X A^T + D = 0`` cooperatively over a topology.
 
     Convergence means every agent's solution block is within ``tol``
     (relative Frobenius) of the centralized solution; with a connected
     graph this happens after at most ``diameter`` rounds.  A disconnected
-    graph cannot agree and ends in :class:`NotConverged`.
+    graph cannot agree and ends in :class:`NotConverged`; a matrix that is
+    not Hurwitz fails the centralized solve with :class:`UnstableMatrix`.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -234,8 +229,6 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
         raise DimensionError(
             f"matrix {a.shape} and right-hand side {d.shape} must be equal square shapes"
         )
-    if spectral_abscissa(a) >= 0:
-        raise UnstableMatrix("the distributed solve requires a Hurwitz matrix")
     n = a.shape[0]
     nu = graph.n_agents
     if assignment is None:
@@ -245,7 +238,7 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     reference = solve_lyapunov(a, d)
     ref_norm = np.linalg.norm(reference)
 
-    agents = [Agent(i, shares[i], d, nu, rank_tol) for i in range(nu)]
+    agents = [Agent(i, shares[i], d, nu) for i in range(nu)]
 
     def snapshot_errors() -> np.ndarray:
         return np.array([

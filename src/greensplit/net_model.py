@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import ValidationError
 
@@ -284,12 +284,22 @@ def _require_keys(section: str, data: Mapping[str, Any], allowed: set[str],
         raise ValidationError(f"{section}: missing required key(s) {sorted(missing)}")
 
 
-def _as_positive(section: str, key: str, value: Any) -> float:
+def _as_number(section: str, key: str, value: Any) -> float:
+    """A finite float; ``bool`` is refused although it is an ``int``."""
     try:
         v = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{section}: {key} must be a number, got {value!r}") from None
-    if not math.isfinite(v) or v <= 0:
+        v = None
+    if v is None or isinstance(value, bool):
+        raise ValidationError(f"{section}: {key} must be a number, got {value!r}")
+    if not math.isfinite(v):
+        raise ValidationError(f"{section}: {key} must be finite, got {value!r}")
+    return v
+
+
+def _as_positive(section: str, key: str, value: Any) -> float:
+    v = _as_number(section, key, value)
+    if v <= 0:
         raise ValidationError(f"{section}: {key} must be positive, got {value!r}")
     return v
 
@@ -307,7 +317,7 @@ def movement_label(key: tuple[str, str]) -> str:
 
 
 def _parse_inflow(road_id: str, raw: Any, cycle_time: float) -> InflowProfile:
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         v = float(raw)
         if not math.isfinite(v) or v < 0:
             raise ValidationError(f"road {road_id!r}: inflow must be nonnegative")
@@ -323,11 +333,8 @@ def _parse_inflow(road_id: str, raw: Any, cycle_time: float) -> InflowProfile:
                 f"road {road_id!r}: inflow segments must be [duration, rate] pairs"
             )
         dur = _as_positive(f"road {road_id!r} inflow", "duration", item[0])
-        try:
-            val = float(item[1])
-        except (TypeError, ValueError):
-            raise ValidationError(f"road {road_id!r}: inflow rate must be a number") from None
-        if not math.isfinite(val) or val < 0:
+        val = _as_number(f"road {road_id!r} inflow", "rate", item[1])
+        if val < 0:
             raise ValidationError(f"road {road_id!r}: inflow rate must be nonnegative")
         segments.append((dur, val))
     total = sum(dur for dur, _ in segments)
@@ -453,15 +460,16 @@ def _validate_network(spec: NetworkSpec) -> NetworkSpec:
                     f"{total}, expected 1 (set enforce_turn_conservation: false to relax)"
                 )
 
-    # every road must be able to send vehicles to some destination
-    graph = nx.DiGraph()
-    graph.add_nodes_from(r.id for r in spec.roads)
-    graph.add_edges_from(key for key in seen_moves)
-    reach = set(spec.destinations)
-    reversed_graph = graph.reverse(copy=False)
-    for dest in spec.destinations:
-        reach.update(nx.descendants(reversed_graph, dest))
-    stranded = sorted(set(seen_roads) - reach)
+    # every road must be able to send vehicles to some destination: search
+    # the movement graph backwards from the destinations
+    index = {r.id: k for k, r in enumerate(spec.roads)}
+    feeds = np.zeros((spec.n_roads, spec.n_roads))
+    for from_road, to_road in seen_moves:
+        feeds[index[to_road], index[from_road]] = 1.0
+    hops = csgraph.shortest_path(feeds, unweighted=True,
+                                 indices=[index[d] for d in spec.destinations])
+    reaches = np.isfinite(hops).any(axis=0)
+    stranded = sorted(r.id for r, ok in zip(spec.roads, reaches) if not ok)
     if stranded:
         raise ValidationError(
             f"road(s) {stranded} have no path to any destination road"
@@ -490,7 +498,7 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
         raise ValidationError("scenario document must be a mapping")
     _require_keys("scenario", document, _TOP_KEYS, {"schema_version"})
     version = document["schema_version"]
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
@@ -507,8 +515,6 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
         _require_keys("grid", grid, _GRID_KEYS, {"rows", "cols"})
         params = dict(grid)
         rows, cols = params.pop("rows"), params.pop("cols")
-        if not isinstance(rows, int) or not isinstance(cols, int):
-            raise ValidationError("grid: rows and cols must be integers")
         name = document.get("name", f"grid_{rows}x{cols}")
         return generate_grid(rows, cols, name=str(name), **params)
 
@@ -532,7 +538,7 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
         rid = str(entry["id"])
         length = _as_positive(f"road {rid!r}", "length", entry["length"])
         speed = _as_positive(f"road {rid!r}", "free_flow_speed", entry["free_flow_speed"])
-        exit_rate = float(entry.get("exit_rate", 0.0))
+        exit_rate = _as_number(f"road {rid!r}", "exit_rate", entry.get("exit_rate", 0.0))
         road = Road(
             id=rid,
             length=length,
@@ -552,11 +558,14 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
             raise ValidationError("movements: each entry must be a mapping")
         _require_keys("movement", entry, _MOVE_KEYS, _MOVE_KEYS)
         xid = str(entry["intersection"])
+        key = (str(entry["from"]), str(entry["to"]))
+        section = f"movement {movement_label(key)!r}"
         mv = Movement(
-            from_road=str(entry["from"]),
-            to_road=str(entry["to"]),
-            routing_ratio=float(entry["routing_ratio"]),
-            saturation_speed=float(entry["saturation_speed"]),
+            from_road=key[0],
+            to_road=key[1],
+            routing_ratio=_as_number(section, "routing_ratio", entry["routing_ratio"]),
+            saturation_speed=_as_number(section, "saturation_speed",
+                                        entry["saturation_speed"]),
         )
         moves_by_x.setdefault(xid, []).append(mv)
 
@@ -573,6 +582,11 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
         raw_phases = entry["phases"]
         if not isinstance(raw_phases, list):
             raise ValidationError(f"intersection {xid!r}: phases must be a list")
+        for p, phase in enumerate(raw_phases):
+            if phase is not None and not isinstance(phase, list):
+                raise ValidationError(
+                    f"intersection {xid!r}: phase {p} must be a list of movements, got {phase!r}"
+                )
         phases = tuple(
             tuple(parse_movement_key(ref) for ref in (phase or []))
             for phase in raw_phases
@@ -613,8 +627,10 @@ def generate_grid(rows: int, cols: int, *, h: float = 100.0,
     A 1x1 grid is the single four-way intersection with four approach and
     four exit roads.
     """
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
+               for k in (rows, cols)):
         raise ValidationError("grid: rows and cols must be integers >= 1")
+    through_ratio = _as_number("grid", "through_ratio", through_ratio)
     if not 0.0 < through_ratio < 1.0:
         raise ValidationError("grid: through_ratio must lie strictly between 0 and 1")
     h = _as_positive("grid", "h", h)
@@ -622,8 +638,8 @@ def generate_grid(rows: int, cols: int, *, h: float = 100.0,
     block_length = _as_positive("grid", "block_length", block_length)
     free_flow_speed = _as_positive("grid", "free_flow_speed", free_flow_speed)
     saturation_speed = _as_positive("grid", "saturation_speed", saturation_speed)
-    exit_rate = float(exit_rate)
-    inflow = float(inflow)
+    exit_rate = _as_number("grid", "exit_rate", exit_rate)
+    inflow = _as_number("grid", "inflow", inflow)
     if inflow < 0:
         raise ValidationError("grid: inflow must be nonnegative")
 

@@ -38,8 +38,7 @@ MAX_INNER = 5000
 SIMPLEX_TOL = 1e-9
 
 
-def project_tangent(grad: np.ndarray, durations: np.ndarray,
-                    active_tol: float | None = None) -> np.ndarray:
+def project_tangent(grad: np.ndarray, durations: np.ndarray) -> np.ndarray:
     """Project a gradient onto the feasible directions of the simplex.
 
     The returned ``v`` satisfies ``sum(v) = 0``, and ``v_i <= 0`` wherever
@@ -53,9 +52,7 @@ def project_tangent(grad: np.ndarray, durations: np.ndarray,
     d = np.asarray(durations, dtype=float).reshape(-1)
     if g.shape != d.shape:
         raise DimensionError(f"gradient {g.shape} does not match durations {d.shape}")
-    total = d.sum()
-    tol = active_tol if active_tol is not None else 1e-12 * max(total, 1.0)
-    at_bound = d <= tol
+    at_bound = d <= 1e-12 * max(d.sum(), 1.0)
     clamped = np.zeros(d.shape, dtype=bool)
     while True:
         free = ~clamped
@@ -114,9 +111,8 @@ class OptimizationReport:
 
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    epsilon: float, start: np.ndarray, mu: float,
-                   max_iter: int, rows: list[dict[str, float]] | None,
-                   outer_index: int, best_cost: float,
-                   root: float | None = None) -> InnerResult:
+                   rows: list[dict[str, float]], outer_index: int,
+                   best_cost: float, root: float | None = None) -> InnerResult:
     """Drive the smoothed abscissa at fixed weight toward zero.
 
     ``root`` is a first guess for the first root search; every later search
@@ -125,7 +121,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     d = start.copy()
     total = d.sum()
     res: SmoothedAbscissa | None = None
-    for it in range(max_iter):
+    for it in range(MAX_INNER):
         a = average_matrix(mode_set, d)
         res = smoothed_abscissa(a, output, x0, epsilon, warm_start=root)
         root = res.value
@@ -138,14 +134,13 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
             return InnerResult(d, res, False, True, it)
         nabla = res.value * g
         v = project_tangent(nabla, d)
-        if rows is not None:
-            rows.append({
-                "outer": float(outer_index), "inner": float(it),
-                "epsilon": float(epsilon), "alpha_smooth": float(res.value),
-                "kkt_norm": float(np.abs(v).max()), "cost": float(best_cost),
-                "simplex_gap": float(abs(d.sum() - total)),
-                "d_min": float(d.min()),
-            })
+        rows.append({
+            "outer": float(outer_index), "inner": float(it),
+            "epsilon": float(epsilon), "alpha_smooth": float(res.value),
+            "kkt_norm": float(np.abs(v).max()), "cost": float(best_cost),
+            "simplex_gap": float(abs(d.sum() - total)),
+            "d_min": float(d.min()),
+        })
         denom = float(g @ v)
         direction_norm = float(np.abs(project_tangent(g, d)).max())
         if direction_norm <= KKT_TOL * (1.0 + float(np.abs(g).max())) or denom == 0.0:
@@ -163,13 +158,12 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         d = d - step * v
         d[d < 0] = 0.0
         d *= total / d.sum()
-    return InnerResult(d, res, False, False, max_iter)
+    return InnerResult(d, res, False, False, MAX_INNER)
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
              mu: float = 0.5, xi: float = 0.05, starts: int = 1,
-             seed: int | None = 0, start: np.ndarray | None = None,
-             max_inner: int = MAX_INNER, record: bool = True) -> OptimizationReport:
+             seed: int | None = 0, start: np.ndarray | None = None) -> OptimizationReport:
     """Search the duration simplex for a minimum-cost green split.
 
     Parameters
@@ -190,6 +184,9 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     start : array, optional
         Warm start; replaces the baseline as the first initial split (for
         example, to re-plan after the state estimate changes).
+
+    Each inner descent runs at most ``MAX_INNER`` iterations; a descent
+    that hits this budget marks the report as not converged.
     """
     if not 0.0 < mu < 1.0:
         raise ValidationError(f"mu must lie in (0, 1), got {mu}")
@@ -225,7 +222,7 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                          "iters": 0, "start": idx, "converged": True}
             best = candidate
             break
-        rows: list[dict[str, float]] | None = [] if record else None
+        rows: list[dict[str, float]] = []
         d = d0.copy()
         eps_bar = eps0
         xi_cur = xi * eps0
@@ -235,8 +232,7 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         root = None    # latest smoothed abscissa, the next search's first guess
         while xi_cur >= 1e-4 * eps0:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
-                                   mu, max_inner, rows, outer,
-                                   1.0 / eps_bar, root)
+                                   mu, rows, outer, 1.0 / eps_bar, root)
             if inner.result is not None:
                 root = inner.result.value
             iters += max(inner.iterations, 1)
@@ -246,13 +242,13 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                 d = inner.durations
             else:
                 xi_cur *= 0.5
-                if not inner.stationary and inner.iterations >= max_inner:
+                if not inner.stationary and inner.iterations >= MAX_INNER:
                     hit_cap = True
             if outer > 100000:
                 hit_cap = True
                 break
         candidate = {"d": d, "eps": eps_bar, "cost": 1.0 / eps_bar,
-                     "rows": rows or [], "iters": iters, "start": idx,
+                     "rows": rows, "iters": iters, "start": idx,
                      "converged": not hit_cap}
         if best is None or candidate["cost"] < best["cost"]:
             best = candidate

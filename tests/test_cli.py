@@ -79,6 +79,30 @@ def test_malformed_scenario_file(tmp_path):
     assert proc.stderr.startswith("ValidationError: ")
 
 
+def test_non_numeric_value_is_one_validation_line(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "schema_version: 1\n"
+        "grid: {rows: 1, cols: 1, inflow: heavy}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "greensplit.cli", "build", str(bad)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("ValidationError: ")
+    assert "inflow" in proc.stderr
+
+
+def test_cli_import_does_not_load_networkx():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, greensplit.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_modes_listing(runner):
     result = invoke(runner, "modes", "single_road")
     assert result.exit_code == 0
@@ -230,15 +254,3 @@ def test_distributed_round_budget_exit_4(runner):
 def test_distributed_bad_layout(runner):
     result = invoke(runner, "distributed", "single_road", "--agents", "ring:9")
     assert result.exit_code == 2
-
-
-def test_thread_cap_validation(monkeypatch, runner):
-    monkeypatch.setenv("GREENSPLIT_THREADS", "many")
-    result = runner.invoke(cli.main, ["build", "single_road", "--validate"])
-    assert result.exit_code == 2
-
-
-def test_thread_cap_accepts_integer(monkeypatch, runner):
-    monkeypatch.setenv("GREENSPLIT_THREADS", "1")
-    result = invoke(runner, "build", "single_road", "--validate")
-    assert result.exit_code == 0

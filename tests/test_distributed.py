@@ -49,6 +49,44 @@ def test_disconnected_graph_reports_no_diameter():
     assert not g.is_connected
 
 
+def _bfs_diameter(graph):
+    """Plain breadth-first eccentricities; None when some agent is unreachable."""
+    worst = 0
+    for start in range(graph.n_agents):
+        depth = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for other in graph.neighbors(node):
+                    if other not in depth:
+                        depth[other] = depth[node] + 1
+                        nxt.append(other)
+            frontier = nxt
+        if len(depth) < graph.n_agents:
+            return None
+        worst = max(worst, max(depth.values()))
+    return worst
+
+
+def test_diameter_matches_breadth_first_search():
+    rng = np.random.default_rng(5)
+    graphs = [dist.CommGraph(1, ()), dist.CommGraph(4, ())]
+    for _ in range(60):
+        k = int(rng.integers(2, 9))
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.1, 0.6)
+        graphs.append(dist.CommGraph.from_edges(
+            k, [p for p, kept in zip(pairs, keep) if kept]))
+    seen = set()
+    for g in graphs:
+        expected = _bfs_diameter(g)
+        seen.add(expected is None)
+        assert g.diameter == expected
+        assert g.is_connected == (expected is not None)
+    assert seen == {True, False}    # both connected and disconnected cases ran
+
+
 # partitioning ---------------------------------------------------------------
 
 def test_partition_rows_sum():

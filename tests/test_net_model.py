@@ -137,10 +137,72 @@ def test_routing_ratios_must_sum_to_one():
     assert net.n_roads == 3
 
 
+def _road(rid, **flags):
+    return {"id": rid, "length": 100, "free_flow_speed": 14, **flags}
+
+
+def _move(x, frm, to):
+    return {"intersection": x, "from": frm, "to": to,
+            "routing_ratio": 1.0, "saturation_speed": 0.05}
+
+
 def test_unreachable_road_rejected():
+    orphan = minimal_doc()
+    orphan["roads"].append(_road("orphan"))
+    # c and d feed each other and never reach the destination b
+    loop = minimal_doc()
+    loop["roads"] += [_road("c"), _road("d")]
+    loop["movements"] += [_move("y", "c", "d"), _move("z", "d", "c")]
+    loop["intersections"] += [{"id": "y", "phases": [["c -> d"]]},
+                              {"id": "z", "phases": [["d -> c"]]}]
+    for doc, stranded in ((orphan, "['orphan']"), (loop, "['c', 'd']")):
+        with pytest.raises(ValidationError, match="no path") as info:
+            net_model.build_network(doc)
+        assert stranded in str(info.value)
+
+
+def test_multi_hop_chain_reaches_destination():
+    doc = minimal_doc(
+        roads=[_road("a", source=True, inflow=0.01), _road("m1"), _road("m2"),
+               _road("b", destination=True, exit_rate=1.0)],
+        movements=[_move("x1", "a", "m1"), _move("x2", "m1", "m2"),
+                   _move("x3", "m2", "b")],
+        intersections=[{"id": f"x{k}", "phases": [[ref], []]}
+                       for k, ref in ((1, "a -> m1"), (2, "m1 -> m2"),
+                                      (3, "m2 -> b"))],
+    )
+    net = net_model.build_network(doc)
+    assert net.n_roads == 4
+
+
+def _grid_doc(**grid):
+    return {"schema_version": 1, "grid": {"rows": 1, "cols": 1, **grid}}
+
+
+def _mutated(mutate):
     doc = minimal_doc()
-    doc["roads"].append({"id": "orphan", "length": 100, "free_flow_speed": 14})
-    with pytest.raises(ValidationError, match="no path"):
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    minimal_doc(schema_version=True),
+    _grid_doc(rows=True),
+    _grid_doc(exit_rate="all"),
+    _grid_doc(inflow="heavy"),
+    _grid_doc(through_ratio="most"),
+    _mutated(lambda d: d["roads"][1].update(exit_rate="fast")),
+    _mutated(lambda d: d["roads"][0].update(inflow=True)),
+    _mutated(lambda d: d["movements"][0].update(routing_ratio="most")),
+    _mutated(lambda d: d["movements"][0].update(saturation_speed=[0.05])),
+    _mutated(lambda d: d["movements"][0].update(saturation_speed=math.nan)),
+    _mutated(lambda d: d["intersections"][0].update(phases=[["a -> b"], 5])),
+], ids=["schema_version_bool", "grid_rows_bool", "grid_exit_rate_text",
+        "grid_inflow_text", "grid_through_ratio_text", "exit_rate_text",
+        "inflow_bool", "routing_ratio_text", "saturation_speed_list",
+        "saturation_speed_nan", "phase_not_list"])
+def test_malformed_values_are_validation_errors(doc):
+    with pytest.raises(ValidationError):
         net_model.build_network(doc)
 
 
