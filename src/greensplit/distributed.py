@@ -5,20 +5,31 @@ Writing the equation ``L X + X L^T + D = 0`` per share introduces one
 unknown share ``D_i = -(L_i X + X L_i^T)`` per agent, tied together by
 ``sum(D_i) = D``.  Stacking the vectorized unknowns
 ``w = [X^v, D_1^v, ..., D_nu^v]`` gives each agent a local underdetermined
-system ``H_i w = z_i`` whose solution set contains the global solution.
+system whose solution set contains the global solution.
 
 Agents keep an affine description of their solution set: a particular
 solution ``w_hat_i`` (minimum norm) and an orthonormal kernel basis
-``K_i``.  A pairwise exchange moves ``w_hat_i`` into the intersection of
-the two affine sets and intersects the kernels, so after as many
-synchronous rounds as the communication graph's diameter every kernel has
-collapsed and all agents hold the unique global solution exactly.  Agents
-exchange only ``(w_hat, K)``; the centralized solution appears below purely
-as instrumentation for error traces.
+``K_i``, in the method family of Mou, Liu & Morse, "A distributed
+algorithm for solving a linear algebraic equation", IEEE TAC 60(11), 2015.
+Both are built in closed form, without forming the dense local system:
+the kernel is spanned by a free ``X`` with ``D_i = -Lambda_i X`` and a
+balancing share ``D_k = +Lambda_i X``, and by a free ``D_j`` per other
+agent balanced by ``D_k = -D_j``; one QR factorization orthonormalizes
+it, and ``D_k = D`` minus its kernel component is the particular
+solution.  A lone agent solves the Kronecker-sum system directly.
+
+A pairwise exchange moves ``w_hat_i`` into the intersection of the two
+affine sets and intersects the kernels, with one thin SVD of the part of
+the neighbor's kernel outside the agent's own.  After as many synchronous
+rounds as the communication graph's diameter every kernel has collapsed
+and all agents hold the unique global solution exactly.  Agents exchange
+only ``(w_hat, K)``; the centralized solution appears below purely as
+instrumentation for error traces.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,51 +141,83 @@ class Agent:
         n = share.shape[0]
         self.n = n
         self.n_agents = n_agents
+        self.share = share
+        self.rhs = rhs
         nn = n * n
-        width = (n_agents + 1) * nn
+        lam = np.kron(np.eye(n), share) + np.kron(share, np.eye(n))
+        d = rhs.reshape(-1, order="F")
 
-        lam_bar = np.kron(np.eye(n), share) + np.kron(share, np.eye(n))
-        h = np.zeros((2 * nn, width))
-        h[:nn, :nn] = lam_bar
-        h[:nn, (1 + agent_id) * nn:(2 + agent_id) * nn] = np.eye(nn)
-        for j in range(n_agents):
-            h[nn:, (1 + j) * nn:(2 + j) * nn] = np.eye(nn)
-        z = np.zeros(2 * nn)
-        z[nn:] = rhs.reshape(-1, order="F")
+        if n_agents == 1:
+            # no share to balance: D_1 = D and X solves the whole equation
+            x = np.linalg.lstsq(lam, -d, rcond=None)[0]
+            self.w_hat = np.concatenate([x, d])
+            free = linalg.null_space(lam, rcond=RANK_TOL)
+            self.kernel = np.vstack([free, np.zeros((nn, free.shape[1]))])
+        else:
+            # kernel: a free X with D_i = -lam X and D_k = +lam X, and a free
+            # D_j per other agent j with D_k = -D_j
+            k = 1 if agent_id == 0 else 0
+            basis = np.zeros(((n_agents + 1) * nn, (n_agents - 1) * nn))
+            basis[:nn, :nn] = np.eye(nn)
+            basis[self._rows(agent_id), :nn] = -lam
+            basis[self._rows(k), :nn] = lam
+            others = [j for j in range(n_agents) if j not in (agent_id, k)]
+            for col, j in enumerate(others, start=1):
+                cols = slice(col * nn, (col + 1) * nn)
+                basis[self._rows(j), cols] = np.eye(nn)
+                basis[self._rows(k), cols] = -np.eye(nn)
+            self.kernel = np.linalg.qr(basis)[0]
+            # D_k = D solves the local system; removing its kernel component
+            # leaves the minimum-norm solution
+            w_p = np.zeros(basis.shape[0])
+            w_p[self._rows(k)] = d
+            self.w_hat = w_p - self.kernel @ (self.kernel.T @ w_p)
 
-        self.w_hat = np.linalg.lstsq(h, z, rcond=None)[0]
-        gap = np.linalg.norm(h @ self.w_hat - z)
-        if gap > 1e-8 * (1.0 + np.linalg.norm(z)):
+        gap = self.local_residual()
+        if gap > 1e-8 * (1.0 + np.linalg.norm(d)):
             raise InconsistentLocal(
                 f"agent {agent_id}: local system residual {gap:.3e}"
             )
-        self.kernel = linalg.null_space(h, rcond=RANK_TOL)
-        self._h = h
-        self._z = z
+
+    def _rows(self, agent: int) -> slice:
+        """Entries of ``w`` that hold ``D_agent``."""
+        nn = self.n * self.n
+        return slice((1 + agent) * nn, (2 + agent) * nn)
 
     @property
     def kernel_dim(self) -> int:
         return self.kernel.shape[1]
 
     def local_residual(self) -> float:
-        return float(np.linalg.norm(self._h @ self.w_hat - self._z))
+        """Residual of ``S_i X + X S_i^T + D_i = 0`` and ``sum(D_j) = D``."""
+        x = self.solution()
+        own = self.share @ x + x @ self.share.T + self.own_share()
+        nn = self.n * self.n
+        total = self.w_hat[nn:].reshape(self.n_agents, nn).sum(axis=0)
+        balance = total.reshape((self.n, self.n), order="F") - self.rhs
+        return float(np.hypot(np.linalg.norm(own), np.linalg.norm(balance)))
 
     def fold(self, other_w: np.ndarray, other_kernel: np.ndarray) -> None:
-        """Refine against one neighbor's (w_hat, K) message."""
+        """Refine against one neighbor's (w_hat, K) message.
+
+        Moves ``w_hat`` into the intersection of the two affine sets (least
+        squares, should they miss) and keeps the kernels' common span.
+        Attributes are rebound, never written in place, so a message may
+        share arrays with its sender.
+        """
         k_i, k_j = self.kernel, other_kernel
+        if k_i.shape[1] == 0:
+            return
         delta = other_w - self.w_hat
-        if k_i.shape[1] > 0:
-            stacked = np.hstack([k_i, k_j]) if k_j.shape[1] else k_i
-            coeff = np.linalg.lstsq(stacked, delta, rcond=None)[0]
-            self.w_hat = self.w_hat + k_i @ coeff[: k_i.shape[1]]
-        if k_i.shape[1] == 0 or k_j.shape[1] == 0:
-            self.kernel = np.zeros((self.w_hat.shape[0], 0))
-            return
-        joint = linalg.null_space(np.hstack([k_i, -k_j]), rcond=RANK_TOL)
-        if joint.shape[1] == 0:
-            self.kernel = np.zeros((self.w_hat.shape[0], 0))
-            return
-        self.kernel = linalg.orth(k_i @ joint[: k_i.shape[1]], rcond=RANK_TOL)
+        # the part of the neighbor's kernel outside ours; its singular values
+        # are the sines of the principal angles between the two kernels
+        outside = k_j - k_i @ (k_i.T @ k_j)
+        u, sines, vt = np.linalg.svd(outside, full_matrices=False)
+        r = int(np.count_nonzero(sines > RANK_TOL))
+        c_j = vt[:r].T @ ((u[:, :r].T @ (delta - k_i @ (k_i.T @ delta))) / sines[:r])
+        step = delta - k_j @ c_j
+        self.w_hat = self.w_hat + k_i @ (k_i.T @ step)
+        self.kernel = k_j @ vt[r:].T
 
     def solution(self) -> np.ndarray:
         """Current estimate of the Lyapunov solution block."""
@@ -183,21 +226,36 @@ class Agent:
 
     def own_share(self) -> np.ndarray:
         """Current estimate of this agent's right-hand-side share."""
-        nn = self.n * self.n
-        lo = (1 + self.id) * nn
-        return self.w_hat[lo:lo + nn].reshape((self.n, self.n), order="F")
+        return self.w_hat[self._rows(self.id)].reshape((self.n, self.n), order="F")
 
 
 def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
     """One message round: everyone folds every neighbor's broadcast.
 
     All messages carry start-of-round values, so the outcome does not
-    depend on the order in which agents physically execute.
+    depend on the order in which agents physically execute.  A fold
+    rebinds ``w_hat`` and ``kernel`` instead of writing into them, so the
+    messages need no copies.
     """
-    snapshot = [(agent.w_hat.copy(), agent.kernel.copy()) for agent in agents]
+    messages = [(agent.w_hat, agent.kernel) for agent in agents]
     for agent in agents:
         for j in graph.neighbors(agent.id):
-            agent.fold(*snapshot[j])
+            agent.fold(*messages[j])
+
+
+def planned_bytes(n: int, n_agents: int) -> int:
+    """Memory a distributed solve holds at its peak, from shapes alone.
+
+    Every agent keeps a ``(nu+1) n^2 x (nu-1) n^2`` kernel; building one
+    (basis, QR workspace and factor) or folding one (projected neighbor
+    kernel, SVD workspace and left singular vectors) adds three more of
+    that size, plus a few ``n^2 x n^2`` and ``(nu-1) n^2`` square
+    temporaries.
+    """
+    nn = n * n
+    rank = max(n_agents - 1, 1) * nn
+    kernel = (n_agents + 1) * nn * rank
+    return 8 * ((n_agents + 3) * kernel + 6 * rank * rank + 4 * nn * nn)
 
 
 @dataclass
@@ -222,6 +280,9 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     graph this happens after at most ``diameter`` rounds.  A disconnected
     graph cannot agree and ends in :class:`NotConverged`; a matrix that is
     not Hurwitz fails the centralized solve with :class:`UnstableMatrix`.
+    A layout whose agents would hold more than half of physical memory
+    (:func:`planned_bytes`) is refused with :class:`ValidationError`
+    before any agent is built.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -234,6 +295,14 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     if assignment is None:
         assignment = default_assignment(n, nu)
     shares = partition_rows(a, assignment, nu)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    planned = planned_bytes(n, nu)
+    if planned > physical / 2:
+        raise ValidationError(
+            f"{nu} agents on a {n}-state system would hold about "
+            f"{planned / 2**30:.1f} GiB, over half of the "
+            f"{physical / 2**30:.1f} GiB of physical memory"
+        )
 
     reference = solve_lyapunov(a, d)
     ref_norm = np.linalg.norm(reference)

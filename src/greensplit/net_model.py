@@ -297,6 +297,13 @@ def _as_number(section: str, key: str, value: Any) -> float:
     return v
 
 
+def _as_flag(section: str, key: str, value: Any) -> bool:
+    """A YAML boolean; strings such as ``"no"`` and numbers are refused."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{section}: {key} must be true or false, got {value!r}")
+    return value
+
+
 def _as_positive(section: str, key: str, value: Any) -> float:
     v = _as_number(section, key, value)
     if v <= 0:
@@ -522,8 +529,10 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
                                                     "cycle_time", "roads"})
     h = _as_positive("scenario", "h", document["h"])
     cycle_time = _as_positive("scenario", "cycle_time", document["cycle_time"])
-    allow_overlap = bool(document.get("allow_phase_overlap", False))
-    conservation = bool(document.get("enforce_turn_conservation", True))
+    allow_overlap = _as_flag("scenario", "allow_phase_overlap",
+                             document.get("allow_phase_overlap", False))
+    conservation = _as_flag("scenario", "enforce_turn_conservation",
+                            document.get("enforce_turn_conservation", True))
     name = str(document.get("name", "network"))
 
     raw_roads = document["roads"]
@@ -544,8 +553,9 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
             length=length,
             free_flow_speed=speed,
             cell_count=_cells_for(length, h),
-            is_source=bool(entry.get("source", False)),
-            is_destination=bool(entry.get("destination", False)),
+            is_source=_as_flag(f"road {rid!r}", "source", entry.get("source", False)),
+            is_destination=_as_flag(f"road {rid!r}", "destination",
+                                    entry.get("destination", False)),
             exit_rate=exit_rate,
         )
         roads.append(road)

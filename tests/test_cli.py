@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -249,6 +250,19 @@ def test_distributed_round_budget_exit_4(runner):
     result = invoke(runner, "distributed", "single_road", "--agents", "path:3",
                     "--rounds", "0")
     assert result.exit_code == 4
+
+
+def test_distributed_memory_preflight_is_one_validation_line(tmp_path):
+    # grid_3x3 has 144 cells; 2x2 agents would each keep a ~50 GB kernel
+    out = tmp_path / "rounds.csv"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, ["distributed", "grid_3x3", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: ")
+    assert "physical memory" in result.stderr
+    assert not out.exists()
 
 
 def test_distributed_bad_layout(runner):

@@ -1,7 +1,13 @@
 """Cooperative Lyapunov solving over communication topologies."""
 
+import os
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 from greensplit import distributed as dist
 from greensplit.errors import (DimensionError, NotConverged, UnstableMatrix,
@@ -224,3 +230,106 @@ def test_interior_agents_finish_first(problem):
     center_done = int(np.argmax(res.errors[:, center] <= 1e-9))
     corner_done = int(np.argmax(res.errors[:, corner] <= 1e-9))
     assert center_done <= corner_done
+
+
+# closed-form agents against the dense local system --------------------------
+
+def _local_system(share, rhs, agent_id, n_agents):
+    """Dense ``H_i w = z_i`` of one agent over ``w = [X, D_1, ..., D_nu]``."""
+    n = share.shape[0]
+    nn = n * n
+    h = np.zeros((2 * nn, (n_agents + 1) * nn))
+    h[:nn, :nn] = np.kron(np.eye(n), share) + np.kron(share, np.eye(n))
+    h[:nn, (1 + agent_id) * nn:(2 + agent_id) * nn] = np.eye(nn)
+    for j in range(n_agents):
+        h[nn:, (1 + j) * nn:(2 + j) * nn] = np.eye(nn)
+    z = np.zeros(2 * nn)
+    z[nn:] = rhs.reshape(-1, order="F")
+    return h, z
+
+
+# row owners per layout; agent 1 owns no rows for two agents and for four
+LAYOUTS = [(1, [0, 0, 0, 0]), (2, [0, 1, 0, 1]), (2, [0, 0, 0, 0]),
+           (3, [0, 0, 1, 2]), (4, [0, 2, 2, 3])]
+
+
+@pytest.mark.parametrize("n_agents, owners", LAYOUTS)
+def test_agent_matches_dense_local_system(problem, n_agents, owners):
+    a, d = problem
+    shares = dist.partition_rows(a, np.array(owners), n_agents)
+    for i in range(n_agents):
+        agent = dist.Agent(i, shares[i], d, n_agents)
+        h, z = _local_system(shares[i], d, i, n_agents)
+        assert np.linalg.norm(h @ agent.w_hat - z) < 1e-10
+        np.testing.assert_allclose(
+            agent.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
+        assert np.linalg.norm(h @ agent.kernel) < 1e-10
+        np.testing.assert_allclose(agent.kernel.T @ agent.kernel,
+                                   np.eye(agent.kernel_dim), atol=1e-12)
+        assert agent.kernel_dim == h.shape[1] - np.linalg.matrix_rank(h)
+        assert agent.local_residual() == pytest.approx(
+            np.linalg.norm(h @ agent.w_hat - z), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_agents, owners", LAYOUTS[1:])
+def test_fold_intersects_affine_sets(problem, n_agents, owners):
+    a, d = problem
+    shares = dist.partition_rows(a, np.array(owners), n_agents)
+    mine, theirs = (dist.Agent(i, shares[i], d, n_agents) for i in (0, 1))
+    k_i, k_j = mine.kernel, theirs.kernel
+    mine.fold(theirs.w_hat, theirs.kernel)
+    for i in (0, 1):
+        h, z = _local_system(shares[i], d, i, n_agents)
+        assert np.linalg.norm(h @ mine.w_hat - z) < 1e-10
+    joint = linalg.null_space(np.hstack([k_i, -k_j]))
+    assert mine.kernel_dim == joint.shape[1] == (n_agents - 2) * a.size
+    if joint.shape[1]:
+        common = k_i @ joint[:k_i.shape[1]]
+        assert linalg.subspace_angles(mine.kernel, common).max() < 1e-8
+        np.testing.assert_allclose(mine.kernel.T @ mine.kernel,
+                                   np.eye(mine.kernel_dim), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 5), st.integers(0, 2 ** 31 - 1),
+       st.data())
+def test_random_layouts_match_centralized(n, n_agents, seed, data):
+    rng = np.random.default_rng(seed)
+    a = make_hurwitz(rng, n)
+    x0 = rng.standard_normal(n)
+    d = np.outer(x0, x0)
+    owners = data.draw(st.lists(st.integers(0, n_agents - 1), min_size=n, max_size=n))
+    # a random spanning tree keeps the graph connected; extra edges shrink it
+    tree = [(k, data.draw(st.integers(0, k - 1))) for k in range(1, n_agents)]
+    pairs = [(i, j) for i in range(n_agents) for j in range(i + 1, n_agents)]
+    extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    graph = dist.CommGraph.from_edges(n_agents, tree + extra)
+    res = dist.run_distributed(a, d, graph, np.array(owners))
+    assert res.rounds <= graph.diameter
+    reference = solve_lyapunov(a, d)
+    for sol in res.solutions:
+        assert np.linalg.norm(sol - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+# memory preflight -----------------------------------------------------------
+
+def test_planned_bytes_covers_the_kernels(problem):
+    a, d = problem
+    shares = dist.partition_rows(a, dist.default_assignment(4, 3), 3)
+    held = sum(dist.Agent(i, shares[i], d, 3).kernel.nbytes for i in range(3))
+    assert held < dist.planned_bytes(4, 3)
+
+
+def test_memory_preflight_refuses_before_building(monkeypatch):
+    n, graph = 144, dist.CommGraph.grid(2, 2)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert dist.planned_bytes(n, graph.n_agents) > physical / 2
+
+    def no_agent(*args, **kwargs):
+        raise AssertionError("an agent was built")
+
+    monkeypatch.setattr(dist, "Agent", no_agent)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="physical memory"):
+        dist.run_distributed(-np.eye(n), np.eye(n), graph)
+    assert time.perf_counter() - start < 1.0

@@ -206,6 +206,26 @@ def test_malformed_values_are_validation_errors(doc):
         net_model.build_network(doc)
 
 
+@pytest.mark.parametrize("doc, key", [
+    (minimal_doc(allow_phase_overlap="false"), "allow_phase_overlap"),
+    (_mutated(lambda d: d["roads"][0].update(source="no")), "source"),
+    (_mutated(lambda d: d["roads"][1].update(destination=1)), "destination"),
+    (minimal_doc(enforce_turn_conservation="yes"), "enforce_turn_conservation"),
+], ids=["overlap_text_false", "source_text_no", "destination_int", "conservation_text_yes"])
+def test_flags_must_be_booleans(doc, key):
+    with pytest.raises(ValidationError, match=key):
+        net_model.build_network(doc)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_flags_accepted(flag):
+    net = net_model.build_network(minimal_doc(allow_phase_overlap=flag,
+                                              enforce_turn_conservation=flag))
+    assert net.allow_phase_overlap is flag
+    assert net.enforce_turn_conservation is flag
+    assert net.sources == ("a",) and net.destinations == ("b",)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ValidationError, match="unknown"):
         net_model.build_network(minimal_doc(surprise=1))
