@@ -11,10 +11,11 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure,
 
 from __future__ import annotations
 
-import csv
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from typing import Any
 
 import click
@@ -77,31 +78,34 @@ def _header_lines(network: net_model.NetworkSpec, seed: int) -> list[str]:
 
 
 def _write_csv(path: str, headers: list[str], columns: list[str],
-               rows: list[tuple]) -> None:
+               blocks: Iterable[tuple]) -> None:
+    """Write ``#`` header lines, the column names, then each block's rows.
+
+    A block holds one entry per column: a list of cells from
+    :func:`_cells`, or a string that fills the whole column.  Blocks are
+    written as they come, so a generator streams them.  The bytes are those
+    of ``csv.writer``: header lines end in ``\n``, rows in ``\r\n``.
+    """
     with open(path, "w", newline="") as fh:
         for line in headers:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(map(_quote, columns)) + "\r\n")
+        for block in blocks:
+            cols = [itertools.repeat(_quote(c)) if isinstance(c, str) else c
+                    for c in block]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
 
-def _fmt(value: Any) -> Any:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+def _cells(values: Any) -> list[str]:
+    """Numbers as csv cells: ``repr`` of each int or float."""
+    return list(map(repr, np.asarray(values).tolist()))
 
 
-def _trajectory_rows(traj: sim.Trajectory,
-                     labels: tuple[str, ...]) -> list[tuple]:
-    rows = []
-    for j, label in enumerate(labels):
-        for i, t in enumerate(traj.times):
-            rows.append((label, t, traj.states[i, j]))
-    return rows
+def _quote(field: str) -> str:
+    """A text field quoted as ``csv.writer``'s QUOTE_MINIMAL quotes it."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 @click.group()
@@ -154,12 +158,12 @@ def modes(scenario_ref: str, out: str | None) -> None:
         shown = ", ".join(green) if green else "(all red)"
         click.echo(f"mode {k}: {mode_set.durations[k]:g}s  {shown}")
     if out is not None:
-        rows = []
+        blocks = []
         for k, a in enumerate(mode_set.modes):
-            for i, j in zip(*np.nonzero(a)):
-                rows.append((k, int(i), int(j), a[i, j]))
+            i, j = np.nonzero(a)
+            blocks.append((str(k), _cells(i), _cells(j), _cells(a[i, j])))
         _write_csv(out, _header_lines(network, 0),
-                   ["mode", "row", "col", "value"], rows)
+                   ["mode", "row", "col", "value"], blocks)
         click.echo(f"wrote {out}")
 
 
@@ -193,8 +197,11 @@ def simulate(scenario_ref: str, which: str, x0: str, horizon: float | None,
     click.echo(f"final state norm {np.linalg.norm(final):.6g}, "
                f"max cell {final.max():.6g}")
     if out is not None:
+        times = _cells(traj.times)
+        series = ((label, times, _cells(traj.states[:, j]))
+                  for j, label in enumerate(network.state_labels))
         _write_csv(out, _header_lines(network, 0), ["series", "t", "value"],
-                   _trajectory_rows(traj, network.state_labels))
+                   series)
         click.echo(f"wrote {out}")
 
 
@@ -222,15 +229,16 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
     state0 = load_state(x0, network)
     if horizon is None:
         horizon = 10.0 * max(cycle_list)
-    rows = []
+    errors = []
     for cycle in cycle_list:
         schedule = net_model.uniform_schedule(network, cycle_time=cycle)
         report = sim.averaging_error(network, schedule, state0, horizon, dt)
-        rows.append((cycle, report.error_percent))
+        errors.append(report.error_percent)
         click.echo(f"T={cycle:g}: error {report.error_percent:.4f}%")
     if out is not None:
         _write_csv(out, _header_lines(network, 0),
-                   ["cycle_time", "error_percent"], rows)
+                   ["cycle_time", "error_percent"],
+                   [(_cells(cycle_list), _cells(errors))])
         click.echo(f"wrote {out}")
 
 
@@ -278,10 +286,12 @@ def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
             fh.write("\n")
         click.echo(f"wrote {out}")
     if plot_out is not None:
-        rows = [(i, row["alpha_smooth"], row["kkt_norm"], row["cost"])
-                for i, row in enumerate(report.trajectory)]
+        trace = report.trajectory
+        block = (_cells(range(len(trace))),
+                 *(_cells([row[key] for row in trace])
+                   for key in ("alpha_smooth", "kkt_norm", "cost")))
         _write_csv(plot_out, _header_lines(network, seed),
-                   ["iter", "alpha_tilde", "kkt_norm", "cost"], rows)
+                   ["iter", "alpha_tilde", "kkt_norm", "cost"], [block])
         click.echo(f"wrote {plot_out}")
 
 
@@ -329,11 +339,11 @@ def distributed_cmd(scenario_ref: str, agents: str, rounds: int | None,
     click.echo(f"{graph.n_agents} agents agreed after {result.rounds} rounds "
                f"(max error {result.errors[-1].max():.3e})")
     if out is not None:
-        rows = [(r, agent, result.errors[r, agent])
-                for r in range(result.errors.shape[0])
-                for agent in range(result.errors.shape[1])]
+        agent_ids = _cells(range(result.errors.shape[1]))
+        blocks = [(str(r), agent_ids, _cells(errors))
+                  for r, errors in enumerate(result.errors)]
         _write_csv(out, _header_lines(network, 0),
-                   ["round", "agent", "frobenius_error"], rows)
+                   ["round", "agent", "frobenius_error"], blocks)
         click.echo(f"wrote {out}")
 
 

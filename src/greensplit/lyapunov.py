@@ -20,7 +20,7 @@ from scipy import linalg
 
 from .errors import DimensionError, EigenFailure, SolveFailure, UnstableMatrix
 
-#: relative residual accepted from a Lyapunov solve
+#: residual accepted from a Lyapunov solve, relative to ``|D| + 2 |A - s I| |X|``
 RESIDUAL_TOL = 1e-9
 
 
@@ -83,7 +83,9 @@ class ShiftedLyapunov:
             y, scale, info = self._trsyl(t, t, rhs, trana="C", tranb="N")
         else:
             y, scale, info = self._trsyl(t, t, rhs, tranb="C")
-        if info < 0 or scale == 0.0 or not np.all(np.isfinite(y)):
+        # info == 1: the shifted spectrum nearly meets its mirror image and
+        # trsyl perturbed it to finish, so y solves a different equation
+        if info != 0 or scale == 0.0 or not np.all(np.isfinite(y)):
             raise SolveFailure(
                 f"triangular Sylvester solve broke down (info={info}, scale={scale})"
             )
@@ -92,7 +94,9 @@ class ShiftedLyapunov:
             resid = np.linalg.norm(t.T @ y + y @ t - rhs)
         else:
             resid = np.linalg.norm(t @ y + y @ t.T - rhs)
-        if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(d)):
+        # backward-stable solves leave a residual of order eps (|D| + 2|T||Y|)
+        size = np.linalg.norm(d) + 2.0 * np.linalg.norm(t) * np.linalg.norm(y)
+        if resid > RESIDUAL_TOL * size:
             raise SolveFailure(
                 f"Lyapunov residual {resid:.3e} exceeds tolerance for shift {shift}"
             )

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, headers, exit codes, determinism."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -138,6 +139,61 @@ def test_simulate_writes_tidy_csv(runner, tmp_path):
     assert rows[0] == ["series", "t", "value"]
     series = {r[0] for r in rows[1:]}
     assert series == {"r1[1]", "r1[2]", "r1[3]", "r2[1]"}
+
+
+QUOTED = """
+schema_version: 1
+name: quoted
+h: 100.0
+cycle_time: 60.0
+roads:
+  - {id: 'a,"x"', length: 100.0, free_flow_speed: 10.0, source: true, inflow: [[30, 0.1], [30, 0.0]]}
+  - {id: 'b"', length: 100.0, free_flow_speed: 10.0, destination: true, exit_rate: 1.0}
+movements:
+  - {intersection: x, from: 'a,"x"', to: 'b"', routing_ratio: 1.0, saturation_speed: 0.05}
+intersections:
+  - id: x
+    phases:
+      - ['a,"x" -> b"']
+"""
+
+
+@pytest.mark.parametrize("mode", ["switching", "average"])
+def test_simulate_csv_matches_csv_writer(runner, tmp_path, mode):
+    # road ids with a comma and double quotes, or a double quote alone, and
+    # values that print as 0.0, 1e-05 and 1e+16
+    from greensplit import net_model, scenario, sim
+    path = tmp_path / "quoted.yaml"
+    path.write_text(QUOTED)
+    x0 = tmp_path / "x0.txt"
+    x0.write_text("1e-05\n1e16\n")
+    out = tmp_path / "traj.csv"
+    result = invoke(runner, "simulate", str(path), "--mode", mode, "--x0", str(x0),
+                    "--horizon", "75", "--dt", "2.5", "--out", str(out))
+    assert result.exit_code == 0
+
+    network = scenario.load(path)
+    schedule = net_model.uniform_schedule(network)
+    run = sim.simulate_switching if mode == "switching" else sim.simulate_average
+    traj = run(network, schedule, np.array([1e-05, 1e16]), 75.0, 2.5)
+    expected = io.StringIO()
+    expected.write(f"# greensplit {cli.__version__}\n# seed: 0\n"
+                   f"# config: {scenario.config_hash(network)}\n")
+    writer = csv.writer(expected)
+    writer.writerow(["series", "t", "value"])
+    for j, label in enumerate(network.state_labels):
+        for t, v in zip(traj.times, traj.states[:, j]):
+            writer.writerow([label, repr(float(t)), repr(float(v))])
+    assert out.read_bytes() == expected.getvalue().encode()
+
+    text = out.read_bytes().decode()
+    assert '"a,""x""[1]",0.0,1e-05\r\n' in text
+    assert '"b""[1]",0.0,1e+16\r\n' in text
+    _, rows = read_artifact(out)
+    assert rows[0] == ["series", "t", "value"]
+    assert [r[0] for r in rows[1::len(traj.times)]] == ['a,"x"[1]', 'b"[1]']
+    values = np.array([float(r[2]) for r in rows[1:]]).reshape(2, -1)
+    np.testing.assert_array_equal(values, traj.states.T)
 
 
 def test_simulate_average_mode(runner, tmp_path):

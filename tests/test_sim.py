@@ -1,5 +1,7 @@
 """Switched and averaged trajectory integration."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,10 +9,75 @@ from scipy.integrate import solve_ivp
 from greensplit import dynamics, net_model, scenario, sim
 from greensplit.errors import DimensionError, ValidationError
 
+PULSE = """
+schema_version: 1
+name: pulse
+h: 100.0
+cycle_time: 60.0
+roads:
+  - {id: a, length: 100.0, free_flow_speed: 10.0, source: true, inflow: INFLOW}
+  - {id: b, length: 100.0, free_flow_speed: 10.0, destination: true, exit_rate: 1.0}
+movements:
+  - {intersection: x, from: a, to: b, routing_ratio: 1.0, saturation_speed: 0.05}
+intersections:
+  - id: x
+    phases:
+      - [a -> b]
+"""
+
+
+def _pulse(tmp_path_factory, inflow):
+    path = tmp_path_factory.mktemp("pulse") / "pulse.yaml"
+    path.write_text(PULSE.replace("INFLOW", inflow))
+    return scenario.load(path)
+
 
 @pytest.fixture(scope="module")
 def single(single_net):
     return single_net, net_model.uniform_schedule(single_net)
+
+
+@pytest.fixture(scope="module")
+def pulse_net(tmp_path_factory):
+    return _pulse(tmp_path_factory, "[[30, 0.1], [30, 0.0]]")
+
+
+@pytest.fixture(scope="module")
+def three_segment_net(tmp_path_factory):
+    return _pulse(tmp_path_factory, "[[20, 0.1], [25, 0.0], [15, 0.3]]")
+
+
+def _scalar_mode(schedule, t):
+    """Mode at one time, one window at a time: the reference for
+    ``sim._modes_at``."""
+    T = schedule.cycle_time
+    phase_time = t - math.floor(t / T + 1e-12) * T
+    times = schedule.switch_times
+    for k in range(schedule.n_modes):
+        if times[k] - 1e-9 * T <= phase_time < times[k + 1] - 1e-9 * T:
+            return k
+    return schedule.n_modes - 1
+
+
+def _scalar_inflow(network, t):
+    """Per-road inflow at one time, one segment at a time: the reference
+    for ``sim._inflows_at``."""
+    u = np.zeros(network.n_roads)
+    for i, r in enumerate(network.roads):
+        profile = network.inflows.get(r.id)
+        if not profile:
+            continue
+        period = sum(dur for dur, _ in profile)
+        local = t - math.floor(t / period + 1e-12) * period
+        acc = 0.0
+        value = profile[-1][1]
+        for dur, val in profile:
+            acc += dur
+            if local < acc - 1e-9 * period:
+                value = val
+                break
+        u[i] = value
+    return u
 
 
 def _rk_reference(network, schedule, x0, horizon):
@@ -22,7 +89,7 @@ def _rk_reference(network, schedule, x0, horizon):
         tau = t % T
         k = np.searchsorted(schedule.switch_times, tau, side="right") - 1
         k = min(max(k, 0), ms.n_modes - 1)
-        u = sim._inflow_at(network, t)
+        u = _scalar_inflow(network, t)
         return ms.modes[k] @ x + ms.input_map @ u
 
     out = solve_ivp(rhs, (0.0, horizon), x0, rtol=1e-10, atol=1e-12,
@@ -129,25 +196,8 @@ def test_averaging_report_fields(single):
     np.testing.assert_array_equal(report.switched.times, report.averaged.times)
 
 
-def test_piecewise_inflow_enters_dynamics(tmp_path):
-    doc = """
-schema_version: 1
-name: pulse
-h: 100.0
-cycle_time: 60.0
-roads:
-  - {id: a, length: 100.0, free_flow_speed: 10.0, source: true, inflow: [[30, 0.1], [30, 0.0]]}
-  - {id: b, length: 100.0, free_flow_speed: 10.0, destination: true, exit_rate: 1.0}
-movements:
-  - {intersection: x, from: a, to: b, routing_ratio: 1.0, saturation_speed: 0.05}
-intersections:
-  - id: x
-    phases:
-      - [a -> b]
-"""
-    path = tmp_path / "pulse.yaml"
-    path.write_text(doc)
-    network = scenario.load(path)
+def test_piecewise_inflow_enters_dynamics(pulse_net):
+    network = pulse_net
     schedule = net_model.uniform_schedule(network)
     traj = sim.simulate_switching(network, schedule, np.zeros(network.n),
                                   120.0, dt=1.0)
@@ -157,3 +207,72 @@ intersections:
     # breakpoints of the inflow profile must be grid points
     assert 30.0 in set(np.round(traj.times, 9))
     assert 90.0 in set(np.round(traj.times, 9))
+
+
+@pytest.mark.parametrize("cycle", [60.0, 37.0])
+def test_piecewise_inflow_matches_rk_oracle(pulse_net, cycle):
+    # a cycle of 37 s puts the switches off the inflow period of 60 s
+    schedule = net_model.uniform_schedule(pulse_net, cycle_time=cycle)
+    x0 = np.array([0.2, 0.0])
+    horizon = 150.0
+    traj = sim.simulate_switching(pulse_net, schedule, x0, horizon, dt=1.0)
+    ref = _rk_reference(pulse_net, schedule, x0, horizon)
+    gap = np.abs(traj.states - ref.sol(traj.times).T).max()
+    assert gap < 1e-6
+
+
+def test_zero_length_windows_match_rk_oracle(four_net, four_schedule):
+    # the optimizer drives left-turn phases to 0 s; the horizon is not a
+    # multiple of the cycle
+    schedule = four_schedule.with_durations([50.0, 0.0, 50.0, 0.0])
+    x0 = np.random.default_rng(4).uniform(0.0, 1.0, four_net.n)
+    horizon = 230.0
+    traj = sim.simulate_switching(four_net, schedule, x0, horizon, dt=1.0)
+    ref = _rk_reference(four_net, schedule, x0, horizon)
+    gap = np.abs(traj.states - ref.sol(traj.times).T).max()
+    assert gap < 1e-6
+
+
+def _probe_times(schedule, network, horizon):
+    """Grid midpoints, every switch and profile breakpoint, times 1e-10
+    and 1e-13 of a cycle or period on either side of them (inside and
+    outside the wrap tolerance), and the window thresholds themselves."""
+    events = sim._cycle_events(schedule, network, horizon)
+    grid = sim._sample_grid(horizon, 1.0, events)
+    T = schedule.cycle_time
+    periods = [T]
+    thresholds = [np.asarray(schedule.switch_times) - 1e-9 * T]
+    for road_id in network.inflows:
+        durations = [dur for dur, _ in network.inflow_profile(road_id)]
+        periods.append(sum(durations))
+        thresholds.append(np.cumsum(durations) - 1e-9 * periods[-1])
+    shifted = [events + sign * rel * period for period in periods
+               for rel in (1e-10, 1e-13) for sign in (-1.0, 1.0)]
+    uniform = np.random.default_rng(5).uniform(0.0, horizon, 200)
+    probes = np.concatenate([0.5 * (grid[:-1] + grid[1:]), events, *shifted,
+                             *thresholds, uniform])
+    return probes[probes >= 0.0]
+
+
+@pytest.mark.parametrize("durations", [None, [50.0, 0.0, 50.0, 0.0],
+                                       [0.0, 50.0, 0.0, 50.0], [30.0, 20.0, 0.0, 50.0]])
+@pytest.mark.parametrize("cycle", [100.0, 60.0, 37.0])
+@pytest.mark.parametrize("net_name", ["pulse_net", "three_segment_net"])
+def test_array_lookups_match_scalar_reference(four_schedule, durations, cycle,
+                                              net_name, request):
+    network = request.getfixturevalue(net_name)
+    schedule = four_schedule
+    if durations is not None:
+        schedule = schedule.with_durations(durations)
+    schedule = schedule.with_durations(schedule.durations * cycle / schedule.cycle_time)
+    horizon = 4.5 * max(cycle, 60.0) + 0.3
+    t = _probe_times(schedule, network, horizon)
+    modes = sim._modes_at(schedule, t)
+    np.testing.assert_array_equal(modes, [_scalar_mode(schedule, x) for x in t])
+    inflows = sim._inflows_at(network, t)
+    np.testing.assert_array_equal(inflows, [_scalar_inflow(network, x) for x in t])
+    # the probes reach every mode with a window and every segment
+    assert set(modes.tolist()) == {k for k, d in enumerate(schedule.durations) if d > 0} \
+        | {schedule.n_modes - 1}
+    profile = network.inflow_profile("a")
+    assert set(inflows[:, 0].tolist()) == {val for _, val in profile}

@@ -10,7 +10,7 @@ from greensplit.errors import (DegenerateSystem, SolveFailure, ValidationError,
                                ZeroTrace)
 from greensplit.lyapunov import (ShiftedLyapunov, congestion_cost,
                                  spectral_abscissa)
-from greensplit.ssa import (SmoothedAbscissa, duration_gradient,
+from greensplit.ssa import (ROOT_TOL, SmoothedAbscissa, duration_gradient,
                             smoothed_abscissa)
 
 from conftest import make_hurwitz
@@ -222,14 +222,39 @@ def test_pinched_root_stays_above_abscissa():
             assert np.all(np.isfinite(res.P)) and np.all(np.isfinite(res.Q))
 
 
-def test_adjoint_failure_near_pinched_root_is_reported():
-    # on this matrix the P solves succeed down to 1e-14 above the abscissa
-    # while the Q solves fail their residual check below about 6e-8; a Q
-    # failure must not move the bracket, so no root far above the true one
-    # (about 1e-13 above the abscissa) comes back
+def test_root_near_the_pole_is_resolved():
+    # near the pole the adjoint solutions are large (trace(Q) about 1e7 on
+    # this matrix); their residuals scale with |Q|, so a bound that ignores
+    # the size of the solution used to reject them; the root lies about
+    # 1e-13 above the abscissa
     a = make_hurwitz(np.random.default_rng(33), 6)
+    res = smoothed_abscissa(a, np.eye(6), np.ones(6), 1e-12)
+    assert res.abscissa < res.value <= res.abscissa + ROOT_TOL * (1.0 + abs(res.abscissa))
+    assert np.all(np.isfinite(res.P)) and np.all(np.isfinite(res.Q))
+
+
+def test_adjoint_failure_near_pinched_root_is_reported(monkeypatch):
+    # inject a failure into every adjoint solve closer than 1e-7 to the
+    # abscissa while the P solves there succeed: a Q failure must not move
+    # the bracket, so the P iterates still close in on the true root, and
+    # with no P/Q pair there the search reports the failure instead of
+    # returning an iterate far above the root
+    a = make_hurwitz(np.random.default_rng(33), 6)
+    root = smoothed_abscissa(a, np.eye(6), np.ones(6), 1e-12).value
+    solve = ShiftedLyapunov.solve
+    p_shifts = []
+
+    def faulty(self, d, shift=0.0, adjoint=False):
+        if not adjoint:
+            p_shifts.append(shift)
+        elif shift < self.abscissa + 1e-7:
+            raise SolveFailure("injected adjoint failure")
+        return solve(self, d, shift=shift, adjoint=adjoint)
+
+    monkeypatch.setattr(ShiftedLyapunov, "solve", faulty)
     with pytest.raises(SolveFailure):
         smoothed_abscissa(a, np.eye(6), np.ones(6), 1e-12)
+    assert abs(p_shifts[-1] - root) <= ROOT_TOL * (1.0 + abs(root))
 
 
 def test_newton_search_evaluation_budget(four_modes, four_output):
