@@ -64,17 +64,16 @@ def load_state(source: str, network: net_model.NetworkSpec) -> np.ndarray:
         raise DimensionError(
             f"state file has {values.shape[0]} entries, network has {network.n} cells"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("densities must be finite")
     if np.any(values < 0):
         raise ValidationError("densities must be nonnegative")
     return values
 
 
-def _header_lines(network: net_model.NetworkSpec, seed: int) -> list[str]:
-    return [
-        f"greensplit {__version__}",
-        f"seed: {seed}",
-        f"config: {scenario.config_hash(network)}",
-    ]
+def _header_lines(digest: str, seed: int) -> list[str]:
+    """Artifact header: package version, seed and the scenario's config hash."""
+    return [f"greensplit {__version__}", f"seed: {seed}", f"config: {digest}"]
 
 
 def _write_csv(path: str, headers: list[str], columns: list[str],
@@ -136,7 +135,7 @@ def build(scenario_ref: str, validate: bool, out: str | None) -> None:
         click.echo(f"config:        {digest}")
     if out is not None:
         with open(out, "w") as fh:
-            for line in _header_lines(network, 0):
+            for line in _header_lines(digest, 0):
                 fh.write(f"# {line}\n")
             fh.write(scenario.dumps(network))
         click.echo(f"wrote {out}")
@@ -162,7 +161,7 @@ def modes(scenario_ref: str, out: str | None) -> None:
         for k, a in enumerate(mode_set.modes):
             i, j = np.nonzero(a)
             blocks.append((str(k), _cells(i), _cells(j), _cells(a[i, j])))
-        _write_csv(out, _header_lines(network, 0),
+        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
                    ["mode", "row", "col", "value"], blocks)
         click.echo(f"wrote {out}")
 
@@ -200,8 +199,8 @@ def simulate(scenario_ref: str, which: str, x0: str, horizon: float | None,
         times = _cells(traj.times)
         series = ((label, times, _cells(traj.states[:, j]))
                   for j, label in enumerate(network.state_labels))
-        _write_csv(out, _header_lines(network, 0), ["series", "t", "value"],
-                   series)
+        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
+                   ["series", "t", "value"], series)
         click.echo(f"wrote {out}")
 
 
@@ -236,7 +235,7 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
         errors.append(report.error_percent)
         click.echo(f"T={cycle:g}: error {report.error_percent:.4f}%")
     if out is not None:
-        _write_csv(out, _header_lines(network, 0),
+        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
                    ["cycle_time", "error_percent"],
                    [(_cells(cycle_list), _cells(errors))])
         click.echo(f"wrote {out}")
@@ -274,11 +273,14 @@ def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
     else:
         click.echo(f"optimized cost {report.cost:.6g}")
     click.echo("durations: " + " ".join(f"{d:.4f}" for d in report.durations))
+    # one digest serves both artifacts: hashing dumps the whole network
+    digest = (scenario.config_hash(network)
+              if out is not None or plot_out is not None else None)
     if out is not None:
         payload = {
             "version": __version__,
             "seed": seed,
-            "config": scenario.config_hash(network),
+            "config": digest,
             "report": report.to_dict(),
         }
         with open(out, "w") as fh:
@@ -290,7 +292,7 @@ def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
         block = (_cells(range(len(trace))),
                  *(_cells([row[key] for row in trace])
                    for key in ("alpha_smooth", "kkt_norm", "cost")))
-        _write_csv(plot_out, _header_lines(network, seed),
+        _write_csv(plot_out, _header_lines(digest, seed),
                    ["iter", "alpha_tilde", "kkt_norm", "cost"], [block])
         click.echo(f"wrote {plot_out}")
 
@@ -342,7 +344,7 @@ def distributed_cmd(scenario_ref: str, agents: str, rounds: int | None,
         agent_ids = _cells(range(result.errors.shape[1]))
         blocks = [(str(r), agent_ids, _cells(errors))
                   for r, errors in enumerate(result.errors)]
-        _write_csv(out, _header_lines(network, 0),
+        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
                    ["round", "agent", "frobenius_error"], blocks)
         click.echo(f"wrote {out}")
 

@@ -5,10 +5,18 @@ For a Hurwitz ``A`` and initial state ``x0``, the congestion cost
     J = integral over [0, inf) of ||C exp(A t) x0||^2 dt
 
 equals ``trace(C W C^T)`` where ``W`` solves ``A W + W A^T + x0 x0^T = 0``.
-The solver below factors ``A`` once (real Schur form) and then solves the
-equation for any diagonal shift ``A - s I`` with a single triangular
-Sylvester call, which is what the smoothing root search and its gradient
-rely on for their per-iteration cost.
+The solver below factors ``A = U T U^T`` once (real Schur form) and then
+solves the equation for any diagonal shift ``A - s I`` in Schur
+coordinates, where it reads ``(T - s I) Y + Y (T - s I)^T = R`` with
+``Y = U^T X U`` and ``R = -U^T D U``.  That quasi-triangular equation is
+solved by the recursive blocked form of the Bartels-Stewart method
+(Jonsson & Kagstrom, ACM TOMS 28(4), 2002): ``T`` is split in two between
+its diagonal blocks, the two diagonal Lyapunov blocks recurse, and the
+off-diagonal block is one Sylvester solve, so most of the work is matrix
+products; blocks of order up to :data:`BASE` go to LAPACK's ``trsyl``.
+Callers that run many solves on one factorization (the smoothing root
+search) transform their data to Schur coordinates once and only
+transform back the solutions they keep.
 """
 
 from __future__ import annotations
@@ -20,8 +28,11 @@ from scipy import linalg
 
 from .errors import DimensionError, EigenFailure, SolveFailure, UnstableMatrix
 
-#: residual accepted from a Lyapunov solve, relative to ``|D| + 2 |A - s I| |X|``
+#: residual accepted from a Lyapunov solve, relative to ``|R| + 2 |T - s I| |Y|``
 RESIDUAL_TOL = 1e-9
+
+#: order at or below which a diagonal block is solved by one ``trsyl`` call
+BASE = 32
 
 
 def _as_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -41,12 +52,19 @@ def spectral_abscissa(a: np.ndarray) -> float:
     return float(eigs.real.max())
 
 
+def _split(t: np.ndarray) -> int:
+    """Order of the leading diagonal block when ``t`` is halved, moved past
+    a 2x2 block that the middle would cut."""
+    k = t.shape[0] // 2
+    return k + 1 if t[k, k - 1] != 0.0 else k
+
+
 class ShiftedLyapunov:
     """Repeated solves of ``(A - s I) X + X (A - s I)^T + D = 0``.
 
-    The real Schur form of ``A`` is computed once; every shift then reduces
-    to a quasi-triangular Sylvester solve, so a sweep over shifts costs one
-    decomposition plus one cheap solve per shift.
+    The real Schur form ``A = U T U^T`` is computed once; every shift then
+    reduces to a quasi-triangular solve in Schur coordinates, so a sweep
+    over shifts costs one decomposition plus one cheap solve per shift.
     """
 
     def __init__(self, a: np.ndarray):
@@ -57,51 +75,125 @@ class ShiftedLyapunov:
         except (linalg.LinAlgError, ValueError) as exc:
             raise EigenFailure(f"Schur decomposition failed: {exc}") from exc
         self._trsyl, = linalg.get_lapack_funcs(("trsyl",), (self.t,))
-        self._alpha = float(np.linalg.eigvals(self.t).real.max())
+        # LAPACK standardizes each 2x2 block of T to equal diagonal entries,
+        # the real part of its complex pair
+        self._alpha = float(np.diag(self.t).max())
 
     @property
     def abscissa(self) -> float:
         """Spectral abscissa of the factored matrix."""
         return self._alpha
 
-    def solve(self, d: np.ndarray, shift: float = 0.0, adjoint: bool = False) -> np.ndarray:
-        """Solution of the shifted equation; requires ``shift > abscissa``.
+    def to_schur(self, d: np.ndarray) -> np.ndarray:
+        """Right-hand side ``R = -U^T D U`` of the equation driven by ``D``."""
+        return -(self.u.T @ self._check(d, "right-hand side") @ self.u)
+
+    def from_schur(self, y: np.ndarray) -> np.ndarray:
+        """Solution ``X = U Y U^T`` in the original coordinates, symmetrized."""
+        x = self.u @ self._check(y, "Schur-coordinate solution") @ self.u.T
+        return 0.5 * (x + x.T)
+
+    def _check(self, m: np.ndarray, what: str) -> np.ndarray:
+        m = _as_square(m, what)
+        if m.shape[0] != self.n:
+            raise DimensionError(
+                f"{what} is {m.shape[0]}x{m.shape[0]}, matrix is {self.n}x{self.n}"
+            )
+        return m
+
+    def solve(self, rhs: np.ndarray, shift: float = 0.0, adjoint: bool = False) -> np.ndarray:
+        """Solution ``Y`` of ``(T - s I) Y + Y (T - s I)^T = R`` in Schur
+        coordinates; requires ``shift > abscissa`` and a symmetric ``R``.
 
         With ``adjoint=True`` the transposed equation
-        ``(A - s I)^T X + X (A - s I) + D = 0`` is solved instead, still on
-        the cached factors.
+        ``(T - s I)^T Y + Y (T - s I) = R`` is solved instead, still on
+        the cached factors.  :meth:`to_schur` and :meth:`from_schur` map a
+        right-hand side ``D`` and the solution between coordinates.
         """
-        d = _as_square(d, "right-hand side")
-        if d.shape[0] != self.n:
-            raise DimensionError(
-                f"right-hand side is {d.shape[0]}x{d.shape[0]}, matrix is {self.n}x{self.n}"
-            )
+        rhs = self._check(rhs, "right-hand side")
         t = self.t.copy()
         t[np.diag_indices(self.n)] -= shift
-        rhs = -(self.u.T @ d @ self.u)
-        if adjoint:
-            y, scale, info = self._trsyl(t, t, rhs, trana="C", tranb="N")
-        else:
-            y, scale, info = self._trsyl(t, t, rhs, tranb="C")
-        # info == 1: the shifted spectrum nearly meets its mirror image and
-        # trsyl perturbed it to finish, so y solves a different equation
-        if info != 0 or scale == 0.0 or not np.all(np.isfinite(y)):
+        y = rhs.copy()
+        scale = self._recursive(t, y, adjoint)
+        if not np.all(np.isfinite(y)):
             raise SolveFailure(
-                f"triangular Sylvester solve broke down (info={info}, scale={scale})"
+                f"triangular Sylvester solve overflowed (scale={scale})"
             )
         y /= scale
-        if adjoint:
-            resid = np.linalg.norm(t.T @ y + y @ t - rhs)
-        else:
-            resid = np.linalg.norm(t @ y + y @ t.T - rhs)
-        # backward-stable solves leave a residual of order eps (|D| + 2|T||Y|)
-        size = np.linalg.norm(d) + 2.0 * np.linalg.norm(t) * np.linalg.norm(y)
+        y = 0.5 * (y + y.T)
+        # T Y + Y T^T = M + M^T with M = T Y, as Y is symmetric
+        m = y @ t if adjoint else t @ y
+        resid = np.linalg.norm(m + m.T - rhs)
+        # backward-stable solves leave a residual of order eps (|R| + 2|T||Y|)
+        size = np.linalg.norm(rhs) + 2.0 * np.linalg.norm(t) * np.linalg.norm(y)
         if resid > RESIDUAL_TOL * size:
             raise SolveFailure(
                 f"Lyapunov residual {resid:.3e} exceeds tolerance for shift {shift}"
             )
-        x = self.u @ y @ self.u.T
-        return 0.5 * (x + x.T)
+        return y
+
+    def _recursive(self, t: np.ndarray, c: np.ndarray, adjoint: bool) -> float:
+        """Overwrite ``c`` with ``scale`` times the symmetric solution of the
+        Lyapunov equation on the quasi-triangular ``t``; return ``scale``.
+
+        Each sub-solve may solve for a scaled right-hand side to avoid
+        overflow; every other block is then scaled alike, so all of ``c``
+        carries the product of the scales.
+        """
+        n = t.shape[0]
+        if n <= BASE:
+            return self._sylvester(t, t, c, adjoint)
+        k = _split(t)
+        t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+        c11, c12, c22 = c[:k, :k], c[:k, k:], c[k:, k:]
+        if adjoint:
+            # T11^T Y11 + Y11 T11 = R11, then
+            # T11^T Y12 + Y12 T22 = R12 - Y11 T12, then
+            # T22^T Y22 + Y22 T22 = R22 - T12^T Y12 - Y12^T T12
+            first, last = c11, c22
+        else:
+            # T22 Y22 + Y22 T22^T = R22, then
+            # T11 Y12 + Y12 T22^T = R12 - T12 Y22, then
+            # T11 Y11 + Y11 T11^T = R11 - T12 Y12^T - Y12 T12^T
+            first, last = c22, c11
+        scale = self._recursive(t11 if adjoint else t22, first, adjoint)
+        if scale != 1.0:
+            c12 *= scale
+            last *= scale
+        c12 -= first @ t12 if adjoint else t12 @ first
+        s = self._sylvester(t11, t22, c12, adjoint)
+        if s != 1.0:
+            first *= s
+            last *= s
+            scale *= s
+        m = t12.T @ c12 if adjoint else t12 @ c12.T
+        last -= m
+        last -= m.T
+        s = self._recursive(t22 if adjoint else t11, last, adjoint)
+        if s != 1.0:
+            first *= s
+            c12 *= s
+            scale *= s
+        c[k:, :k] = c12.T
+        return scale
+
+    def _sylvester(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                   adjoint: bool) -> float:
+        """Overwrite ``c`` with ``scale`` times the solution of
+        ``A Y + Y B^T = C`` (``A^T Y + Y B = C`` for the adjoint), for
+        quasi-triangular ``A`` and ``B``; return ``scale``."""
+        if adjoint:
+            y, scale, info = self._trsyl(a, b, c, trana="C")
+        else:
+            y, scale, info = self._trsyl(a, b, c, tranb="C")
+        # info == 1: the shifted spectrum nearly meets its mirror image and
+        # trsyl perturbed it to finish, so y solves a different equation
+        if info != 0 or scale == 0.0:
+            raise SolveFailure(
+                f"triangular Sylvester solve broke down (info={info}, scale={scale})"
+            )
+        c[...] = y
+        return scale
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -111,7 +203,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise UnstableMatrix(
             f"matrix has spectral abscissa {solver.abscissa:.6g} >= 0"
         )
-    return solver.solve(d)
+    return solver.from_schur(solver.solve(solver.to_schur(d)))
 
 
 def gramian(a: np.ndarray, x0: np.ndarray) -> np.ndarray:

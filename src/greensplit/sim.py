@@ -163,6 +163,13 @@ def _check_x0(network: NetworkSpec, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
+def _check_span(horizon: float, dt: float) -> None:
+    if not (math.isfinite(horizon) and math.isfinite(dt) and horizon > 0 and dt > 0):
+        raise ValidationError(
+            f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
+        )
+
+
 def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
                        horizon: float, dt: float = 1.0) -> Trajectory:
     """Integrate the switched dynamics exactly on a sampling grid.
@@ -170,8 +177,7 @@ def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     The grid is the union of uniform ``dt`` samples with every switching
     and inflow-change instant, so no window is ever straddled.
     """
-    if horizon <= 0 or dt <= 0:
-        raise ValidationError("horizon and dt must be positive")
+    _check_span(horizon, dt)
     x = _check_x0(network, x0)
     modes = assemble_modes(network, schedule)
     steppers = [_AffineStepper(a) for a in modes.modes]
@@ -193,8 +199,7 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
                      horizon: float, dt: float = 1.0,
                      grid: np.ndarray | None = None) -> Trajectory:
     """Integrate the averaged surrogate on the same kind of grid."""
-    if horizon <= 0 or dt <= 0:
-        raise ValidationError("horizon and dt must be positive")
+    _check_span(horizon, dt)
     x = _check_x0(network, x0)
     modes = assemble_modes(network, schedule)
     avg = average_system(network, modes)

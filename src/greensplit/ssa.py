@@ -17,6 +17,9 @@ method on ``1/g(s) - epsilon``, safeguarded by a bracket: a step that
 leaves the bracket, or stalls, is replaced by bisection (or by doubling
 while the bracket is unbounded above).  The root always lies strictly
 above the true abscissa and tends to it as ``epsilon`` goes to zero.
+Every iterate is one ``P`` and one ``Q`` solve on a single Schur
+factorization of ``A``; the search runs in Schur coordinates and
+transforms back only the ``P`` and ``Q`` it returns.
 
 The sensitivity of the root with respect to the mode durations follows
 from the adjoint pair: with ``Q`` solving the transposed equation driven
@@ -28,7 +31,7 @@ average contributes one vectorized mode matrix per duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +112,13 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
 
     solver = ShiftedLyapunov(a)
     alpha = solver.abscissa
-    source = np.outer(x0, x0)
-    weight = output.T @ output
+    # the search runs in Schur coordinates A = U T U^T: with Y_p and Y_q the
+    # transformed P and Q, g = <(CU)^T (CU), Y_p> and trace(Q P) = <Y_q, Y_p>
+    z = solver.u.T @ x0
+    source = -np.outer(z, z)
+    cu = output @ solver.u
+    weight = cu.T @ cu
+    neg_weight = -weight
     target = 1.0 / epsilon
     ledge = alpha + _LEDGE * (1.0 + abs(alpha))
     if warm_start is not None and math.isfinite(warm_start) and warm_start > ledge:
@@ -118,21 +126,27 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
     else:
         s = ledge
 
+    def certified(found: tuple, evaluations: int) -> SmoothedAbscissa:
+        value, yp, yq, g = found
+        return SmoothedAbscissa(value=value, abscissa=alpha, epsilon=epsilon,
+                                P=solver.from_schur(yp), Q=solver.from_schur(yq),
+                                trace_value=g, evaluations=evaluations)
+
     # g >= 1/epsilon on (alpha, lo], g < 1/epsilon on [hi, inf)
     lo, hi = alpha, math.inf
     increment = max(1.0, abs(alpha))
     move = last_move = math.inf
-    best = None    # latest iterate where both solves succeeded
+    best = None    # (shift, Y_p, Y_q, g) at the latest iterate where both solves succeeded
     for evaluations in range(1, _MAX_EVALUATIONS + 1):
         newton = math.nan
         try:
-            p = solver.solve(source, shift=s)
+            yp = solver.solve(source, shift=s)
         except SolveFailure:
             # so close to the pole that the solve breaks down: the trace is
             # beyond floating-point range there anyway
             lo = s
         else:
-            g = float(np.trace(output @ p @ output.T))
+            g = float(np.vdot(weight, yp))
             if g <= 0.0:
                 raise DegenerateSystem(
                     "the smoothing trace vanishes: the initial state never reaches the output"
@@ -142,26 +156,25 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
             else:
                 hi = s
             try:
-                q = solver.solve(weight, shift=s, adjoint=True)
+                yq = solver.solve(neg_weight, shift=s, adjoint=True)
             except SolveFailure:
                 pass    # no derivative here; g still placed s in the bracket
             else:
-                best = SmoothedAbscissa(value=s, abscissa=alpha, epsilon=epsilon, P=p, Q=q,
-                                        trace_value=g, evaluations=evaluations)
+                best = (s, yp, yq, g)
                 # Newton on h = 1/g - epsilon, with h' = 2 trace(Q P) / g^2
-                slope = 2.0 * float(np.vdot(q, p))
+                slope = 2.0 * float(np.vdot(yq, yp))
                 if slope > 0.0:
                     newton = s + (epsilon * g - 1.0) * g / slope
                     if abs(newton - s) <= tol * (1.0 + abs(s)):
-                        return best
+                        return certified(best, evaluations)
         if hi - lo <= tol * (1.0 + abs(lo)):
             # resolved by the bracket: the root is pinched against the
             # abscissa, or the trace is too noisy for a smaller Newton step
-            if best is None or not lo <= best.value <= hi:
+            if best is None or not lo <= best[0] <= hi:
                 raise SolveFailure(
                     f"the adjoint solve breaks down at the smoothing root {hi!r}"
                 )
-            return replace(best, evaluations=evaluations)
+            return certified(best, evaluations)
         # a Newton step must stay inside the bracket and, once the bracket
         # is bounded, at least halve the move before last
         if lo < newton < hi and (math.isinf(hi) or abs(newton - s) <= 0.5 * last_move):

@@ -211,6 +211,31 @@ def test_simulate_rejects_bad_state_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("text", ["nan 1 1 inf\n", "1 1 -inf 1\n"])
+def test_simulate_rejects_non_finite_state(tmp_path, text):
+    x0 = tmp_path / "x0.txt"
+    x0.write_text(text)
+    out = tmp_path / "traj.csv"
+    result = CliRunner().invoke(cli.main, ["simulate", "single_road", "--x0", str(x0),
+                                           "--horizon", "10", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == "ValidationError: densities must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--horizon", "--dt"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_span(tmp_path, option, value):
+    out = tmp_path / "traj.csv"
+    args = {"--horizon": "10", "--dt": "1", option: value}
+    result = CliRunner().invoke(cli.main, ["simulate", "single_road", "--out", str(out),
+                                           *(x for kv in args.items() for x in kv)])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: horizon and dt must be finite")
+    assert not out.exists()
+
+
 def test_simulate_state_file(runner, tmp_path):
     x0 = tmp_path / "x0.txt"
     x0.write_text("# densities\n1.0\n0.5\n0.25\n0.0\n")
@@ -260,6 +285,27 @@ def test_optimize_artifacts_and_determinism(tmp_path):
     report = payload["report"]
     assert report["cost"] <= report["baseline_cost"]
     assert len(report["durations"]) == 2
+
+
+def test_optimize_hashes_the_config_once(runner, tmp_path, monkeypatch):
+    from greensplit import scenario
+    calls = []
+    config_hash = scenario.config_hash
+
+    def counted(network):
+        calls.append(network.name)
+        return config_hash(network)
+
+    monkeypatch.setattr(scenario, "config_hash", counted)
+    report, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    result = invoke(runner, "optimize", "single_road", "--out", str(report),
+                    "--plot-out", str(trace))
+    assert result.exit_code == 0
+    assert calls == ["single_road"]
+    digest = config_hash(scenario.load("single_road"))
+    assert json.loads(report.read_text())["config"] == digest
+    headers, _ = read_artifact(trace)
+    assert headers == ["# greensplit 0.1.0", "# seed: 0", f"# config: {digest}"]
 
 
 def test_optimize_plot_columns(runner, tmp_path):

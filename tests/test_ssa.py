@@ -59,7 +59,9 @@ def test_trace_is_decreasing_in_shift():
     src = np.outer(x0, x0)
     alpha = solver.abscissa
     shifts = alpha + np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-    values = [np.trace(c @ solver.solve(src, shift=s) @ c.T) for s in shifts]
+    u = solver.u
+    values = [np.trace(c @ u @ solver.solve(-(u.T @ src @ u), shift=s) @ u.T @ c.T)
+              for s in shifts]
     assert all(v1 > v2 for v1, v2 in zip(values, values[1:]))
 
 
@@ -81,6 +83,33 @@ def test_solution_matrices_solve_their_equations():
     q_res = shifted.T @ res.Q + res.Q @ shifted + c.T @ c
     assert np.linalg.norm(p_res) <= 1e-8 * (1 + np.linalg.norm(res.P))
     assert np.linalg.norm(q_res) <= 1e-8 * (1 + np.linalg.norm(res.Q))
+
+
+def test_schur_coordinate_search_matches_scipy(four_modes, four_output, monkeypatch):
+    # n = 36 runs the recursive kernel; the search sees only Schur
+    # coordinates, so check what it returns in the original ones, and that
+    # each evaluation is one P and one Q solve
+    calls = []
+    solve = ShiftedLyapunov.solve
+
+    def counted(self, rhs, shift=0.0, adjoint=False):
+        calls.append(adjoint)
+        return solve(self, rhs, shift=shift, adjoint=adjoint)
+
+    a = dynamics.average_matrix(four_modes)
+    x0 = np.ones(four_modes.n)
+    eps = 0.5 / congestion_cost(a, four_output, x0)
+    monkeypatch.setattr(ShiftedLyapunov, "solve", counted)
+    res = smoothed_abscissa(a, four_output, x0, eps)
+    assert calls == [False, True] * res.evaluations
+    shifted = a - res.value * np.eye(four_modes.n)
+    p = solve_continuous_lyapunov(shifted, -np.outer(x0, x0))
+    q = solve_continuous_lyapunov(shifted.T, -four_output.T @ four_output)
+    assert np.linalg.norm(res.P - p) <= 1e-10 * np.linalg.norm(p)
+    assert np.linalg.norm(res.Q - q) <= 1e-10 * np.linalg.norm(q)
+    np.testing.assert_array_equal(res.P, res.P.T)
+    assert res.trace_value == pytest.approx(np.trace(four_output @ p @ four_output.T),
+                                            rel=1e-10)
 
 
 def test_epsilon_must_be_positive():
