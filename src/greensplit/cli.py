@@ -223,8 +223,11 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
         cycle_list = [float(tok) for tok in cycles.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"cannot parse cycle list {cycles!r}")
-    if not cycle_list or any(c <= 0 for c in cycle_list):
+    if not cycle_list:
         raise ValidationError("cycle times must be positive")
+    for cycle in cycle_list:
+        if not 0.0 < cycle < np.inf:
+            raise ValidationError(f"cycle time {cycle:g} must be finite and positive")
     state0 = load_state(x0, network)
     if horizon is None:
         horizon = 10.0 * max(cycle_list)

@@ -3,27 +3,29 @@
 The stable matrix is split row-wise over agents, ``L = L_1 + ... + L_nu``.
 Writing the equation ``L X + X L^T + D = 0`` per share introduces one
 unknown share ``D_i = -(L_i X + X L_i^T)`` per agent, tied together by
-``sum(D_i) = D``.  Stacking the vectorized unknowns
-``w = [X^v, D_1^v, ..., D_nu^v]`` gives each agent a local underdetermined
-system whose solution set contains the global solution.
+``sum(D_i) = D``.  Over the stacked vectorized unknowns
+``w = [X^v, D_1^v, ..., D_nu^v]`` agent ``j``'s block of constraints is
+``Lambda_j X^v + D_j^v = 0``, with the sparse Kronecker sum
+``Lambda_j = I (x) L_j + L_j (x) I``, and every agent knows the balance
+row ``sum(D_j) = D``.
 
-Agents keep an affine description of their solution set: a particular
-solution ``w_hat_i`` (minimum norm) and an orthonormal kernel basis
-``K_i``, in the method family of Mou, Liu & Morse, "A distributed
-algorithm for solving a linear algebraic equation", IEEE TAC 60(11), 2015.
-Both are built in closed form, without forming the dense local system:
-the kernel is spanned by a free ``X`` with ``D_i = -Lambda_i X`` and a
-balancing share ``D_k = +Lambda_i X``, and by a free ``D_j`` per other
-agent balanced by ``D_k = -D_j``; one QR factorization orthonormalizes
-it, and ``D_k = D`` minus its kernel component is the particular
-solution.  A lone agent solves the Kronecker-sum system directly.
+Each agent's affine solution set is the set of points that satisfy the
+blocks it knows and the balance row, in the method family of Mou, Liu &
+Morse, "A distributed algorithm for solving a linear algebraic
+equation", IEEE TAC 60(11), 2015.  An agent starts out knowing its own
+block; knowing ``k`` of the ``nu`` blocks leaves a kernel of dimension
+``(nu - k) n^2``.  Its estimate ``w_hat`` is the minimum-norm point of
+the set, which is where the pairwise projections of that method land.
+While blocks are missing it comes from one sparse LU of the augmented
+system ``[[I, H^T], [H, 0]]`` of the known rows ``H w = z``, which avoids
+squaring the condition number as the normal equations would; once all
+blocks are known the set is one point, and one sparse LU of
+``Lambda X^v = -D^v`` gives it.
 
-A pairwise exchange moves ``w_hat_i`` into the intersection of the two
-affine sets and intersects the kernels, with one thin SVD of the part of
-the neighbor's kernel outside the agent's own.  After as many synchronous
-rounds as the communication graph's diameter every kernel has collapsed
-and all agents hold the unique global solution exactly.  Agents exchange
-only ``(w_hat, K)``; the centralized solution appears below purely as
+A message carries the blocks its sender knows and a fold takes the
+union, so after as many synchronous rounds as the communication graph's
+diameter every agent knows every block and holds the unique global
+solution exactly.  The centralized solution appears below purely as
 instrumentation for error traces.
 """
 
@@ -33,15 +35,19 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+# ``linalg`` stays a module attribute: perfbench/tracing.py wraps
+# ``linalg.null_space`` by its path in this module
+from scipy import linalg, sparse  # noqa: F401
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 from .errors import (DimensionError, InconsistentLocal, NotConverged,
                      ValidationError)
 from .lyapunov import solve_lyapunov
 
-#: relative singular-value cutoff for rank decisions
-RANK_TOL = 1e-10
+#: LU entries per ``n^4`` allowed beyond four per system nonzero; see
+#: :func:`planned_bytes`
+FILL = 0.06
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ def default_assignment(n: int, n_agents: int) -> np.ndarray:
 
 
 class Agent:
-    """One participant: an affine solution set and its pairwise refinement."""
+    """One participant: the constraint blocks it knows and their minimum-norm point."""
 
     def __init__(self, agent_id: int, share: np.ndarray, rhs: np.ndarray,
                  n_agents: int):
@@ -143,38 +149,14 @@ class Agent:
         self.n_agents = n_agents
         self.share = share
         self.rhs = rhs
-        nn = n * n
-        lam = np.kron(np.eye(n), share) + np.kron(share, np.eye(n))
-        d = rhs.reshape(-1, order="F")
-
-        if n_agents == 1:
-            # no share to balance: D_1 = D and X solves the whole equation
-            x = np.linalg.lstsq(lam, -d, rcond=None)[0]
-            self.w_hat = np.concatenate([x, d])
-            free = linalg.null_space(lam, rcond=RANK_TOL)
-            self.kernel = np.vstack([free, np.zeros((nn, free.shape[1]))])
-        else:
-            # kernel: a free X with D_i = -lam X and D_k = +lam X, and a free
-            # D_j per other agent j with D_k = -D_j
-            k = 1 if agent_id == 0 else 0
-            basis = np.zeros(((n_agents + 1) * nn, (n_agents - 1) * nn))
-            basis[:nn, :nn] = np.eye(nn)
-            basis[self._rows(agent_id), :nn] = -lam
-            basis[self._rows(k), :nn] = lam
-            others = [j for j in range(n_agents) if j not in (agent_id, k)]
-            for col, j in enumerate(others, start=1):
-                cols = slice(col * nn, (col + 1) * nn)
-                basis[self._rows(j), cols] = np.eye(nn)
-                basis[self._rows(k), cols] = -np.eye(nn)
-            self.kernel = np.linalg.qr(basis)[0]
-            # D_k = D solves the local system; removing its kernel component
-            # leaves the minimum-norm solution
-            w_p = np.zeros(basis.shape[0])
-            w_p[self._rows(k)] = d
-            self.w_hat = w_p - self.kernel @ (self.kernel.T @ w_p)
+        s = sparse.csr_matrix(share)
+        eye = sparse.identity(n, format="csr")
+        #: ``Lambda_j`` of every agent ``j`` whose block this agent knows
+        self.blocks = {agent_id: (sparse.kron(eye, s) + sparse.kron(s, eye)).tocsr()}
+        self._w_hat = None
 
         gap = self.local_residual()
-        if gap > 1e-8 * (1.0 + np.linalg.norm(d)):
+        if gap > 1e-8 * (1.0 + np.linalg.norm(rhs)):
             raise InconsistentLocal(
                 f"agent {agent_id}: local system residual {gap:.3e}"
             )
@@ -186,7 +168,49 @@ class Agent:
 
     @property
     def kernel_dim(self) -> int:
-        return self.kernel.shape[1]
+        return (self.n_agents - len(self.blocks)) * self.n * self.n
+
+    def system(self) -> tuple[sparse.csc_matrix, np.ndarray]:
+        """The sparse square system that ``w_hat`` is read from.
+
+        While blocks are missing, the augmented system ``[[I, H^T], [H, 0]]``
+        of the known rows ``H w = z``: the leading part of its solution is
+        the minimum-norm point.  Once every block is known the point is
+        unique and the system is ``Lambda X^v = -D^v``.
+        """
+        nn = self.n * self.n
+        nu = self.n_agents
+        d = self.rhs.reshape(-1, order="F")
+        known = sorted(self.blocks)
+        if len(known) == nu:
+            return sum(self.blocks[j] for j in known).tocsc(), -d
+        eye = sparse.identity(nn, format="csr")
+        rows = []
+        for j in known:
+            row = [None] * (nu + 1)
+            row[0], row[1 + j] = self.blocks[j], eye
+            rows.append(row)
+        rows.append([None] + [eye] * nu)
+        h = sparse.bmat(rows, format="csr")
+        kkt = sparse.bmat([[sparse.identity(h.shape[1]), h.T], [h, None]],
+                          format="csc")
+        z = np.zeros(kkt.shape[0])
+        z[-nn:] = d
+        return kkt, z
+
+    @property
+    def w_hat(self) -> np.ndarray:
+        """Minimum-norm point of the known constraints, solved on first read."""
+        if self._w_hat is None:
+            matrix, rhs = self.system()
+            solution = splu(matrix).solve(rhs)
+            if len(self.blocks) < self.n_agents:
+                self._w_hat = solution[:(self.n_agents + 1) * self.n * self.n]
+            else:
+                self._w_hat = np.concatenate(
+                    [solution] + [-(self.blocks[j] @ solution)
+                                  for j in range(self.n_agents)])
+        return self._w_hat
 
     def local_residual(self) -> float:
         """Residual of ``S_i X + X S_i^T + D_i = 0`` and ``sum(D_j) = D``."""
@@ -197,27 +221,16 @@ class Agent:
         balance = total.reshape((self.n, self.n), order="F") - self.rhs
         return float(np.hypot(np.linalg.norm(own), np.linalg.norm(balance)))
 
-    def fold(self, other_w: np.ndarray, other_kernel: np.ndarray) -> None:
-        """Refine against one neighbor's (w_hat, K) message.
+    def fold(self, blocks: dict[int, sparse.csr_matrix]) -> None:
+        """Take the union with one neighbor's known blocks.
 
-        Moves ``w_hat`` into the intersection of the two affine sets (least
-        squares, should they miss) and keeps the kernels' common span.
-        Attributes are rebound, never written in place, so a message may
-        share arrays with its sender.
+        The estimate is solved again on its next read, and only when the
+        neighbor knew a block this agent did not.  ``blocks`` is rebound,
+        never written in place, so a message may share it with its sender.
         """
-        k_i, k_j = self.kernel, other_kernel
-        if k_i.shape[1] == 0:
-            return
-        delta = other_w - self.w_hat
-        # the part of the neighbor's kernel outside ours; its singular values
-        # are the sines of the principal angles between the two kernels
-        outside = k_j - k_i @ (k_i.T @ k_j)
-        u, sines, vt = np.linalg.svd(outside, full_matrices=False)
-        r = int(np.count_nonzero(sines > RANK_TOL))
-        c_j = vt[:r].T @ ((u[:, :r].T @ (delta - k_i @ (k_i.T @ delta))) / sines[:r])
-        step = delta - k_j @ c_j
-        self.w_hat = self.w_hat + k_i @ (k_i.T @ step)
-        self.kernel = k_j @ vt[r:].T
+        if not blocks.keys() <= self.blocks.keys():
+            self.blocks = {**self.blocks, **blocks}
+            self._w_hat = None
 
     def solution(self) -> np.ndarray:
         """Current estimate of the Lyapunov solution block."""
@@ -230,32 +243,51 @@ class Agent:
 
 
 def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
-    """One message round: everyone folds every neighbor's broadcast.
+    """One message round: everyone folds every neighbor's known blocks.
 
     All messages carry start-of-round values, so the outcome does not
     depend on the order in which agents physically execute.  A fold
-    rebinds ``w_hat`` and ``kernel`` instead of writing into them, so the
-    messages need no copies.
+    rebinds ``blocks`` instead of writing into it, so the messages need
+    no copies.
     """
-    messages = [(agent.w_hat, agent.kernel) for agent in agents]
+    messages = [agent.blocks for agent in agents]
     for agent in agents:
         for j in graph.neighbors(agent.id):
-            agent.fold(*messages[j])
+            agent.fold(messages[j])
 
 
-def planned_bytes(n: int, n_agents: int) -> int:
-    """Memory a distributed solve holds at its peak, from shapes alone.
+def planned_bytes(n: int, nnz: int, n_agents: int) -> int:
+    """Memory a distributed solve holds at its peak, from sizes alone.
 
-    Every agent keeps a ``(nu+1) n^2 x (nu-1) n^2`` kernel; building one
-    (basis, QR workspace and factor) or folding one (projected neighbor
-    kernel, SVD workspace and left singular vectors) adds three more of
-    that size, plus a few ``n^2 x n^2`` and ``(nu-1) n^2`` square
-    temporaries.
+    ``nnz`` counts the nonzeros of the ``n x n`` matrix.  Held throughout
+    are every agent's estimate, ``(nu+1) n^2`` doubles, the dense row
+    shares, and the blocks ``Lambda_j``, at most ``2 n nnz`` entries in
+    all.  Agents factor one at a time.  The largest system is the
+    augmented one of an agent that misses one block, with at most
+    ``S = (nu+1) n^2 + 2 (2 n nnz + (2 nu - 1) n^2)`` nonzeros; it is
+    counted at 40 bytes a nonzero for its assembly copies, and its LU
+    factors at 12 bytes an entry.
+
+    SuperLU's fill has no closed form, so ``L.nnz + U.nnz <= 4 S + FILL
+    n^4`` is a bound measured, not proved: on the bundled scenarios with
+    ``path:2``, 2x2 and 3x3 agents, at every number of known blocks, the
+    fill stayed within 0.77 of it (grid_4x4 was measured with ``path:2``
+    agents, and with 2x2 agents at three known blocks).  The
+    ``n^4`` part comes from ``X``, whose Kronecker-sum coupling fills like
+    a two-dimensional operator.  Per ``n^4``, the fill of ``Lambda`` alone
+    is 0.0087, 0.0099 and 0.0133 at n = 36, 144 and 240; with one block
+    missing it is 0.032 and 0.050 at n = 144 (four and nine agents) and
+    0.021 at n = 240 (four agents).  Below n = 36 the ``4 S`` part
+    dominates.
     """
     nn = n * n
-    rank = max(n_agents - 1, 1) * nn
-    kernel = (n_agents + 1) * nn * rank
-    return 8 * ((n_agents + 3) * kernel + 6 * rank * rank + 4 * nn * nn)
+    system = (n_agents + 1) * nn + 2 * (2 * n * nnz + (2 * n_agents - 1) * nn)
+    factors = 4 * system + FILL * nn * nn
+    held = (8 * n_agents * (n_agents + 1) * nn      # estimates
+            + 8 * n_agents * nn                     # dense row shares
+            + 12 * 2 * n * nnz                      # blocks: values, indices
+            + 8 * n_agents * (nn + 1))              # blocks: row pointers
+    return int(held + 40 * system + 12 * factors)
 
 
 @dataclass
@@ -294,15 +326,15 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     nu = graph.n_agents
     if assignment is None:
         assignment = default_assignment(n, nu)
-    shares = partition_rows(a, assignment, nu)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    planned = planned_bytes(n, nu)
+    planned = planned_bytes(n, int(np.count_nonzero(a)), nu)
     if planned > physical / 2:
         raise ValidationError(
             f"{nu} agents on a {n}-state system would hold about "
             f"{planned / 2**30:.1f} GiB, over half of the "
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
+    shares = partition_rows(a, assignment, nu)
 
     reference = solve_lyapunov(a, d)
     ref_norm = np.linalg.norm(reference)

@@ -190,8 +190,8 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     """
     if not 0.0 < mu < 1.0:
         raise ValidationError(f"mu must lie in (0, 1), got {mu}")
-    if xi <= 0:
-        raise ValidationError(f"xi must be positive, got {xi}")
+    if not 0.0 < xi < np.inf:
+        raise ValidationError(f"xi must be finite and positive, got {xi}")
     if starts < 1:
         raise ValidationError(f"starts must be at least 1, got {starts}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)

@@ -263,6 +263,28 @@ def test_compare_averaging_bad_cycles(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_compare_averaging_rejects_non_finite_cycle(tmp_path, value):
+    out = tmp_path / "err.csv"
+    result = CliRunner().invoke(cli.main, ["compare-averaging", "single_road",
+                                           "--cycles", f"30,{value}", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"ValidationError: cycle time {value} must be finite and positive\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_optimize_rejects_bad_xi(tmp_path, value):
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--xi", value,
+                                           "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: xi must be finite and positive")
+    assert not out.exists()
+
+
 def test_optimize_artifacts_and_determinism(tmp_path):
     def run(tag):
         report = tmp_path / f"r{tag}.json"
@@ -355,10 +377,12 @@ def test_distributed_round_budget_exit_4(runner):
 
 
 def test_distributed_memory_preflight_is_one_validation_line(tmp_path):
-    # grid_3x3 has 144 cells; 2x2 agents would each keep a ~50 GB kernel
+    # grid_4x4 has 240 cells; 30x30 agents would each keep a 415 MB
+    # estimate, 374 GB in all
     out = tmp_path / "rounds.csv"
     start = time.perf_counter()
-    result = CliRunner().invoke(cli.main, ["distributed", "grid_3x3", "--out", str(out)])
+    result = CliRunner().invoke(cli.main, ["distributed", "grid_4x4", "--agents", "30x30",
+                                           "--out", str(out)])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.sparse.linalg import splu
 
 from greensplit import distributed as dist
 from greensplit.errors import (DimensionError, NotConverged, UnstableMatrix,
@@ -232,25 +233,103 @@ def test_interior_agents_finish_first(problem):
     assert center_done <= corner_done
 
 
-# closed-form agents against the dense local system --------------------------
+# sparse agents against the dense local system ------------------------------
 
-def _local_system(share, rhs, agent_id, n_agents):
-    """Dense ``H_i w = z_i`` of one agent over ``w = [X, D_1, ..., D_nu]``."""
-    n = share.shape[0]
+class DenseAgent:
+    """Test-only oracle: the affine set as a dense ``(w_hat, K)`` pair.
+
+    The kernel is written down in closed form and orthonormalized by one
+    QR; a fold moves ``w_hat`` into the intersection of two affine sets and
+    intersects the kernels with one thin SVD (Mou, Liu & Morse, IEEE TAC
+    60(11), 2015).  Its memory grows as ``nu^2 n^4``, so it serves small n.
+    """
+
+    def __init__(self, agent_id, share, rhs, n_agents):
+        self.id = agent_id
+        n = share.shape[0]
+        self.n = n
+        nn = n * n
+        lam = np.kron(np.eye(n), share) + np.kron(share, np.eye(n))
+        d = rhs.reshape(-1, order="F")
+        if n_agents == 1:
+            x = np.linalg.lstsq(lam, -d, rcond=None)[0]
+            self.w_hat = np.concatenate([x, d])
+            free = linalg.null_space(lam, rcond=1e-10)
+            self.kernel = np.vstack([free, np.zeros((nn, free.shape[1]))])
+            return
+        # a free X with D_i = -lam X and D_k = +lam X, and a free D_j per
+        # other agent j with D_k = -D_j
+        k = 1 if agent_id == 0 else 0
+        basis = np.zeros(((n_agents + 1) * nn, (n_agents - 1) * nn))
+        basis[:nn, :nn] = np.eye(nn)
+        basis[self._rows(agent_id), :nn] = -lam
+        basis[self._rows(k), :nn] = lam
+        others = [j for j in range(n_agents) if j not in (agent_id, k)]
+        for col, j in enumerate(others, start=1):
+            cols = slice(col * nn, (col + 1) * nn)
+            basis[self._rows(j), cols] = np.eye(nn)
+            basis[self._rows(k), cols] = -np.eye(nn)
+        self.kernel = np.linalg.qr(basis)[0]
+        w_p = np.zeros(basis.shape[0])
+        w_p[self._rows(k)] = d
+        self.w_hat = w_p - self.kernel @ (self.kernel.T @ w_p)
+
+    def _rows(self, agent):
+        nn = self.n * self.n
+        return slice((1 + agent) * nn, (2 + agent) * nn)
+
+    @property
+    def kernel_dim(self):
+        return self.kernel.shape[1]
+
+    def fold(self, other_w, other_kernel):
+        k_i, k_j = self.kernel, other_kernel
+        if k_i.shape[1] == 0:
+            return
+        delta = other_w - self.w_hat
+        outside = k_j - k_i @ (k_i.T @ k_j)
+        u, sines, vt = np.linalg.svd(outside, full_matrices=False)
+        r = int(np.count_nonzero(sines > 1e-10))
+        c_j = vt[:r].T @ ((u[:, :r].T @ (delta - k_i @ (k_i.T @ delta))) / sines[:r])
+        step = delta - k_j @ c_j
+        self.w_hat = self.w_hat + k_i @ (k_i.T @ step)
+        self.kernel = k_j @ vt[r:].T
+
+    def solution(self):
+        nn = self.n * self.n
+        return self.w_hat[:nn].reshape((self.n, self.n), order="F")
+
+
+def _known_system(shares, rhs, known):
+    """Dense ``H w = z`` of the blocks ``known`` and the balance row,
+    over ``w = [X, D_1, ..., D_nu]``."""
+    n = rhs.shape[0]
     nn = n * n
-    h = np.zeros((2 * nn, (n_agents + 1) * nn))
-    h[:nn, :nn] = np.kron(np.eye(n), share) + np.kron(share, np.eye(n))
-    h[:nn, (1 + agent_id) * nn:(2 + agent_id) * nn] = np.eye(nn)
+    n_agents = len(shares)
+    h = np.zeros(((len(known) + 1) * nn, (n_agents + 1) * nn))
+    for row, j in enumerate(sorted(known)):
+        rows = slice(row * nn, (row + 1) * nn)
+        h[rows, :nn] = np.kron(np.eye(n), shares[j]) + np.kron(shares[j], np.eye(n))
+        h[rows, (1 + j) * nn:(2 + j) * nn] = np.eye(nn)
     for j in range(n_agents):
-        h[nn:, (1 + j) * nn:(2 + j) * nn] = np.eye(nn)
-    z = np.zeros(2 * nn)
-    z[nn:] = rhs.reshape(-1, order="F")
+        h[-nn:, (1 + j) * nn:(2 + j) * nn] = np.eye(nn)
+    z = np.zeros(h.shape[0])
+    z[-nn:] = rhs.reshape(-1, order="F")
     return h, z
 
 
 # row owners per layout; agent 1 owns no rows for two agents and for four
 LAYOUTS = [(1, [0, 0, 0, 0]), (2, [0, 1, 0, 1]), (2, [0, 0, 0, 0]),
            (3, [0, 0, 1, 2]), (4, [0, 2, 2, 3])]
+
+# (graph, row owners): LAYOUTS on paths, then default owners on larger
+# graphs; on the 3x3 grid five of the nine agents own no rows
+ROUND_LAYOUTS = (
+    [pytest.param(dist.CommGraph.path(k), owners, id=f"path{k}-{''.join(map(str, owners))}")
+     for k, owners in LAYOUTS]
+    + [pytest.param(dist.CommGraph.path(4), None, id="path4"),
+       pytest.param(dist.CommGraph.grid(2, 2), None, id="grid2x2"),
+       pytest.param(dist.CommGraph.grid(3, 3), None, id="grid3x3")])
 
 
 @pytest.mark.parametrize("n_agents, owners", LAYOUTS)
@@ -259,14 +338,15 @@ def test_agent_matches_dense_local_system(problem, n_agents, owners):
     shares = dist.partition_rows(a, np.array(owners), n_agents)
     for i in range(n_agents):
         agent = dist.Agent(i, shares[i], d, n_agents)
-        h, z = _local_system(shares[i], d, i, n_agents)
+        assert sorted(agent.blocks) == [i]
+        h, z = _known_system(shares, d, [i])
         assert np.linalg.norm(h @ agent.w_hat - z) < 1e-10
         np.testing.assert_allclose(
             agent.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
-        assert np.linalg.norm(h @ agent.kernel) < 1e-10
-        np.testing.assert_allclose(agent.kernel.T @ agent.kernel,
-                                   np.eye(agent.kernel_dim), atol=1e-12)
+        # minimum norm: no component along the set's kernel
+        assert np.linalg.norm(linalg.null_space(h).T @ agent.w_hat) < 1e-10
         assert agent.kernel_dim == h.shape[1] - np.linalg.matrix_rank(h)
+        assert agent.kernel_dim == (n_agents - 1) * a.size
         assert agent.local_residual() == pytest.approx(
             np.linalg.norm(h @ agent.w_hat - z), abs=1e-12)
 
@@ -276,18 +356,56 @@ def test_fold_intersects_affine_sets(problem, n_agents, owners):
     a, d = problem
     shares = dist.partition_rows(a, np.array(owners), n_agents)
     mine, theirs = (dist.Agent(i, shares[i], d, n_agents) for i in (0, 1))
-    k_i, k_j = mine.kernel, theirs.kernel
-    mine.fold(theirs.w_hat, theirs.kernel)
+    message = theirs.blocks
+    mine.fold(message)
+    assert sorted(mine.blocks) == [0, 1]
+    assert theirs.blocks is message and sorted(message) == [1]
     for i in (0, 1):
-        h, z = _local_system(shares[i], d, i, n_agents)
+        h, z = _known_system(shares, d, [i])
         assert np.linalg.norm(h @ mine.w_hat - z) < 1e-10
-    joint = linalg.null_space(np.hstack([k_i, -k_j]))
-    assert mine.kernel_dim == joint.shape[1] == (n_agents - 2) * a.size
-    if joint.shape[1]:
-        common = k_i @ joint[:k_i.shape[1]]
-        assert linalg.subspace_angles(mine.kernel, common).max() < 1e-8
-        np.testing.assert_allclose(mine.kernel.T @ mine.kernel,
-                                   np.eye(mine.kernel_dim), atol=1e-12)
+    # the intersection of the two affine sets, and its minimum-norm point
+    h, z = _known_system(shares, d, [0, 1])
+    kernel = linalg.null_space(h)
+    assert mine.kernel_dim == kernel.shape[1] == (n_agents - 2) * a.size
+    assert np.linalg.norm(kernel.T @ mine.w_hat) < 1e-10
+    np.testing.assert_allclose(
+        mine.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
+    # a fold that brings nothing new keeps the estimate
+    before = mine.w_hat
+    mine.fold(theirs.blocks)
+    assert mine.w_hat is before
+
+
+@pytest.mark.parametrize("graph, owners", ROUND_LAYOUTS)
+def test_rounds_match_dense_oracle(problem, graph, owners):
+    a, d = problem
+    nu, nn = graph.n_agents, a.size
+    owners = dist.default_assignment(4, nu) if owners is None else np.array(owners)
+    shares = dist.partition_rows(a, owners, nu)
+    sparse_agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
+    dense_agents = [DenseAgent(i, shares[i], d, nu) for i in range(nu)]
+    reference = solve_lyapunov(a, d)
+
+    for agent in sparse_agents:
+        h, z = _known_system(shares, d, [agent.id])
+        np.testing.assert_allclose(
+            agent.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
+    for _ in range(graph.diameter + 1):
+        for mine, oracle in zip(sparse_agents, dense_agents):
+            err = np.linalg.norm(mine.solution() - reference) / np.linalg.norm(reference)
+            oracle_err = (np.linalg.norm(oracle.solution() - reference)
+                          / np.linalg.norm(reference))
+            assert abs(err - oracle_err) <= 1e-9
+            h, _ = _known_system(shares, d, mine.blocks)
+            assert mine.kernel_dim == (nu - len(mine.blocks)) * nn
+            assert mine.kernel_dim == h.shape[1] - np.linalg.matrix_rank(h)
+            assert oracle.kernel_dim == mine.kernel_dim
+        dist.synchronous_round(sparse_agents, graph)
+        messages = [(agent.w_hat, agent.kernel) for agent in dense_agents]
+        for agent in dense_agents:
+            for j in graph.neighbors(agent.id):
+                agent.fold(*messages[j])
+    assert all(agent.kernel_dim == 0 for agent in sparse_agents)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,17 +431,44 @@ def test_random_layouts_match_centralized(n, n_agents, seed, data):
 
 # memory preflight -----------------------------------------------------------
 
-def test_planned_bytes_covers_the_kernels(problem):
-    a, d = problem
-    shares = dist.partition_rows(a, dist.default_assignment(4, 3), 3)
-    held = sum(dist.Agent(i, shares[i], d, 3).kernel.nbytes for i in range(3))
-    assert held < dist.planned_bytes(4, 3)
+def _factor_entries(agent):
+    lu = splu(agent.system()[0])
+    return lu.L.nnz + lu.U.nnz
+
+
+def _block_bytes(agent):
+    return sum(b.data.nbytes + b.indices.nbytes + b.indptr.nbytes
+               for b in agent.blocks.values())
+
+
+def test_planned_bytes_bounds_blocks_and_factors(problem, four_modes):
+    """Held blocks and estimates plus the largest LU factors, at every
+    number of known blocks, on a random 4-state and the 36-state network."""
+    from greensplit.dynamics import average_matrix
+    cases = [(a, d, graph)
+             for a, d in (problem, (average_matrix(four_modes), np.ones((36, 36))))
+             for graph in (dist.CommGraph.path(2), dist.CommGraph.grid(2, 2),
+                           dist.CommGraph.grid(3, 3))]
+    for a, d, graph in cases:
+        n, nu = a.shape[0], graph.n_agents
+        shares = dist.partition_rows(a, dist.default_assignment(n, nu), nu)
+        agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
+        widest = 0
+        for k in range(1, nu + 1):
+            agents[0].fold({j: agents[j].blocks[j] for j in range(k)})
+            widest = max(widest, _factor_entries(agents[0]))
+        held = (sum(agent.w_hat.nbytes + agent.share.nbytes for agent in agents)
+                + _block_bytes(agents[0]))
+        assert held + 12 * widest < dist.planned_bytes(n, np.count_nonzero(a), nu)
 
 
 def test_memory_preflight_refuses_before_building(monkeypatch):
-    n, graph = 144, dist.CommGraph.grid(2, 2)
+    # 400 agents on 500 states: the estimates alone, 400 x 401 x 500^2
+    # doubles, take 320 GB
+    n, graph = 500, dist.CommGraph.grid(20, 20)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    assert dist.planned_bytes(n, graph.n_agents) > physical / 2
+    assert 8 * 400 * 401 * n**2 > physical / 2
+    assert dist.planned_bytes(n, n, graph.n_agents) > 8 * 400 * 401 * n**2
 
     def no_agent(*args, **kwargs):
         raise AssertionError("an agent was built")
