@@ -18,6 +18,7 @@ per coordinate.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,6 +37,8 @@ MAX_INNER = 5000
 
 #: simplex drift allowed on iterates, relative to the cycle time
 SIMPLEX_TOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 def project_tangent(grad: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -73,6 +76,14 @@ class InnerResult:
     achieved: bool        # |alpha_s| was driven to the tolerance
     stationary: bool      # projected direction vanished first
     iterations: int
+    evaluations: int      # root-search evaluations over all iterates
+
+    @property
+    def reason(self) -> str:
+        """Why the descent stopped: achieved, stationary or budget."""
+        if self.achieved:
+            return "achieved"
+        return "stationary" if self.stationary else "budget"
 
 
 @dataclass
@@ -116,22 +127,24 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     """Drive the smoothed abscissa at fixed weight toward zero.
 
     ``root`` is a first guess for the first root search; every later search
-    starts from the previous iterate's root.
+    starts from the first-order prediction ``value + g . (d_new - d)`` of
+    its root, with ``g`` the duration gradient the step was built from.
     """
     d = start.copy()
     total = d.sum()
     res: SmoothedAbscissa | None = None
+    evaluations = 0
     for it in range(MAX_INNER):
         a = average_matrix(mode_set, d)
         res = smoothed_abscissa(a, output, x0, epsilon, warm_start=root)
-        root = res.value
+        evaluations += res.evaluations
         tol_alpha = 1e-8 * (1.0 + abs(res.abscissa))
         if abs(res.value) <= tol_alpha:
-            return InnerResult(d, res, True, False, it)
+            return InnerResult(d, res, True, False, it, evaluations)
         try:
             g = duration_gradient(mode_set, res, d)
         except ZeroTrace:
-            return InnerResult(d, res, False, True, it)
+            return InnerResult(d, res, False, True, it, evaluations)
         nabla = res.value * g
         v = project_tangent(nabla, d)
         rows.append({
@@ -144,7 +157,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         denom = float(g @ v)
         direction_norm = float(np.abs(project_tangent(g, d)).max())
         if direction_norm <= KKT_TOL * (1.0 + float(np.abs(g).max())) or denom == 0.0:
-            return InnerResult(d, res, False, True, it)
+            return InnerResult(d, res, False, True, it, evaluations)
         # one undamped step zeroes the linearized abscissa
         step = mu * res.value / denom
         vmax = float(np.abs(v).max())
@@ -155,10 +168,12 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         if shrinking.any():
             limit = float(np.min(d[shrinking] / v[shrinking]))
             step = min(step, limit)
-        d = d - step * v
-        d[d < 0] = 0.0
-        d *= total / d.sum()
-    return InnerResult(d, res, False, False, MAX_INNER)
+        d_new = d - step * v
+        d_new[d_new < 0] = 0.0
+        d_new *= total / d_new.sum()
+        root = res.value + float(g @ (d_new - d))
+        d = d_new
+    return InnerResult(d, res, False, False, MAX_INNER, evaluations)
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
@@ -229,12 +244,14 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         iters = 0
         outer = 0
         hit_cap = False
-        root = None    # latest smoothed abscissa, the next search's first guess
+        root = None    # the next search's first guess
         while xi_cur >= 1e-4 * eps0:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
                                    mu, rows, outer, 1.0 / eps_bar, root)
-            if inner.result is not None:
-                root = inner.result.value
+            log.debug("outer %d: epsilon %.9g, %d inner iterations, "
+                      "%d root-search evaluations, %s", outer,
+                      eps_bar + xi_cur, inner.iterations, inner.evaluations,
+                      inner.reason)
             iters += max(inner.iterations, 1)
             outer += 1
             if inner.achieved:
@@ -242,8 +259,14 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                 d = inner.durations
             else:
                 xi_cur *= 0.5
-                if not inner.stationary and inner.iterations >= MAX_INNER:
+                if inner.reason == "budget":
                     hit_cap = True
+            res = inner.result
+            if res is not None:
+                # move the last root to the next weight; after a failed
+                # descent d reverts to the outer iterate, and the duration
+                # term is left out there
+                root = res.value + (eps_bar + xi_cur - res.epsilon) * res.epsilon_slope()
             if outer > 100000:
                 hit_cap = True
                 break

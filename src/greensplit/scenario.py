@@ -11,6 +11,7 @@ round-trips: ``load_document(dumps(spec))`` rebuilds an identical
 from __future__ import annotations
 
 import hashlib
+import json
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -121,5 +122,10 @@ def dump(spec: NetworkSpec, path: str | Path) -> None:
 
 
 def config_hash(spec: NetworkSpec) -> str:
-    """Short stable fingerprint of a network, for artifact headers."""
-    return hashlib.sha256(dumps(spec).encode("utf-8")).hexdigest()[:16]
+    """Short stable fingerprint of a network, for artifact headers.
+
+    It hashes the canonical document as compact JSON with sorted keys,
+    which costs a small fraction of the YAML emitter's time.
+    """
+    text = json.dumps(to_document(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

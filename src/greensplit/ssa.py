@@ -62,6 +62,17 @@ class SmoothedAbscissa:
     trace_value: float    # g(value); equals 1/epsilon up to the root tolerance
     evaluations: int      # iterates: a P solve each, and a Q solve where P succeeds
 
+    def epsilon_slope(self) -> float:
+        """Derivative of the root with respect to the smoothing weight.
+
+        Differentiating ``g(value) = 1/epsilon`` with ``g' = -2 trace(Q P)``
+        gives ``g(value)^2 / (2 trace(Q P))``.  It is zero where
+        ``trace(Q P)`` is not positive, so a prediction made with it stays
+        at the root.
+        """
+        tr = float(np.vdot(self.Q, self.P))    # trace(Q P): Q is symmetric
+        return self.trace_value ** 2 / (2.0 * tr) if tr > 0.0 else 0.0
+
 
 def _validate_triple(a: np.ndarray, output: np.ndarray, x0: np.ndarray):
     a = np.asarray(a, dtype=float)
@@ -102,7 +113,11 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
     warm_start : float, optional
         First iterate, typically the root for a nearby matrix.  Ignored
         unless it is finite and above the abscissa ledge; it changes the
-        work done, not the root.
+        work done, not the root.  The optimizer passes the first-order
+        prediction of the root: the previous root moved along the duration
+        gradient or, for a new weight, by :meth:`SmoothedAbscissa.epsilon_slope`.
+        A start within the Newton tolerance of the root is accepted after
+        one evaluation.
     """
     a, output, x0 = _validate_triple(a, output, x0)
     if not (math.isfinite(epsilon) and epsilon > 0):

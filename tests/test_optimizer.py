@@ -1,11 +1,14 @@
 """Projected descent on the duration simplex."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greensplit import dynamics
+from greensplit import dynamics, optimizer
 from greensplit.dynamics import ModeSet
 from greensplit.errors import NoStableStart, ValidationError
 from greensplit.lyapunov import congestion_cost
@@ -147,3 +150,42 @@ def test_single_road_pushes_to_all_green(single_net):
     # the red mode only delays discharge; nearly all green time wins
     assert report.durations[1] <= 0.01 * 100.0
     assert report.cost < report.baseline_cost
+
+
+def _count_evaluations(monkeypatch):
+    """Wrap the optimizer's root search; the list holds each call's evaluations."""
+    counts = []
+    search = optimizer.smoothed_abscissa
+
+    def counted(*args, **kwargs):
+        res = search(*args, **kwargs)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(optimizer, "smoothed_abscissa", counted)
+    return counts
+
+
+def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
+    # each search starts at the first-order prediction of its root: 1,046
+    # evaluations on this run, against 1,708 when every search started at
+    # the previous root; the cost certificate does not move
+    counts = _count_evaluations(monkeypatch)
+    report = optimize(four_modes, four_output, np.ones(four_modes.n))
+    assert sum(counts) <= 1150
+    assert report.cost == pytest.approx(1179.1073053020937, rel=1e-12)
+
+
+def test_outer_steps_are_logged(single_net, monkeypatch, caplog):
+    from greensplit import net_model
+    ms = dynamics.assemble_modes(single_net, net_model.uniform_schedule(single_net))
+    counts = _count_evaluations(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
+    report = optimize(ms, dynamics.output_map(single_net), np.ones(single_net.n))
+    pattern = re.compile(r"outer \d+: epsilon \S+, (\d+) inner iterations, "
+                         r"(\d+) root-search evaluations, (achieved|stationary|budget)$")
+    lines = [pattern.match(r.getMessage()) for r in caplog.records
+             if r.name == "greensplit.optimizer"]
+    assert lines and all(lines)
+    assert sum(int(m[2]) for m in lines) == sum(counts)
+    assert sum(max(int(m[1]), 1) for m in lines) == report.iterations

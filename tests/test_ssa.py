@@ -301,3 +301,32 @@ def test_newton_search_evaluation_budget(four_modes, four_output):
         assert cold.evaluations <= 8
         warm = smoothed_abscissa(nearby, four_output, x0, eps, warm_start=cold.value)
         assert warm.evaluations <= 4
+
+
+@pytest.mark.parametrize("split", [None, [40.0, 20.0, 25.0, 15.0]],
+                         ids=["uniform", "interior"])
+def test_root_tangents_match_finite_differences(four_modes, four_output, split):
+    # the optimizer warm-starts each search at the first-order prediction
+    # of its root: along a duration step through the duration gradient, and
+    # along a weight step through epsilon_slope; halving the step must cut
+    # the prediction error about fourfold, which a wrong slope would not
+    x0 = np.ones(four_modes.n)
+    d = four_modes.durations.astype(float) if split is None else np.array(split)
+    a = dynamics.average_matrix(four_modes, d)
+    eps = 1.05 / congestion_cost(a, four_output, x0)
+    res = smoothed_abscissa(a, four_output, x0, eps, tol=1e-14)
+    grad = duration_gradient(four_modes, res, d)
+    v = np.array([1.0, -1.0, 0.5, -0.5])    # tangent to the simplex
+
+    def duration_error(h):
+        moved = dynamics.average_matrix(four_modes, d + h * v)
+        root = smoothed_abscissa(moved, four_output, x0, eps, tol=1e-14).value
+        return abs(root - (res.value + h * float(grad @ v)))
+
+    def weight_error(h):
+        step = h * 1e-2 * eps
+        root = smoothed_abscissa(a, four_output, x0, eps + step, tol=1e-14).value
+        return abs(root - (res.value + step * res.epsilon_slope()))
+
+    for error in (duration_error, weight_error):
+        assert error(2.0) >= 3.0 * error(1.0)
