@@ -292,6 +292,16 @@ def planned_bytes(n: int, nnz: int, n_agents: int) -> int:
 
 @dataclass
 class DistributedResult:
+    """Outcome of :func:`run_distributed`.
+
+    ``errors[r, i]`` is agent ``i``'s relative Frobenius error in ``X``
+    after round ``r``.  It is not monotone in the rounds in general: a fold
+    can only shrink the distance of the agent's whole estimate
+    ``[X, D_1, ..., D_nu]`` to the solution, not that of ``X`` alone.  With
+    nine agents on a 3x3 grid and a 4-state matrix, one agent's ``X`` error
+    goes from 1.000000 to 1.000109 in its second round.
+    """
+
     solutions: list[np.ndarray]
     shares: list[np.ndarray]
     rounds: int

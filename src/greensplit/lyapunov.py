@@ -8,23 +8,38 @@ equals ``trace(C W C^T)`` where ``W`` solves ``A W + W A^T + x0 x0^T = 0``.
 The solver below factors ``A = U T U^T`` once (real Schur form) and then
 solves the equation for any diagonal shift ``A - s I`` in Schur
 coordinates, where it reads ``(T - s I) Y + Y (T - s I)^T = R`` with
-``Y = U^T X U`` and ``R = -U^T D U``.  That quasi-triangular equation is
-solved by the recursive blocked form of the Bartels-Stewart method
-(Jonsson & Kagstrom, ACM TOMS 28(4), 2002): ``T`` is split in two between
-its diagonal blocks, the two diagonal Lyapunov blocks recurse, and the
-off-diagonal block is one Sylvester solve, so most of the work is matrix
-products; blocks of order up to :data:`BASE` go to LAPACK's ``trsyl``.
-Callers that run many solves on one factorization (the smoothing root
-search) transform their data to Schur coordinates once and only
-transform back the solutions they keep.
+``Y = U^T X U`` and ``R = -U^T D U``.
+
+The factorization runs one strongly connected component at a time.  The
+averaged network matrix is reducible (its entry and exit roads are acyclic
+chains), so a topological order of the components of its sparsity graph
+(Tarjan, SIAM J. Comput. 1(2), 1972) permutes it to block upper triangular
+form.  A real Schur factor of each diagonal block larger than 1x1, applied
+to the coupling rows and columns of that block, then gives a real Schur
+form of the whole matrix: ``U`` is the permutation times the block
+diagonal of the blocks' factors.  The ordering depends only on the
+sparsity pattern and is cached by it.
+
+The quasi-triangular equation is solved by the recursive blocked form of
+the Bartels-Stewart method (Jonsson & Kagstrom, ACM TOMS 28(4), 2002):
+``T`` is split in two between its diagonal blocks, the two diagonal
+Lyapunov blocks recurse, and the off-diagonal block is one Sylvester solve,
+so most of the work is matrix products; blocks of order up to :data:`BASE`
+go to LAPACK's ``trsyl``.  Callers that run many solves on one
+factorization (the smoothing root search, the congestion cost) transform
+their data to Schur coordinates once and only transform back the
+solutions they keep.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
+from scipy.sparse import csgraph
 
 from .errors import DimensionError, EigenFailure, SolveFailure, UnstableMatrix
 
@@ -42,6 +57,13 @@ def _as_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def _as_state(x0: np.ndarray, n: int) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != n:
+        raise DimensionError(f"initial state has length {x0.shape[0]}, matrix is {n}x{n}")
+    return x0
+
+
 def spectral_abscissa(a: np.ndarray) -> float:
     """Largest real part over the spectrum of ``a``."""
     a = _as_square(a)
@@ -50,6 +72,51 @@ def spectral_abscissa(a: np.ndarray) -> float:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue computation failed: {exc}") from exc
     return float(eigs.real.max())
+
+
+@functools.lru_cache(maxsize=16)
+def _block_order(pattern: bytes, n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Permutation of the states that makes a matrix with the given packed
+    sparsity pattern block upper triangular, and the ``(start, end)`` of
+    each diagonal block larger than 1x1.  There is one diagonal block per
+    strongly connected component of the sparsity graph.
+
+    The components come in a topological order of the condensation; where
+    several could come next, the one holding the smallest state index goes
+    first, so a matrix that is already block upper triangular keeps the
+    identity permutation.  States keep their order within a component.
+    """
+    mask = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n)
+    graph = sparse.csr_matrix(mask.reshape(n, n))
+    count, labels = csgraph.connected_components(graph, directed=True,
+                                                 connection="strong")
+    # a nonzero a[i, j] between components puts i's component before j's
+    rows, cols = graph.nonzero()
+    tail, head = labels[rows], labels[cols]
+    between = tail != head
+    edges = set(zip(tail[between].tolist(), head[between].tolist()))
+    members = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=count))))
+    first = members[starts[:-1]].tolist()    # smallest state index per component
+    successors = [[] for _ in range(count)]
+    blockers = [0] * count
+    for i, j in edges:
+        successors[i].append(j)
+        blockers[j] += 1
+    ready = [(first[c], c) for c in range(count) if blockers[c] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        order.append(c)
+        for j in successors[c]:
+            blockers[j] -= 1
+            if blockers[j] == 0:
+                heapq.heappush(ready, (first[j], j))
+    perm = np.concatenate([members[starts[c]:starts[c + 1]] for c in order])
+    perm.setflags(write=False)
+    ends = np.cumsum(np.diff(starts)[order]).tolist()
+    return perm, tuple((s, e) for s, e in zip([0] + ends, ends) if e - s > 1)
 
 
 def _split(t: np.ndarray) -> int:
@@ -62,18 +129,33 @@ def _split(t: np.ndarray) -> int:
 class ShiftedLyapunov:
     """Repeated solves of ``(A - s I) X + X (A - s I)^T + D = 0``.
 
-    The real Schur form ``A = U T U^T`` is computed once; every shift then
-    reduces to a quasi-triangular solve in Schur coordinates, so a sweep
-    over shifts costs one decomposition plus one cheap solve per shift.
+    The real Schur form ``A = U T U^T`` is computed once, one strongly
+    connected component at a time; every shift then reduces to a
+    quasi-triangular solve in Schur coordinates, so a sweep over shifts
+    costs one decomposition plus one cheap solve per shift.
     """
 
     def __init__(self, a: np.ndarray):
         a = _as_square(a)
-        self.n = a.shape[0]
-        try:
-            self.t, self.u = linalg.schur(a, output="real")
-        except (linalg.LinAlgError, ValueError) as exc:
-            raise EigenFailure(f"Schur decomposition failed: {exc}") from exc
+        self.n = n = a.shape[0]
+        if not np.all(np.isfinite(a)):
+            raise EigenFailure("Schur decomposition failed: matrix has non-finite entries")
+        perm, blocks = _block_order(np.packbits(a != 0).tobytes(), n)
+        t = a[perm][:, perm]
+        v = np.eye(n)
+        for s, e in blocks:
+            try:
+                tb, ub = linalg.schur(t[s:e, s:e], output="real", check_finite=False)
+            except linalg.LinAlgError as exc:
+                raise EigenFailure(f"Schur decomposition failed: {exc}") from exc
+            t[s:e, s:e] = tb
+            t[:s, s:e] = t[:s, s:e] @ ub
+            t[s:e, e:] = ub.T @ t[s:e, e:]
+            v[s:e, s:e] = ub
+        self.t = t
+        # U = P blkdiag(U_i), with P the permutation matrix of perm
+        self.u = np.empty_like(v)
+        self.u[perm] = v
         self._trsyl, = linalg.get_lapack_funcs(("trsyl",), (self.t,))
         # LAPACK standardizes each 2x2 block of T to equal diagonal entries,
         # the real part of its complex pair
@@ -210,11 +292,7 @@ def gramian(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Reachability-type Gramian of the pair ``(A, x0)``: the solution of
     ``A W + W A^T + x0 x0^T = 0``."""
     a = _as_square(a)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"initial state has length {x0.shape[0]}, matrix is {a.shape[0]}x{a.shape[0]}"
-        )
+    x0 = _as_state(x0, a.shape[0])
     return solve_lyapunov(a, np.outer(x0, x0))
 
 
@@ -230,10 +308,13 @@ def congestion_cost(a: np.ndarray, output: np.ndarray, x0: np.ndarray) -> float:
         raise DimensionError(
             f"output map of shape {output.shape} does not act on {a.shape[0]} states"
         )
-    try:
-        # one Schur factorization serves the stability test and the solve
-        w = gramian(a, x0)
-    except UnstableMatrix:
+    x0 = _as_state(x0, a.shape[0])
+    # one Schur factorization serves the stability test and the solve, which
+    # stays in Schur coordinates: W = U Y U^T, so trace(C W C^T) = <(CU) Y, CU>
+    solver = ShiftedLyapunov(a)
+    if solver.abscissa >= 0.0:
         return math.inf
-    value = float(np.trace(output @ w @ output.T))
+    z = solver.u.T @ x0
+    cu = output @ solver.u
+    value = float(np.vdot(cu @ solver.solve(-np.outer(z, z)), cu))
     return max(value, 0.0)

@@ -13,7 +13,10 @@ step so one undamped move would zero the local linear model of the
 abscissa; the damping factor ``mu`` in (0, 1) trades speed for safety.  A
 fixed multiple of the raw gradient stalls at realistic network scales, so
 the step length is normalized this way and capped at a tenth of the cycle
-per coordinate.
+per coordinate.  A step that raises ``|alpha_s|`` ends the descent as
+stationary.  This is what happens at a weight that cannot be achieved: the
+step, sized to zero the linearized abscissa, overshoots its positive
+minimum, and further iterates would only oscillate around it.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class InnerResult:
     durations: np.ndarray
     result: SmoothedAbscissa | None
     achieved: bool        # |alpha_s| was driven to the tolerance
-    stationary: bool      # projected direction vanished first
+    stationary: bool      # projected direction vanished, or a step raised |alpha_s|
     iterations: int
     evaluations: int      # root-search evaluations over all iterates
 
@@ -134,6 +137,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     total = d.sum()
     res: SmoothedAbscissa | None = None
     evaluations = 0
+    last = np.inf    # |alpha_s| at the previous iterate
     for it in range(MAX_INNER):
         a = average_matrix(mode_set, d)
         res = smoothed_abscissa(a, output, x0, epsilon, warm_start=root)
@@ -141,6 +145,10 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         tol_alpha = 1e-8 * (1.0 + abs(res.abscissa))
         if abs(res.value) <= tol_alpha:
             return InnerResult(d, res, True, False, it, evaluations)
+        if abs(res.value) > last:
+            # the last step overshot a positive minimum of |alpha_s|
+            return InnerResult(d, res, False, True, it, evaluations)
+        last = abs(res.value)
         try:
             g = duration_gradient(mode_set, res, d)
         except ZeroTrace:

@@ -359,6 +359,28 @@ def test_numerical_failure_maps_to_exit_3(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("entry", [(0, 0, np.nan), (1, 0, np.inf)])
+def test_non_finite_averaged_matrix_maps_to_exit_3(runner, tmp_path, monkeypatch, entry):
+    # single_road is a chain of singleton blocks: a NaN on a diagonal entry,
+    # or an inf in a coupling entry, is never seen by LAPACK
+    from greensplit import optimizer
+    i, j, value = entry
+    average = optimizer.average_matrix
+
+    def poisoned(*args, **kwargs):
+        a = average(*args, **kwargs).copy()
+        a[i, j] = value
+        return a
+
+    monkeypatch.setattr(optimizer, "average_matrix", poisoned)
+    out = tmp_path / "report.json"
+    result = runner.invoke(cli.main, ["optimize", "single_road", "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("EigenFailure: ")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_distributed_trace(runner, tmp_path):
     out = tmp_path / "dist.csv"
     result = invoke(runner, "distributed", "single_road", "--agents", "2x2",

@@ -162,6 +162,30 @@ def test_errors_nonincreasing(problem):
     assert (diffs <= 1e-9 * (1.0 + res.errors[:-1])).all()
 
 
+def test_whole_estimate_distance_nonincreasing(problem):
+    # nine agents for four rows: five own none.  An agent's X error alone
+    # may rise (agent 8: 1.000000 -> 1.000109 after round 2), but its whole
+    # estimate w = [X, D_1, ..., D_nu] is the minimum-norm point of nested
+    # affine sets that all hold the solution w*, so |w_hat - w*| cannot rise
+    a, d = problem
+    graph = dist.CommGraph.grid(3, 3)
+    nu = graph.n_agents
+    shares = dist.partition_rows(a, dist.default_assignment(4, nu), nu)
+    x = solve_lyapunov(a, d)
+    w_star = np.concatenate([x.reshape(-1, order="F")] + [
+        -(s @ x + x @ s.T).reshape(-1, order="F") for s in shares])
+    agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
+    res = dist.run_distributed(a, d, graph)
+    assert res.errors[2, 8] > res.errors[1, 8] + 1e-4
+    distances = [[np.linalg.norm(agent.w_hat - w_star) for agent in agents]]
+    for _ in range(res.rounds):
+        dist.synchronous_round(agents, graph)
+        distances.append([np.linalg.norm(agent.w_hat - w_star) for agent in agents])
+    distances = np.array(distances)
+    assert (np.diff(distances, axis=0) <= 1e-9 * (1.0 + distances[:-1])).all()
+    assert distances[-1].max() <= 1e-9 * np.linalg.norm(w_star)
+
+
 def test_shares_sum_to_rhs(problem):
     a, d = problem
     res = dist.run_distributed(a, d, dist.CommGraph.path(3))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from greensplit.errors import SolveFailure, UnstableMatrix, ValidationError
-from greensplit.lyapunov import (BASE, ShiftedLyapunov, congestion_cost, gramian,
-                                 solve_lyapunov, spectral_abscissa)
+from greensplit import dynamics, net_model
+from greensplit.errors import EigenFailure, SolveFailure, UnstableMatrix, ValidationError
+from greensplit.lyapunov import (BASE, ShiftedLyapunov, _block_order, congestion_cost,
+                                 gramian, solve_lyapunov, spectral_abscissa)
+from greensplit.scenario import load
 
 from conftest import make_hurwitz
 
@@ -250,3 +252,121 @@ def test_abscissa_from_schur_diagonal_with_a_pair_on_top(n):
     solver = ShiftedLyapunov(a)
     assert solver.abscissa == pytest.approx(eigs.real.max(), abs=1e-12)
     assert solver.abscissa == pytest.approx(-0.05, abs=1e-12)
+
+
+# -- the block factorization -----------------------------------------------------
+
+def reducible(rng, sizes):
+    """Random block upper-triangular matrix with diagonal blocks of the given
+    orders (1: a real eigenvalue, 2: a complex pair, larger: a dense block),
+    shifted one unit left of the imaginary axis and scrambled by a random
+    permutation."""
+    n = sum(sizes)
+    a = np.triu(rng.standard_normal((n, n)), 1)
+    start = 0
+    for k in sizes:
+        block = rng.standard_normal((k, k))
+        if k == 2:
+            # complex pair: off-diagonal entries of opposite sign dominate
+            block[0, 1], block[1, 0] = rng.uniform(1.0, 2.0), -rng.uniform(1.0, 2.0)
+            block[1, 1] = block[0, 0] + 0.1 * rng.standard_normal()
+        a[start:start + k, start:start + k] = block
+        start += k
+    a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(n)
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)]
+
+
+def averaged(name, zero_phases=()):
+    net = load(name)
+    modes = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
+    d = modes.durations.astype(float)
+    d[list(zero_phases)] = 0.0
+    return dynamics.average_matrix(modes, d * (modes.cycle_time / d.sum()))
+
+
+def check_factorization(a):
+    """A = U T U^T with orthogonal U and T in standardized real Schur form,
+    the abscissa of the spectrum, and plain and adjoint solves as scipy's."""
+    n = a.shape[0]
+    solver = ShiftedLyapunov(a)
+    u, t = solver.u, solver.t
+    assert np.linalg.norm(u.T @ u - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(u @ t @ u.T - a) <= 1e-13 * np.linalg.norm(a)
+    assert not np.tril(t, -2).any()
+    sub = np.flatnonzero(np.diag(t, -1))
+    assert not np.isin(sub + 1, sub).any()      # 2x2 blocks only
+    for j in sub:
+        assert t[j, j] == t[j + 1, j + 1]
+        assert t[j, j + 1] * t[j + 1, j] < 0.0
+    eigs = np.linalg.eigvals(a)
+    assert solver.abscissa == pytest.approx(eigs.real.max(),
+                                            abs=1e-12 * (1.0 + np.abs(eigs).max()))
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n)
+    d = np.outer(z, z)
+    shift = max(0.0, solver.abscissa + 1e-3)
+    shifted = a - shift * np.eye(n)
+    for adjoint in (False, True):
+        ref = linalg.solve_continuous_lyapunov(shifted.T if adjoint else shifted, -d)
+        x = solver.from_schur(solver.solve(solver.to_schur(d), shift=shift, adjoint=adjoint))
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("sizes", [
+    (1, 1, 1, 1, 1), (2, 1, 2), (1, 5, 1, 2, 1, 1, 7, 1), (12, 2, 2, 1, 30, 1, 3),
+])
+def test_block_factorization_of_scrambled_reducible_matrices(sizes):
+    rng = np.random.default_rng(len(sizes) * sum(sizes))
+    for _ in range(3):
+        check_factorization(reducible(rng, sizes))
+
+
+@pytest.mark.parametrize("name", ["single_road", "four_intersections", "grid_3x3", "grid_4x4"])
+def test_block_factorization_of_bundled_scenarios(name):
+    # the uniform split, then a pattern with two phases at weight 0 (the
+    # optimum on the grids), which must not reuse the first one's ordering
+    check_factorization(averaged(name))
+    if name != "single_road":    # its cycle has two phases
+        check_factorization(averaged(name, zero_phases=(1, 3)))
+
+
+def test_block_order_of_a_quasi_triangular_matrix_is_the_identity():
+    # sparse couplings leave many topological orders; the smallest state
+    # index breaks the ties
+    rng = np.random.default_rng(2)
+    pairs = [0, 5, 20, 38]
+    t = quasi_triangular(rng, 40, pairs)
+    keep = np.eye(40, dtype=bool) | (rng.random((40, 40)) < 0.05)
+    for j in pairs:
+        keep[j:j + 2, j:j + 2] = True
+    t[~keep] = 0.0
+    perm, blocks = _block_order(np.packbits(t != 0).tobytes(), 40)
+    np.testing.assert_array_equal(perm, np.arange(40))
+    assert blocks == ((0, 2), (5, 7), (20, 22), (38, 40))
+
+
+def test_block_order_follows_each_pattern():
+    # the same order, first a lower then an upper bidiagonal pattern: the
+    # second factorization gets its own (reversed) ordering from the cache
+    n = 6
+    lower = -np.eye(n) + np.diag(np.ones(n - 1), -1)
+    upper = lower.T.copy()
+    for a, expected in ((lower, np.arange(n)[::-1]), (upper, np.arange(n)),
+                        (lower, np.arange(n)[::-1])):
+        perm, blocks = _block_order(np.packbits(a != 0).tobytes(), n)
+        np.testing.assert_array_equal(perm, expected)
+        assert blocks == ()
+        check_factorization(a)
+
+
+@pytest.mark.parametrize("entry", [(0, 0, np.nan), (0, 1, np.inf), (2, 1, -np.inf)])
+def test_non_finite_entries_are_eigen_failures(entry):
+    # a singleton diagonal never reaches LAPACK's own finiteness check
+    i, j, value = entry
+    a = np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 1.0, -3.0]])
+    a[i, j] = value
+    with pytest.raises(EigenFailure):
+        ShiftedLyapunov(a)
+    with pytest.raises(EigenFailure):
+        congestion_cost(a, np.eye(3), np.ones(3))
