@@ -247,8 +247,8 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
 @main.command("optimize")
 @click.argument("scenario_ref")
 @click.option("--x0", default="ones", show_default=True)
-@click.option("--mu", type=float, default=0.5, show_default=True,
-              help="Step damping in (0, 1).")
+@click.option("--mu", type=float, default=1.0, show_default=True,
+              help="Fraction of the Newton step taken per inner iterate, in (0, 1].")
 @click.option("--xi", type=float, default=0.05, show_default=True,
               help="Weight increment relative to the starting weight.")
 @click.option("--starts", type=int, default=1, show_default=True)
@@ -269,6 +269,11 @@ def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
     state0 = load_state(x0, network)
     report = optimize(mode_set, output, state0, mu=mu, xi=xi,
                       starts=starts, seed=seed)
+    if not report.converged:
+        raise NotConverged(
+            f"optimize hit its iteration budget after {report.iterations} "
+            f"iterations (certified cost {report.cost:.6g})"
+        )
     click.echo(f"baseline cost {report.baseline_cost:.6g}")
     if report.baseline_cost > 0 and np.isfinite(report.baseline_cost):
         gain = 100.0 * (1.0 - report.cost / report.baseline_cost)

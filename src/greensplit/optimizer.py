@@ -8,15 +8,16 @@ pushes ``eps_bar`` upward in shrinking increments; the inner loop is a
 projected descent on the smoothed abscissa at fixed weight.
 
 The inner step follows the projected gradient of ``alpha_s * d(alpha_s)``
-(the signed scaling keeps zero an attractor from both sides) and sizes the
-step so one undamped move would zero the local linear model of the
-abscissa; the damping factor ``mu`` in (0, 1) trades speed for safety.  A
-fixed multiple of the raw gradient stalls at realistic network scales, so
-the step length is normalized this way and capped at a tenth of the cycle
-per coordinate.  A step that raises ``|alpha_s|`` ends the descent as
-stationary.  This is what happens at a weight that cannot be achieved: the
-step, sized to zero the linearized abscissa, overshoots its positive
-minimum, and further iterates would only oscillate around it.
+(the signed scaling keeps zero an attractor from both sides) and is the
+Newton step on the abscissa: it zeroes the local linear model of
+``alpha_s`` along that direction, so near a root ``|alpha_s|`` falls
+quadratically.  The factor ``mu`` in (0, 1] scales the step; the default 1
+takes it whole.  A fixed multiple of the raw gradient stalls at realistic
+network scales, so the step length is normalized this way and capped at a
+tenth of the cycle per coordinate.  A step that raises ``|alpha_s|`` ends
+the descent as stationary.  This is what happens at a weight that cannot
+be achieved: the step, sized to zero the linearized abscissa, overshoots
+its positive minimum, and further iterates would only oscillate around it.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         direction_norm = float(np.abs(project_tangent(g, d)).max())
         if direction_norm <= KKT_TOL * (1.0 + float(np.abs(g).max())) or denom == 0.0:
             return InnerResult(d, res, False, True, it, evaluations)
-        # one undamped step zeroes the linearized abscissa
+        # the Newton step zeroes the linearized abscissa
         step = mu * res.value / denom
         vmax = float(np.abs(v).max())
         if vmax > 0 and step * vmax > 0.1 * total:
@@ -185,7 +186,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
-             mu: float = 0.5, xi: float = 0.05, starts: int = 1,
+             mu: float = 1.0, xi: float = 0.05, starts: int = 1,
              seed: int | None = 0, start: np.ndarray | None = None) -> OptimizationReport:
     """Search the duration simplex for a minimum-cost green split.
 
@@ -196,7 +197,8 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     output, x0 : arrays
         Output map and initial state defining the congestion cost.
     mu : float
-        Damping of the inner descent step, in (0, 1).
+        Fraction of the Newton step on the smoothed abscissa that each
+        inner iterate takes, in (0, 1]; the default 1 takes the whole step.
     xi : float
         Initial weight increment as a fraction of the starting weight;
         halved whenever an increment proves unachievable, until it falls
@@ -211,8 +213,8 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     Each inner descent runs at most ``MAX_INNER`` iterations; a descent
     that hits this budget marks the report as not converged.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValidationError(f"mu must lie in (0, 1), got {mu}")
+    if not 0.0 < mu <= 1.0:
+        raise ValidationError(f"mu must lie in (0, 1], got {mu}")
     if not 0.0 < xi < np.inf:
         raise ValidationError(f"xi must be finite and positive, got {xi}")
     if starts < 1:

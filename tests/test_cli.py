@@ -285,6 +285,28 @@ def test_optimize_rejects_bad_xi(tmp_path, value):
     assert not out.exists()
 
 
+def test_optimize_rejects_mu_above_one(tmp_path):
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--mu", "1.5",
+                                           "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == "ValidationError: mu must lie in (0, 1], got 1.5\n"
+    assert not out.exists()
+
+
+def test_optimize_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
+    from greensplit import optimizer
+    monkeypatch.setattr(optimizer, "MAX_INNER", 1)
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--out", str(out),
+                                           "--plot-out", str(trace)])
+    assert result.exit_code == 4
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("NotConverged: ")
+    assert not out.exists()
+    assert not trace.exists()
+
+
 def test_optimize_artifacts_and_determinism(tmp_path):
     def run(tag):
         report = tmp_path / f"r{tag}.json"

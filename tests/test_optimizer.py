@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greensplit import dynamics, optimizer
+from greensplit import dynamics, net_model, optimizer, scenario
 from greensplit.dynamics import ModeSet
 from greensplit.errors import NoStableStart, ValidationError
 from greensplit.lyapunov import congestion_cost
@@ -79,7 +79,6 @@ def test_optimize_improves_four_intersections(four_modes, four_output, four_repo
 
 
 def test_optimize_deterministic_per_seed(single_net):
-    from greensplit import net_model
     ms = dynamics.assemble_modes(single_net, net_model.uniform_schedule(single_net))
     c = dynamics.output_map(single_net)
     x0 = np.ones(single_net.n)
@@ -125,10 +124,9 @@ def test_optimize_zero_state_short_circuits(four_modes, four_output):
 
 def test_optimize_parameter_validation(four_modes, four_output):
     x0 = np.ones(four_modes.n)
-    with pytest.raises(ValidationError):
-        optimize(four_modes, four_output, x0, mu=0.0)
-    with pytest.raises(ValidationError):
-        optimize(four_modes, four_output, x0, mu=1.0)
+    for mu in (0.0, 1.5, np.nan):
+        with pytest.raises(ValidationError):
+            optimize(four_modes, four_output, x0, mu=mu)
     with pytest.raises(ValidationError):
         optimize(four_modes, four_output, x0, xi=-0.1)
     with pytest.raises(ValidationError):
@@ -151,7 +149,6 @@ def test_epsilon_cost_consistency(four_report):
 
 
 def test_single_road_pushes_to_all_green(single_net):
-    from greensplit import net_model
     sched = net_model.uniform_schedule(single_net)
     ms = dynamics.assemble_modes(single_net, sched)
     c = dynamics.output_map(single_net)
@@ -176,19 +173,41 @@ def _count_evaluations(monkeypatch):
 
 
 def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
-    # each search starts at the first-order prediction of its root, and a
-    # descent ends at its first step that raises |alpha_s|: 793 evaluations
-    # on this run, against 1,708 when every search started at the previous
-    # root and every descent ran to stationarity; the cost certificate does
-    # not move
+    # each search starts at the first-order prediction of its root, a
+    # descent ends at its first step that raises |alpha_s|, and each inner
+    # iterate takes the whole Newton step: 270 evaluations and 85 iterations
+    # on this run, against 793 and 475 with the step halved (mu = 0.5) and
+    # 1,708 evaluations when every search started at the previous root and
+    # every descent ran to stationarity; the cost certificate does not move
     counts = _count_evaluations(monkeypatch)
     report = optimize(four_modes, four_output, np.ones(four_modes.n))
-    assert sum(counts) <= 1150
+    assert report.mu == 1.0
+    assert sum(counts) <= 350
+    assert report.iterations <= 120
     assert report.cost == pytest.approx(1179.1073053020937, rel=1e-12)
 
 
+@pytest.mark.parametrize("name, cost, max_iterations", [
+    ("four_intersections", 1179.1073053020937, 120),
+    ("grid_3x3", 7945.66198478998, 70),
+])
+def test_certificate_matches_the_cost_at_the_split(name, cost, max_iterations):
+    # the Newton step drives alpha_s to its tolerance, so the certified
+    # 1/epsilon is the true cost at the returned split: 2.2e-9 and 9.4e-10
+    # relative here, against 4.3e-7 and 8.3e-7 with the step halved
+    net = scenario.load(name)
+    ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
+    c = dynamics.output_map(net)
+    x0 = np.ones(net.n)
+    report = optimize(ms, c, x0)
+    true_cost = congestion_cost(dynamics.average_matrix(ms, report.durations), c, x0)
+    assert 1.0 / report.epsilon == pytest.approx(true_cost, rel=1e-7)
+    assert report.cost == pytest.approx(cost, rel=1e-12)
+    assert report.converged
+    assert report.iterations <= max_iterations
+
+
 def test_outer_steps_are_logged(single_net, monkeypatch, caplog):
-    from greensplit import net_model
     ms = dynamics.assemble_modes(single_net, net_model.uniform_schedule(single_net))
     counts = _count_evaluations(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
