@@ -231,10 +231,17 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
     state0 = load_state(x0, network)
     if horizon is None:
         horizon = 10.0 * max(cycle_list)
+    schedules = [net_model.uniform_schedule(network, cycle_time=cycle)
+                 for cycle in cycle_list]
+    for schedule in schedules:
+        sim.check_size(network, schedule, horizon, dt, trajectories=2)
+    # one table for the sweep: at the uniform split the mode matrices and
+    # the averaged matrix are the same at every cycle time
+    table = sim.ExponentialTable()
     errors = []
-    for cycle in cycle_list:
-        schedule = net_model.uniform_schedule(network, cycle_time=cycle)
-        report = sim.averaging_error(network, schedule, state0, horizon, dt)
+    for cycle, schedule in zip(cycle_list, schedules):
+        report = sim.averaging_error(network, schedule, state0, horizon, dt,
+                                     table=table)
         errors.append(report.error_percent)
         click.echo(f"T={cycle:g}: error {report.error_percent:.4f}%")
     if out is not None:

@@ -274,6 +274,63 @@ def test_compare_averaging_rejects_non_finite_cycle(tmp_path, value):
     assert not out.exists()
 
 
+def test_compare_averaging_shares_exponentials_within_one_command(runner, monkeypatch):
+    from scipy import linalg
+
+    from greensplit import sim
+    calls = []
+    expm = linalg.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(sim.linalg, "expm", counting)
+    args = ["compare-averaging", "four_intersections", "--cycles", "32,40,48,56"]
+    first = invoke(runner, *args)
+    assert first.exit_code == 0
+    # four modes and the averaged matrix, the same at every uniform split
+    assert len(calls) == 5
+    calls.clear()
+    second = invoke(runner, *args)
+    assert len(calls) == 5          # nothing is kept between commands
+    assert second.output == first.output
+
+
+@pytest.mark.parametrize("command, out_name", [
+    (["simulate", "four_intersections", "--dt", "0.7", "--horizon", "250.5"], "traj.csv"),
+    (["compare-averaging", "four_intersections", "--cycles", "32,60"], "err.csv"),
+])
+def test_simulator_artifacts_are_deterministic(tmp_path, command, out_name):
+    def run(tag):
+        out = tmp_path / f"{tag}-{out_name}"
+        proc = subprocess.run([sys.executable, "-m", "greensplit.cli", *command,
+                               "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    assert run(1) == run(2)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "single_road", "--horizon", "1e15"],
+    ["simulate", "grid_4x4", "--mode", "average", "--dt", "1e-9"],
+    ["compare-averaging", "single_road", "--cycles", "30,1e-12"],
+    ["compare-averaging", "grid_4x4", "--cycles", "60", "--dt", "1e-7"],
+])
+def test_oversized_simulation_is_one_validation_line(tmp_path, command):
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, [*command, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: ")
+    assert "physical memory" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_optimize_rejects_bad_xi(tmp_path, value):
     out = tmp_path / "report.json"

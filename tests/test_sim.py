@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.integrate import solve_ivp
 
 from greensplit import dynamics, net_model, scenario, sim
@@ -276,3 +277,132 @@ def test_array_lookups_match_scalar_reference(four_schedule, durations, cycle,
         | {schedule.n_modes - 1}
     profile = network.inflow_profile("a")
     assert set(inflows[:, 0].tolist()) == {val for _, val in profile}
+
+
+def _stepped_reference(network, schedule, x0, times, average=False):
+    """States on ``times`` stepped one window at a time, each step with
+    its own ``expm`` of the augmented system: the reference for the
+    run-batched stepping of ``sim._propagate``."""
+    ms = dynamics.assemble_modes(network, schedule)
+    avg = dynamics.average_system(network, ms)
+    n = network.n
+    states = [np.asarray(x0, dtype=float)]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        mid = 0.5 * (t0 + t1)
+        if average:
+            a, b = avg.A, avg.B @ avg.u
+        else:
+            a = ms.modes[_scalar_mode(schedule, mid)]
+            b = ms.input_map @ _scalar_inflow(network, mid)
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = a
+        aug[:n, n] = b
+        e = linalg.expm(aug * (t1 - t0))
+        states.append(e[:n, :n] @ states[-1] + e[:n, n])
+    return np.array(states)
+
+
+def _assert_close_rows(states, ref, rtol=1e-12):
+    gap = np.linalg.norm(states - ref, axis=1)
+    assert np.all(gap <= rtol * np.linalg.norm(ref, axis=1)), (gap / np.linalg.norm(ref, axis=1)).max()
+
+
+@pytest.mark.parametrize("case", ["dt 1.0", "dt 0.7", "zero windows", "ragged horizon"])
+def test_switched_matches_stepped_reference(four_net, four_schedule, case):
+    schedule, horizon, dt = four_schedule, 300.0, 1.0
+    if case == "dt 0.7":
+        dt = 0.7        # steps cut short at every switch
+    elif case == "zero windows":
+        schedule = four_schedule.with_durations([50.0, 0.0, 50.0, 0.0])
+        horizon = 230.0
+    elif case == "ragged horizon":
+        horizon = 250.5
+    x0 = np.random.default_rng(6).uniform(0.0, 1.0, four_net.n)
+    traj = sim.simulate_switching(four_net, schedule, x0, horizon, dt)
+    assert traj.times[-1] == horizon
+    _assert_close_rows(traj.states, _stepped_reference(four_net, schedule, x0, traj.times))
+
+
+def test_switched_piecewise_inflow_matches_stepped_reference(pulse_net):
+    schedule = net_model.uniform_schedule(pulse_net, cycle_time=37.0)
+    x0 = np.array([0.2, 0.0])
+    traj = sim.simulate_switching(pulse_net, schedule, x0, 150.0, dt=1.0)
+    _assert_close_rows(traj.states, _stepped_reference(pulse_net, schedule, x0, traj.times))
+
+
+def test_long_averaged_run_matches_stepped_reference(four_net, four_schedule):
+    # one run of 6,000 equal steps, cut into chunks of ceil(sqrt(6000)) = 78
+    x0 = np.random.default_rng(7).uniform(0.0, 1.0, four_net.n)
+    traj = sim.simulate_average(four_net, four_schedule, x0, 6000.0, dt=1.0)
+    assert traj.times.shape[0] == 6001
+    ref = _stepped_reference(four_net, four_schedule, x0, traj.times, average=True)
+    _assert_close_rows(traj.states, ref)
+
+
+def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
+    calls = []
+    expm = linalg.expm
+
+    def counting(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(sim.linalg, "expm", counting)
+    x0 = np.ones(four_net.n)
+    table = sim.ExponentialTable()
+    errors = []
+    for cycle in (32.0, 40.0):
+        schedule = net_model.uniform_schedule(four_net, cycle_time=cycle)
+        errors.append(sim.averaging_error(four_net, schedule, x0, 400.0,
+                                          table=table).error_percent)
+    # four modes and the averaged matrix, all at dt = 1
+    assert len(calls) == 5
+    calls.clear()
+    fresh = [sim.averaging_error(four_net, net_model.uniform_schedule(four_net, cycle_time=c),
+                                 x0, 400.0).error_percent for c in (32.0, 40.0)]
+    assert len(calls) == 10
+    assert fresh == errors
+
+
+def _loop_events(schedule, network, horizon):
+    """Event instants one cycle at a time: the reference for
+    ``sim._cycle_events``."""
+    times = []
+    T = schedule.cycle_time
+    internal = [t for t in schedule.switch_times if 0.0 < t < T]
+    for k in range(int(math.ceil(horizon / T + 1e-9)) + 1):
+        times.append(k * T)
+        times.extend(k * T + t for t in internal)
+    for rid in network.inflows:
+        profile = network.inflow_profile(rid)
+        if len(profile) < 2:
+            continue
+        period = sum(dur for dur, _ in profile)
+        marks = np.cumsum([dur for dur, _ in profile[:-1]])
+        for k in range(int(math.ceil(horizon / period + 1e-9)) + 1):
+            times.extend(k * period + m for m in marks)
+    arr = np.asarray(times, dtype=float)
+    return arr[arr <= horizon * (1 + 1e-12)]
+
+
+@pytest.mark.parametrize("cycle", [100.0, 37.0, 0.3])
+@pytest.mark.parametrize("horizon", [150.0, 1000.3])
+def test_cycle_events_and_planned_samples(three_segment_net, four_schedule, cycle, horizon):
+    schedule = four_schedule.with_durations([30.0, 20.0, 0.0, 50.0])
+    schedule = schedule.with_durations(schedule.durations * cycle / schedule.cycle_time)
+    events = sim._cycle_events(schedule, three_segment_net, horizon)
+    np.testing.assert_array_equal(events, _loop_events(schedule, three_segment_net, horizon))
+    for dt in (1.0, 0.7, 7.0):
+        grid = sim._sample_grid(horizon, dt, events)
+        assert grid.shape[0] <= sim._planned_samples(three_segment_net, schedule, horizon, dt)
+
+
+@pytest.mark.parametrize("horizon, dt", [(1e15, 1.0), (1000.0, 1e-12), (1e300, 1e-300)])
+def test_oversized_run_is_refused_before_building(single, horizon, dt):
+    network, schedule = single
+    with pytest.raises(ValidationError, match="physical memory"):
+        sim.simulate_switching(network, schedule, np.ones(network.n), horizon, dt)
+    with pytest.raises(ValidationError, match="physical memory"):
+        sim.simulate_average(network, schedule, np.ones(network.n), horizon, dt)
+    with pytest.raises(ValidationError, match="physical memory"):
+        sim.averaging_error(network, schedule, np.ones(network.n), horizon, dt)
