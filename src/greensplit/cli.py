@@ -254,8 +254,6 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
 @main.command("optimize")
 @click.argument("scenario_ref")
 @click.option("--x0", default="ones", show_default=True)
-@click.option("--mu", type=float, default=1.0, show_default=True,
-              help="Fraction of the Newton step taken per inner iterate, in (0, 1].")
 @click.option("--xi", type=float, default=0.05, show_default=True,
               help="Weight increment relative to the starting weight.")
 @click.option("--starts", type=int, default=1, show_default=True)
@@ -265,7 +263,7 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
 @click.option("--plot-out", type=click.Path(dir_okay=False), default=None,
               help="Write the iteration trace as tidy CSV.")
 @_wrap
-def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
+def optimize_cmd(scenario_ref: str, x0: str, xi: float,
                  starts: int, seed: int, out: str | None,
                  plot_out: str | None) -> None:
     """Optimize the green splits of a scenario's schedule."""
@@ -274,8 +272,7 @@ def optimize_cmd(scenario_ref: str, x0: str, mu: float, xi: float,
     mode_set = dynamics.assemble_modes(network, schedule)
     output = dynamics.output_map(network)
     state0 = load_state(x0, network)
-    report = optimize(mode_set, output, state0, mu=mu, xi=xi,
-                      starts=starts, seed=seed)
+    report = optimize(mode_set, output, state0, xi=xi, starts=starts, seed=seed)
     if not report.converged:
         raise NotConverged(
             f"optimize hit its iteration budget after {report.iterations} "

@@ -28,7 +28,6 @@ class ModeSet:
     modes: tuple[np.ndarray, ...]
     durations: np.ndarray
     input_map: np.ndarray
-    green_sets: tuple[frozenset[tuple[str, str]], ...]
 
     @property
     def n_modes(self) -> int:
@@ -78,11 +77,9 @@ def assemble_modes(network: NetworkSpec, schedule: Schedule) -> ModeSet:
             base[stop, stop] -= r.exit_rate
 
     modes = []
-    green_sets = []
     for k in range(schedule.n_modes):
-        green = schedule.green_set(network, k)
         a = base.copy()
-        for key in green:
+        for key in schedule.green_set(network, k):
             if key not in network.movement_index:
                 raise ValidationError(
                     f"schedule references unknown movement {key!r}"
@@ -93,7 +90,6 @@ def assemble_modes(network: NetworkSpec, schedule: Schedule) -> ModeSet:
             a[dst, src] += mv.rate
             a[src, src] -= mv.rate
         modes.append(a)
-        green_sets.append(green)
 
     input_map = np.zeros((n, network.n_roads))
     for i, r in enumerate(network.roads):
@@ -103,7 +99,6 @@ def assemble_modes(network: NetworkSpec, schedule: Schedule) -> ModeSet:
         modes=tuple(modes),
         durations=schedule.durations,
         input_map=input_map,
-        green_sets=tuple(green_sets),
     )
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
-from .errors import DimensionError, EigenFailure, SolveFailure, UnstableMatrix
+from .errors import DimensionError, EigenFailure, SolveFailure, UnstableMatrix, ValidationError
 
 #: residual accepted from a Lyapunov solve, relative to ``|R| + 2 |T - s I| |Y|``
 RESIDUAL_TOL = 1e-9
@@ -57,11 +57,22 @@ def _as_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _as_state(x0: np.ndarray, n: int) -> np.ndarray:
+def validate_triple(a: np.ndarray, output: np.ndarray,
+                    x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The system ``(A, C, x0)`` of a cost as float arrays: a square ``A``,
+    a finite two-dimensional ``(p, n)`` output map and a finite ``x0`` of
+    length ``n``.  Finiteness of ``A`` is left to the Schur factorization."""
+    a = _as_square(a, "state matrix")
+    n = a.shape[0]
+    output = np.asarray(output, dtype=float)
+    if output.ndim != 2 or output.shape[1] != n:
+        raise DimensionError(f"output map of shape {output.shape} does not act on {n} states")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != n:
         raise DimensionError(f"initial state has length {x0.shape[0]}, matrix is {n}x{n}")
-    return x0
+    if not (np.all(np.isfinite(output)) and np.all(np.isfinite(x0))):
+        raise ValidationError("the output map and the initial state must be finite")
+    return a, output, x0
 
 
 def spectral_abscissa(a: np.ndarray) -> float:
@@ -291,8 +302,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 def gramian(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Reachability-type Gramian of the pair ``(A, x0)``: the solution of
     ``A W + W A^T + x0 x0^T = 0``."""
-    a = _as_square(a)
-    x0 = _as_state(x0, a.shape[0])
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
     return solve_lyapunov(a, np.outer(x0, x0))
 
 
@@ -302,13 +312,7 @@ def congestion_cost(a: np.ndarray, output: np.ndarray, x0: np.ndarray) -> float:
     Returns ``+inf`` when the system is not asymptotically stable, so the
     value is always defined and comparisons just work.
     """
-    a = _as_square(a)
-    output = np.asarray(output, dtype=float)
-    if output.ndim != 2 or output.shape[1] != a.shape[0]:
-        raise DimensionError(
-            f"output map of shape {output.shape} does not act on {a.shape[0]} states"
-        )
-    x0 = _as_state(x0, a.shape[0])
+    a, output, x0 = validate_triple(a, output, x0)
     # one Schur factorization serves the stability test and the solve, which
     # stays in Schur coordinates: W = U Y U^T, so trace(C W C^T) = <(CU) Y, CU>
     solver = ShiftedLyapunov(a)

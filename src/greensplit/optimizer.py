@@ -11,8 +11,7 @@ The inner step follows the projected gradient of ``alpha_s * d(alpha_s)``
 (the signed scaling keeps zero an attractor from both sides) and is the
 Newton step on the abscissa: it zeroes the local linear model of
 ``alpha_s`` along that direction, so near a root ``|alpha_s|`` falls
-quadratically.  The factor ``mu`` in (0, 1] scales the step; the default 1
-takes it whole.  A fixed multiple of the raw gradient stalls at realistic
+quadratically.  A fixed multiple of the raw gradient stalls at realistic
 network scales, so the step length is normalized this way and capped at a
 tenth of the cycle per coordinate.  A step that raises ``|alpha_s|`` ends
 the descent as stationary.  This is what happens at a weight that cannot
@@ -76,18 +75,12 @@ def project_tangent(grad: np.ndarray, durations: np.ndarray) -> np.ndarray:
 @dataclass
 class InnerResult:
     durations: np.ndarray
-    result: SmoothedAbscissa | None
-    achieved: bool        # |alpha_s| was driven to the tolerance
-    stationary: bool      # projected direction vanished, or a step raised |alpha_s|
+    result: SmoothedAbscissa    # the root search at the last iterate
+    # "achieved": |alpha_s| reached its tolerance; "stationary": the projected
+    # direction vanished, or a step raised |alpha_s|; "budget": MAX_INNER ran out
+    reason: str
     iterations: int
     evaluations: int      # root-search evaluations over all iterates
-
-    @property
-    def reason(self) -> str:
-        """Why the descent stopped: achieved, stationary or budget."""
-        if self.achieved:
-            return "achieved"
-        return "stationary" if self.stationary else "budget"
 
 
 @dataclass
@@ -103,7 +96,6 @@ class OptimizationReport:
     n_starts: int
     best_start: int
     seed: int | None
-    mu: float
     xi: float
     trajectory: list[dict[str, float]] = field(default_factory=list)
 
@@ -118,14 +110,13 @@ class OptimizationReport:
             "n_starts": int(self.n_starts),
             "best_start": int(self.best_start),
             "seed": self.seed,
-            "mu": float(self.mu),
             "xi": float(self.xi),
             "trajectory": self.trajectory,
         }
 
 
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
-                   epsilon: float, start: np.ndarray, mu: float,
+                   epsilon: float, start: np.ndarray,
                    rows: list[dict[str, float]], outer_index: int,
                    best_cost: float, root: float | None = None) -> InnerResult:
     """Drive the smoothed abscissa at fixed weight toward zero.
@@ -136,7 +127,6 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     """
     d = start.copy()
     total = d.sum()
-    res: SmoothedAbscissa | None = None
     evaluations = 0
     last = np.inf    # |alpha_s| at the previous iterate
     for it in range(MAX_INNER):
@@ -145,15 +135,15 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         evaluations += res.evaluations
         tol_alpha = 1e-8 * (1.0 + abs(res.abscissa))
         if abs(res.value) <= tol_alpha:
-            return InnerResult(d, res, True, False, it, evaluations)
+            return InnerResult(d, res, "achieved", it, evaluations)
         if abs(res.value) > last:
             # the last step overshot a positive minimum of |alpha_s|
-            return InnerResult(d, res, False, True, it, evaluations)
+            return InnerResult(d, res, "stationary", it, evaluations)
         last = abs(res.value)
         try:
             g = duration_gradient(mode_set, res, d)
         except ZeroTrace:
-            return InnerResult(d, res, False, True, it, evaluations)
+            return InnerResult(d, res, "stationary", it, evaluations)
         nabla = res.value * g
         v = project_tangent(nabla, d)
         rows.append({
@@ -166,9 +156,9 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         denom = float(g @ v)
         direction_norm = float(np.abs(project_tangent(g, d)).max())
         if direction_norm <= KKT_TOL * (1.0 + float(np.abs(g).max())) or denom == 0.0:
-            return InnerResult(d, res, False, True, it, evaluations)
+            return InnerResult(d, res, "stationary", it, evaluations)
         # the Newton step zeroes the linearized abscissa
-        step = mu * res.value / denom
+        step = res.value / denom
         vmax = float(np.abs(v).max())
         if vmax > 0 and step * vmax > 0.1 * total:
             step = 0.1 * total / vmax
@@ -182,11 +172,11 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         d_new *= total / d_new.sum()
         root = res.value + float(g @ (d_new - d))
         d = d_new
-    return InnerResult(d, res, False, False, MAX_INNER, evaluations)
+    return InnerResult(d, res, "budget", MAX_INNER, evaluations)
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
-             mu: float = 1.0, xi: float = 0.05, starts: int = 1,
+             xi: float = 0.05, starts: int = 1,
              seed: int | None = 0, start: np.ndarray | None = None) -> OptimizationReport:
     """Search the duration simplex for a minimum-cost green split.
 
@@ -196,40 +186,41 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         Switched modes and the baseline durations (the cycle structure).
     output, x0 : arrays
         Output map and initial state defining the congestion cost.
-    mu : float
-        Fraction of the Newton step on the smoothed abscissa that each
-        inner iterate takes, in (0, 1]; the default 1 takes the whole step.
     xi : float
         Initial weight increment as a fraction of the starting weight;
         halved whenever an increment proves unachievable, until it falls
         below ``1e-4`` of the starting weight.
     starts : int
         Number of initial splits: the baseline plus ``starts - 1`` random
-        simplex points drawn with ``seed``.
+        simplex points drawn with ``seed``, a nonnegative integer or None.
     start : array, optional
         Warm start; replaces the baseline as the first initial split (for
-        example, to re-plan after the state estimate changes).
+        example, to re-plan after the state estimate changes).  It must be
+        finite and nonnegative with a positive sum, and is rescaled to the
+        cycle time.
 
     Each inner descent runs at most ``MAX_INNER`` iterations; a descent
     that hits this budget marks the report as not converged.
     """
-    if not 0.0 < mu <= 1.0:
-        raise ValidationError(f"mu must lie in (0, 1], got {mu}")
     if not 0.0 < xi < np.inf:
         raise ValidationError(f"xi must be finite and positive, got {xi}")
-    if starts < 1:
-        raise ValidationError(f"starts must be at least 1, got {starts}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    output = np.asarray(output, dtype=float)
-
+    if not isinstance(starts, (int, np.integer)) or starts < 1:
+        raise ValidationError(f"starts must be an integer of at least 1, got {starts!r}")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     m = mode_set.n_modes
+    if start is not None:
+        start = np.asarray(start, dtype=float).reshape(-1)
+        if start.shape != (m,):
+            raise DimensionError(f"start must have {m} durations")
+        if not (np.all(np.isfinite(start)) and np.all(start >= 0) and start.sum() > 0):
+            raise ValidationError(f"start must be finite and nonnegative with a positive "
+                                  f"sum, got {start.tolist()}")
     total = mode_set.cycle_time
     baseline = mode_set.durations.astype(float)
     baseline_cost = congestion_cost(average_matrix(mode_set, baseline), output, x0)
 
-    initial = [baseline if start is None else np.asarray(start, dtype=float).reshape(-1)]
-    if initial[0].shape != (m,):
-        raise DimensionError(f"start must have {m} durations")
+    initial = [baseline if start is None else start]
     rng = np.random.default_rng(seed)
     for _ in range(starts - 1):
         initial.append(rng.dirichlet(np.ones(m)) * total)
@@ -237,7 +228,9 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     best: dict[str, Any] | None = None
     for idx, d0 in enumerate(initial):
         d0 = d0 * (total / d0.sum())
-        cost0 = congestion_cost(average_matrix(mode_set, d0), output, x0)
+        # the baseline sums to the cycle time, so there d0 is the baseline
+        cost0 = (baseline_cost if idx == 0 and start is None
+                 else congestion_cost(average_matrix(mode_set, d0), output, x0))
         if not np.isfinite(cost0):
             continue
         eps0 = 1.0 / cost0 if cost0 > 0 else None
@@ -257,26 +250,25 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         root = None    # the next search's first guess
         while xi_cur >= 1e-4 * eps0:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
-                                   mu, rows, outer, 1.0 / eps_bar, root)
+                                   rows, outer, 1.0 / eps_bar, root)
             log.debug("outer %d: epsilon %.9g, %d inner iterations, "
                       "%d root-search evaluations, %s", outer,
                       eps_bar + xi_cur, inner.iterations, inner.evaluations,
                       inner.reason)
             iters += max(inner.iterations, 1)
             outer += 1
-            if inner.achieved:
+            if inner.reason == "achieved":
                 eps_bar += xi_cur
                 d = inner.durations
             else:
                 xi_cur *= 0.5
                 if inner.reason == "budget":
                     hit_cap = True
+            # move the last root to the next weight; after a failed descent
+            # d reverts to the outer iterate, and the duration term is left
+            # out there
             res = inner.result
-            if res is not None:
-                # move the last root to the next weight; after a failed
-                # descent d reverts to the outer iterate, and the duration
-                # term is left out there
-                root = res.value + (eps_bar + xi_cur - res.epsilon) * res.epsilon_slope()
+            root = res.value + (eps_bar + xi_cur - res.epsilon) * res.epsilon_slope()
             if outer > 100000:
                 hit_cap = True
                 break
@@ -301,7 +293,6 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         n_starts=len(initial),
         best_start=int(best["start"]),
         seed=seed,
-        mu=mu,
         xi=xi,
         trajectory=best["rows"],
     )

@@ -163,22 +163,41 @@ def _propagate(x0: np.ndarray, matrices: list[np.ndarray], mode: np.ndarray,
     return states
 
 
+def _grid_tol(horizon: float) -> float:
+    """Time within which two instants of a grid over ``horizon`` count as one."""
+    return 1e-9 * max(horizon, 1.0)
+
+
 def _sample_grid(horizon: float, dt: float, extra: np.ndarray) -> np.ndarray:
     """Uniform samples merged with event instants, deduplicated."""
+    tol = _grid_tol(horizon)
     n_steps = int(math.floor(horizon / dt + 1e-9))
     samples = np.arange(n_steps + 1) * dt
-    if samples[-1] < horizon - 1e-9 * max(horizon, 1.0):
+    if samples[-1] < horizon - tol:
         samples = np.append(samples, horizon)
     grid = np.concatenate([samples, extra])
     grid = grid[(grid >= 0.0) & (grid <= horizon * (1 + 1e-12))]
     grid = np.unique(grid)
     keep = [grid[0]]
-    tol = 1e-9 * max(horizon, 1.0)
     for t in grid[1:]:
         if t - keep[-1] > tol:
             keep.append(t)
     keep[-1] = min(keep[-1], horizon)
     return np.asarray(keep)
+
+
+def _step_lengths(grid: np.ndarray, horizon: float) -> np.ndarray:
+    """Steps of a grid over ``horizon``.  Going up the distinct lengths,
+    each within the grid's tolerance of the last kept length takes it: at
+    a ``dt`` that is not a binary fraction the samples ``k dt`` round
+    differently, and steps equal but for their last bits would each get
+    their own key and exponential."""
+    lengths, index = np.unique(np.diff(grid), return_inverse=True)
+    tol = _grid_tol(horizon)
+    for i in range(1, lengths.shape[0]):
+        if lengths[i] - lengths[i - 1] <= tol:
+            lengths[i] = lengths[i - 1]
+    return lengths[index]
 
 
 def _cycle_events(schedule: Schedule, network: NetworkSpec, horizon: float) -> np.ndarray:
@@ -286,6 +305,9 @@ def _check_span(horizon: float, dt: float) -> None:
         raise ValidationError(
             f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
         )
+    if horizon <= _grid_tol(horizon):
+        raise ValidationError(f"horizon {horizon!r} s leaves no step: it must exceed "
+                              f"the sampling tolerance of {_grid_tol(horizon):g} s")
 
 
 def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
@@ -306,7 +328,7 @@ def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     C = output_map(network)
     mid = 0.5 * (grid[:-1] + grid[1:])
     states = _propagate(x, modes.modes, _modes_at(schedule, mid), modes.input_map,
-                        _inflows_at(network, mid), np.diff(grid),
+                        _inflows_at(network, mid), _step_lengths(grid, horizon),
                         ExponentialTable() if table is None else table)
     return Trajectory(times=grid, states=states, outputs=states @ C.T)
 
@@ -325,7 +347,8 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
         grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
     n_steps = grid.shape[0] - 1
     states = _propagate(x, [avg.A], np.zeros(n_steps, dtype=int), avg.B,
-                        np.broadcast_to(avg.u, (n_steps, avg.u.shape[0])), np.diff(grid),
+                        np.broadcast_to(avg.u, (n_steps, avg.u.shape[0])),
+                        _step_lengths(grid, horizon),
                         ExponentialTable() if table is None else table)
     return Trajectory(times=grid, states=states, outputs=states @ avg.C.T)
 

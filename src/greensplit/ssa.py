@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModeSet
-from .errors import (DegenerateSystem, DimensionError, NoConvergence,
-                     SolveFailure, ValidationError, ZeroTrace)
-from .lyapunov import ShiftedLyapunov
+from .errors import (DegenerateSystem, NoConvergence, SolveFailure,
+                     ValidationError, ZeroTrace)
+from .lyapunov import ShiftedLyapunov, validate_triple
 
 #: relative size of the last Newton step (or of the bracket) at which the
 #: smoothing root is accepted
@@ -74,22 +74,6 @@ class SmoothedAbscissa:
         return self.trace_value ** 2 / (2.0 * tr) if tr > 0.0 else 0.0
 
 
-def _validate_triple(a: np.ndarray, output: np.ndarray, x0: np.ndarray):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"state matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    output = np.asarray(output, dtype=float)
-    if output.ndim == 1:
-        output = output.reshape(1, -1)
-    if output.ndim != 2 or output.shape[1] != n:
-        raise DimensionError(f"output map {output.shape} does not act on {n} states")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise DimensionError(f"initial state has length {x0.shape[0]}, expected {n}")
-    return a, output, x0
-
-
 def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
                       epsilon: float, tol: float = ROOT_TOL,
                       warm_start: float | None = None) -> SmoothedAbscissa:
@@ -119,7 +103,7 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
         A start within the Newton tolerance of the root is accepted after
         one evaluation.
     """
-    a, output, x0 = _validate_triple(a, output, x0)
+    a, output, x0 = validate_triple(a, output, x0)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     if not (math.isfinite(tol) and tol > 0):

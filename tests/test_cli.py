@@ -236,6 +236,19 @@ def test_simulate_rejects_non_finite_span(tmp_path, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "single_road"],
+                                     ["simulate", "single_road", "--mode", "average"],
+                                     ["compare-averaging", "single_road"]])
+def test_horizon_within_the_sampling_tolerance_is_refused(tmp_path, command):
+    out = tmp_path / "out.csv"
+    result = CliRunner().invoke(cli.main, [*command, "--horizon", "1e-9",
+                                           "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: horizon 1e-09 s leaves no step")
+    assert not out.exists()
+
+
 def test_simulate_state_file(runner, tmp_path):
     x0 = tmp_path / "x0.txt"
     x0.write_text("# densities\n1.0\n0.5\n0.25\n0.0\n")
@@ -342,12 +355,23 @@ def test_optimize_rejects_bad_xi(tmp_path, value):
     assert not out.exists()
 
 
-def test_optimize_rejects_mu_above_one(tmp_path):
+def test_optimize_has_no_mu_option(tmp_path):
+    # each inner iterate takes the whole Newton step; no option scales it
+    assert "--mu" not in CliRunner().invoke(cli.main, ["optimize", "--help"]).stdout
     out = tmp_path / "report.json"
-    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--mu", "1.5",
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--mu", "1.0",
                                            "--out", str(out)])
     assert result.exit_code == 2
-    assert result.stderr == "ValidationError: mu must lie in (0, 1], got 1.5\n"
+    assert "No such option" in result.stderr and "--mu" in result.stderr
+    assert not out.exists()
+
+
+def test_optimize_rejects_negative_seed(tmp_path):
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--seed", "-1",
+                                           "--starts", "1", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == "ValidationError: seed must be a nonnegative integer, got -1\n"
     assert not out.exists()
 
 

@@ -5,10 +5,12 @@ import pytest
 from scipy import linalg
 
 from greensplit import dynamics, net_model
-from greensplit.errors import EigenFailure, SolveFailure, UnstableMatrix, ValidationError
+from greensplit.errors import (DimensionError, EigenFailure, SolveFailure, UnstableMatrix,
+                               ValidationError)
 from greensplit.lyapunov import (BASE, ShiftedLyapunov, _block_order, congestion_cost,
                                  gramian, solve_lyapunov, spectral_abscissa)
 from greensplit.scenario import load
+from greensplit.ssa import smoothed_abscissa
 
 from conftest import make_hurwitz
 
@@ -118,6 +120,30 @@ def test_cost_zero_state():
 def test_non_square_rejected():
     with pytest.raises(Exception):
         ShiftedLyapunov(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("entry", [
+    congestion_cost,
+    lambda a, c, x0: smoothed_abscissa(a, c, x0, 1e-3),
+], ids=["congestion_cost", "smoothed_abscissa"])
+def test_cost_inputs_are_checked_before_factoring(entry, monkeypatch):
+    def no_factor(self, a):
+        raise AssertionError("the matrix was factored before its inputs were checked")
+
+    monkeypatch.setattr(ShiftedLyapunov, "__init__", no_factor)
+    a, c, x0 = -np.eye(3), np.eye(2, 3), np.ones(3)
+    cases = [
+        (ValidationError, (a, c, [1.0, np.nan, 1.0])),
+        (ValidationError, (a, c, [1.0, np.inf, 1.0])),
+        (ValidationError, (a, np.full((2, 3), np.nan), x0)),
+        (DimensionError, (np.ones((3, 2)), c, x0)),
+        (DimensionError, (a, c, np.ones(2))),
+        (DimensionError, (a, np.eye(2), x0)),
+        (DimensionError, (a, np.ones(3), x0)),    # the output map must be 2-D
+    ]
+    for error, args in cases:
+        with pytest.raises(error):
+            entry(*args)
 
 
 def test_solve_shape_mismatch():

@@ -122,15 +122,18 @@ def test_optimize_zero_state_short_circuits(four_modes, four_output):
     np.testing.assert_allclose(report.durations, four_modes.durations)
 
 
-def test_optimize_parameter_validation(four_modes, four_output):
+def test_optimize_parameter_validation(four_modes, four_output, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cost was solved before the parameters were checked")
+
+    monkeypatch.setattr(optimizer, "congestion_cost", no_solve)
     x0 = np.ones(four_modes.n)
-    for mu in (0.0, 1.5, np.nan):
+    bad = [{"xi": -0.1}, {"starts": 0}, {"starts": 1.5}, {"seed": -1},
+           {"start": np.zeros(4)}, {"start": [np.nan, 50.0, 50.0, 0.0]},
+           {"start": [np.inf, 50.0, 50.0, 0.0]}, {"start": [-10.0, 60.0, 50.0, 0.0]}]
+    for kwargs in bad:
         with pytest.raises(ValidationError):
-            optimize(four_modes, four_output, x0, mu=mu)
-    with pytest.raises(ValidationError):
-        optimize(four_modes, four_output, x0, xi=-0.1)
-    with pytest.raises(ValidationError):
-        optimize(four_modes, four_output, x0, starts=0)
+            optimize(four_modes, four_output, x0, **kwargs)
 
 
 def test_no_stable_start():
@@ -138,8 +141,7 @@ def test_no_stable_start():
     unstable = np.array([[0.5, 0.0], [0.0, 0.5]])
     ms = ModeSet(modes=(unstable, 2.0 * unstable),
                  durations=np.array([50.0, 50.0]),
-                 input_map=np.eye(n),
-                 green_sets=(frozenset(), frozenset()))
+                 input_map=np.eye(n))
     with pytest.raises(NoStableStart):
         optimize(ms, np.eye(n), np.ones(n))
 
@@ -176,12 +178,11 @@ def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
     # each search starts at the first-order prediction of its root, a
     # descent ends at its first step that raises |alpha_s|, and each inner
     # iterate takes the whole Newton step: 270 evaluations and 85 iterations
-    # on this run, against 793 and 475 with the step halved (mu = 0.5) and
-    # 1,708 evaluations when every search started at the previous root and
-    # every descent ran to stationarity; the cost certificate does not move
+    # on this run, against 793 and 475 with the step halved and 1,708
+    # evaluations when every search started at the previous root and every
+    # descent ran to stationarity; the cost certificate does not move
     counts = _count_evaluations(monkeypatch)
     report = optimize(four_modes, four_output, np.ones(four_modes.n))
-    assert report.mu == 1.0
     assert sum(counts) <= 350
     assert report.iterations <= 120
     assert report.cost == pytest.approx(1179.1073053020937, rel=1e-12)

@@ -281,12 +281,14 @@ def test_array_lookups_match_scalar_reference(four_schedule, durations, cycle,
 
 def _stepped_reference(network, schedule, x0, times, average=False):
     """States on ``times`` stepped one window at a time, each step with
-    its own ``expm`` of the augmented system: the reference for the
-    run-batched stepping of ``sim._propagate``."""
+    the ``expm`` of the augmented system over its own exact length: the
+    reference for the run-batched stepping of ``sim._propagate``.  Windows
+    of one system and bitwise one length share their exponential."""
     ms = dynamics.assemble_modes(network, schedule)
     avg = dynamics.average_system(network, ms)
     n = network.n
     states = [np.asarray(x0, dtype=float)]
+    exponentials = {}
     for t0, t1 in zip(times[:-1], times[1:]):
         mid = 0.5 * (t0 + t1)
         if average:
@@ -294,10 +296,13 @@ def _stepped_reference(network, schedule, x0, times, average=False):
         else:
             a = ms.modes[_scalar_mode(schedule, mid)]
             b = ms.input_map @ _scalar_inflow(network, mid)
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = a
-        aug[:n, n] = b
-        e = linalg.expm(aug * (t1 - t0))
+        key = (a.tobytes(), b.tobytes(), t1 - t0)
+        if key not in exponentials:
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n] = a
+            aug[:n, n] = b
+            exponentials[key] = linalg.expm(aug * (t1 - t0))
+        e = exponentials[key]
         states.append(e[:n, :n] @ states[-1] + e[:n, n])
     return np.array(states)
 
@@ -339,7 +344,8 @@ def test_long_averaged_run_matches_stepped_reference(four_net, four_schedule):
     _assert_close_rows(traj.states, ref)
 
 
-def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
+def _count_expm(monkeypatch):
+    """Wrap the simulator's ``expm``; the list gets one entry per call."""
     calls = []
     expm = linalg.expm
 
@@ -348,6 +354,28 @@ def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
         return expm(m)
 
     monkeypatch.setattr(sim.linalg, "expm", counting)
+    return calls
+
+
+def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
+    # at dt 0.7 the 1,463 steps of this run have 39 distinct float lengths,
+    # 7 up to the grid tolerance (0.1, 0.2, ..., 0.7 s): 28 keys over the
+    # four modes, against 89 exponentials when every float length was its
+    # own key
+    net = scenario.load("grid_4x4")
+    schedule = net_model.uniform_schedule(net)
+    x0 = np.random.default_rng(8).uniform(0.0, 1.0, net.n)
+    calls = _count_expm(monkeypatch)
+    traj = sim.simulate_switching(net, schedule, x0, 1000.0, dt=0.7)
+    assert len(calls) == 28
+    assert np.unique(np.diff(traj.times)).size == 39
+    monkeypatch.undo()
+    ref = _stepped_reference(net, schedule, x0, traj.times)
+    _assert_close_rows(traj.states, ref, rtol=1e-9)
+
+
+def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
+    calls = _count_expm(monkeypatch)
     x0 = np.ones(four_net.n)
     table = sim.ExponentialTable()
     errors = []

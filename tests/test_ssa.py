@@ -176,8 +176,7 @@ def test_identical_modes_share_gradient(four_modes):
     from greensplit.dynamics import ModeSet
     a = four_modes.modes[0]
     twin = ModeSet(modes=(a, a.copy()), durations=np.array([30.0, 70.0]),
-                   input_map=four_modes.input_map,
-                   green_sets=(frozenset(), frozenset()))
+                   input_map=four_modes.input_map)
     x0 = np.ones(a.shape[0])
     c = np.eye(a.shape[0])
     res = smoothed_abscissa(dynamics.average_matrix(twin), c, x0, 0.5)
