@@ -1,42 +1,53 @@
 """Distributed solution of the network Lyapunov equation.
 
-The stable matrix is split row-wise over agents, ``L = L_1 + ... + L_nu``.
-Writing the equation ``L X + X L^T + D = 0`` per share introduces one
-unknown share ``D_i = -(L_i X + X L_i^T)`` per agent, tied together by
-``sum(D_i) = D``.  Over the stacked vectorized unknowns
+The stable matrix is split row-wise over agents, ``A = S_1 + ... + S_nu``.
+Writing the equation ``A X + X A^T + D = 0`` per share introduces one
+unknown share ``D_j = -(S_j X + X S_j^T)`` per agent, tied together by
+``sum(D_j) = D``.  Over the stacked vectorized unknowns
 ``w = [X^v, D_1^v, ..., D_nu^v]`` agent ``j``'s block of constraints is
 ``Lambda_j X^v + D_j^v = 0``, with the sparse Kronecker sum
-``Lambda_j = I (x) L_j + L_j (x) I``, and every agent knows the balance
+``Lambda_j = I (x) S_j + S_j (x) I``, and every agent knows the balance
 row ``sum(D_j) = D``.
 
 Each agent's affine solution set is the set of points that satisfy the
 blocks it knows and the balance row, in the method family of Mou, Liu &
 Morse, "A distributed algorithm for solving a linear algebraic
 equation", IEEE TAC 60(11), 2015.  An agent starts out knowing its own
-block; knowing ``k`` of the ``nu`` blocks leaves a kernel of dimension
-``(nu - k) n^2``.  Its estimate ``w_hat`` is the minimum-norm point of
-the set, which is where the pairwise projections of that method land.
-While blocks are missing it comes from one sparse LU of the augmented
-system ``[[I, H^T], [H, 0]]`` of the known rows ``H w = z``, which avoids
-squaring the condition number as the normal equations would; once all
-blocks are known the set is one point, and one sparse LU of
-``Lambda X^v = -D^v`` gives it.
+row share; knowing the set ``K`` of ``k`` of the ``nu`` shares leaves a
+kernel of dimension ``m n^2`` with ``m = nu - k``.  Its estimate
+``w_hat`` is the minimum-norm point of the set, which is where the
+pairwise projections of that method land.  The point is found in closed
+form.  The known shares are ``D_j = -Lambda_j X^v``; the ``m`` missing
+ones are free but for their sum ``D + Lambda_K X^v``, with
+``Lambda_K = sum_K Lambda_j``, so at the minimum they are equal.  What is
+left is one symmetric positive definite ``n^2 x n^2`` system
 
-A message carries the blocks its sender knows and a fold takes the
+    G X^v = -Lambda_K^T D^v / m,
+    G = I + sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m,
+
+factored once by a sparse LU in symmetric mode on a minimum degree
+ordering of its pattern.  Every eigenvalue of ``G`` is at least 1, so
+``cond(G) <= 1 + ||sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m||_2``.
+Once every share is known the set is one point, ``X`` solves the
+Lyapunov equation of ``A = sum_j S_j``, and the Bartels-Stewart solver of
+:mod:`greensplit.lyapunov` gives it in ``O(n^3)``.
+
+A message carries the row shares its sender knows and a fold takes the
 union, so after as many synchronous rounds as the communication graph's
-diameter every agent knows every block and holds the unique global
-solution exactly.  The centralized solution appears below purely as
+diameter every agent knows every share and holds the unique global
+solution.  The centralized solution appears below purely as
 instrumentation for error traces.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-# ``linalg`` stays a module attribute: perfbench/tracing.py wraps
-# ``linalg.null_space`` by its path in this module
+# ``linalg`` and ``np`` stay module attributes: perfbench/tracing.py wraps
+# ``linalg.null_space`` and ``np.linalg.lstsq`` by their paths in this module
 from scipy import linalg, sparse  # noqa: F401
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
@@ -139,7 +150,8 @@ def default_assignment(n: int, n_agents: int) -> np.ndarray:
 
 
 class Agent:
-    """One participant: the constraint blocks it knows and their minimum-norm point."""
+    """One participant: the row shares it knows and the minimum-norm point
+    of their constraints."""
 
     def __init__(self, agent_id: int, share: np.ndarray, rhs: np.ndarray,
                  n_agents: int):
@@ -149,10 +161,8 @@ class Agent:
         self.n_agents = n_agents
         self.share = share
         self.rhs = rhs
-        s = sparse.csr_matrix(share)
-        eye = sparse.identity(n, format="csr")
-        #: ``Lambda_j`` of every agent ``j`` whose block this agent knows
-        self.blocks = {agent_id: (sparse.kron(eye, s) + sparse.kron(s, eye)).tocsr()}
+        #: sparse row share ``S_j`` of every agent ``j`` this agent has heard of
+        self.blocks = {agent_id: sparse.csr_matrix(share)}
         self._w_hat = None
 
         gap = self.local_residual()
@@ -170,46 +180,44 @@ class Agent:
     def kernel_dim(self) -> int:
         return (self.n_agents - len(self.blocks)) * self.n * self.n
 
-    def system(self) -> tuple[sparse.csc_matrix, np.ndarray]:
-        """The sparse square system that ``w_hat`` is read from.
-
-        While blocks are missing, the augmented system ``[[I, H^T], [H, 0]]``
-        of the known rows ``H w = z``: the leading part of its solution is
-        the minimum-norm point.  Once every block is known the point is
-        unique and the system is ``Lambda X^v = -D^v``.
-        """
-        nn = self.n * self.n
-        nu = self.n_agents
-        d = self.rhs.reshape(-1, order="F")
-        known = sorted(self.blocks)
-        if len(known) == nu:
-            return sum(self.blocks[j] for j in known).tocsc(), -d
-        eye = sparse.identity(nn, format="csr")
-        rows = []
-        for j in known:
-            row = [None] * (nu + 1)
-            row[0], row[1 + j] = self.blocks[j], eye
-            rows.append(row)
-        rows.append([None] + [eye] * nu)
-        h = sparse.bmat(rows, format="csr")
-        kkt = sparse.bmat([[sparse.identity(h.shape[1]), h.T], [h, None]],
-                          format="csc")
-        z = np.zeros(kkt.shape[0])
-        z[-nn:] = d
-        return kkt, z
+    def _system(self) -> tuple[sparse.csc_matrix, np.ndarray]:
+        """The symmetric positive definite system ``G x = b`` for ``X^v`` of
+        an agent that misses ``m >= 1`` shares:
+        ``G = I + sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m`` and
+        ``b = -Lambda_K^T D^v / m``."""
+        missing = self.n_agents - len(self.blocks)
+        eye = sparse.identity(self.n, format="csr")
+        lams = [(sparse.kron(eye, s) + sparse.kron(s, eye)).tocsr()
+                for _, s in sorted(self.blocks.items())]
+        lam_k = sum(lams)
+        g = (sparse.identity(self.n * self.n, format="csr")
+             + sum(lam.T @ lam for lam in lams) + (lam_k.T @ lam_k) / missing)
+        return g.tocsc(), -(lam_k.T @ self.rhs.reshape(-1, order="F")) / missing
 
     @property
     def w_hat(self) -> np.ndarray:
-        """Minimum-norm point of the known constraints, solved on first read."""
+        """Minimum-norm point of the known constraints, solved on first read.
+
+        The known shares are ``D_j = -(S_j X + X S_j^T)``; the missing ones
+        share what is left of ``D`` equally.  Once every share is known,
+        ``X`` solves the Lyapunov equation of ``A = sum_j S_j``.
+        """
         if self._w_hat is None:
-            matrix, rhs = self.system()
-            solution = splu(matrix).solve(rhs)
-            if len(self.blocks) < self.n_agents:
-                self._w_hat = solution[:(self.n_agents + 1) * self.n * self.n]
+            n = self.n
+            missing = self.n_agents - len(self.blocks)
+            if missing:
+                g, b = self._system()
+                lu = splu(g, permc_spec="MMD_AT_PLUS_A",
+                          options={"SymmetricMode": True})
+                x = lu.solve(b).reshape((n, n), order="F")
             else:
-                self._w_hat = np.concatenate(
-                    [solution] + [-(self.blocks[j] @ solution)
-                                  for j in range(self.n_agents)])
+                x = solve_lyapunov(sum(self.blocks.values()).toarray(), self.rhs)
+            shares = {j: -(s @ x + x @ s.T) for j, s in sorted(self.blocks.items())}
+            rest = (self.rhs - sum(shares.values())) / missing if missing else None
+            self._w_hat = np.concatenate(
+                [x.reshape(-1, order="F")]
+                + [shares.get(j, rest).reshape(-1, order="F")
+                   for j in range(self.n_agents)])
         return self._w_hat
 
     def local_residual(self) -> float:
@@ -222,10 +230,10 @@ class Agent:
         return float(np.hypot(np.linalg.norm(own), np.linalg.norm(balance)))
 
     def fold(self, blocks: dict[int, sparse.csr_matrix]) -> None:
-        """Take the union with one neighbor's known blocks.
+        """Take the union with one neighbor's known shares.
 
         The estimate is solved again on its next read, and only when the
-        neighbor knew a block this agent did not.  ``blocks`` is rebound,
+        neighbor knew a share this agent did not.  ``blocks`` is rebound,
         never written in place, so a message may share it with its sender.
         """
         if not blocks.keys() <= self.blocks.keys():
@@ -243,7 +251,7 @@ class Agent:
 
 
 def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
-    """One message round: everyone folds every neighbor's known blocks.
+    """One message round: everyone folds every neighbor's known shares.
 
     All messages carry start-of-round values, so the outcome does not
     depend on the order in which agents physically execute.  A fold
@@ -256,37 +264,50 @@ def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
             agent.fold(messages[j])
 
 
-def planned_bytes(n: int, nnz: int, n_agents: int) -> int:
-    """Memory a distributed solve holds at its peak, from sizes alone.
+def planned_bytes(a: np.ndarray, n_agents: int) -> int:
+    """Memory a distributed solve of ``a`` holds at its peak, from the
+    sizes and the sparsity pattern of ``a``.
 
-    ``nnz`` counts the nonzeros of the ``n x n`` matrix.  Held throughout
-    are every agent's estimate, ``(nu+1) n^2`` doubles, the dense row
-    shares, and the blocks ``Lambda_j``, at most ``2 n nnz`` entries in
-    all.  Agents factor one at a time.  The largest system is the
-    augmented one of an agent that misses one block, with at most
-    ``S = (nu+1) n^2 + 2 (2 n nnz + (2 nu - 1) n^2)`` nonzeros; it is
+    Held throughout are every agent's estimate, ``(nu+1) n^2`` doubles,
+    the dense row shares, ``n^2`` doubles each, and the sparse row shares
+    that the agents pass around, one copy of each.  Agents factor one at a
+    time.  The largest system is ``G`` of an agent that misses one share.
+    With ``P`` the pattern of ``|A|^T |A|``, ``G``'s pattern lies in that
+    of ``I + I (x) P + P (x) I + |A| (x) |A|^T + |A|^T (x) |A|``, so it
+    has at most ``S = n^2 + 2 n nnz(P) + 2 nnz(A)^2`` nonzeros; it is
     counted at 40 bytes a nonzero for its assembly copies, and its LU
-    factors at 12 bytes an entry.
+    factors at 12 bytes an entry.  A complete agent's Bartels-Stewart
+    solve holds a few dense ``n x n`` arrays, less than that.
 
     SuperLU's fill has no closed form, so ``L.nnz + U.nnz <= 4 S + FILL
-    n^4`` is a bound measured, not proved: on the bundled scenarios with
-    ``path:2``, 2x2 and 3x3 agents, at every number of known blocks, the
-    fill stayed within 0.77 of it (grid_4x4 was measured with ``path:2``
-    agents, and with 2x2 agents at three known blocks).  The
-    ``n^4`` part comes from ``X``, whose Kronecker-sum coupling fills like
-    a two-dimensional operator.  Per ``n^4``, the fill of ``Lambda`` alone
-    is 0.0087, 0.0099 and 0.0133 at n = 36, 144 and 240; with one block
-    missing it is 0.032 and 0.050 at n = 144 (four and nine agents) and
-    0.021 at n = 240 (four agents).  Below n = 36 the ``4 S`` part
-    dominates.
+    n^4`` is a bound measured, not proved.  The ``n^4`` part comes from
+    ``X``, whose Kronecker-sum coupling fills like a two-dimensional
+    operator; below n = 36 the ``4 S`` part dominates.  The fill per
+    ``n^4`` of ``G`` with one share of ``nu`` missing, on the bundled
+    scenarios with default row owners:
+
+    ======  ======  ======  ======  ======  ======
+    n       nu = 2  4       9       16      36
+    ======  ======  ======  ======  ======  ======
+    36      0.0074  0.0277  0.0337  0.0356  0.0372
+    144     0.0018  0.0141  0.0304  0.0418  0.0520
+    240     0.0007  0.0094  0.0212
+    ======  ======  ======  ======  ======  ======
+
+    At n = 240 only the first agent's share was left out; elsewhere the
+    first, the middle and the last, and the table gives the largest.  With
+    144 agents at n = 144 it is 0.0484, and on single_road (n = 4) the fill
+    is at most 0.62 S.  In every case the fill stayed within 0.81 of the
+    bound.
     """
+    pattern = sparse.csr_matrix(np.asarray(a) != 0, dtype=float)
+    n, nnz = pattern.shape[0], pattern.nnz
     nn = n * n
-    system = (n_agents + 1) * nn + 2 * (2 * n * nnz + (2 * n_agents - 1) * nn)
+    system = nn + 2 * n * (pattern.T @ pattern).nnz + 2 * nnz * nnz
     factors = 4 * system + FILL * nn * nn
     held = (8 * n_agents * (n_agents + 1) * nn      # estimates
             + 8 * n_agents * nn                     # dense row shares
-            + 12 * 2 * n * nnz                      # blocks: values, indices
-            + 8 * n_agents * (nn + 1))              # blocks: row pointers
+            + 12 * nnz + 8 * n_agents * (n + 1))    # sparse row shares
     return int(held + 40 * system + 12 * factors)
 
 
@@ -332,12 +353,16 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
         raise DimensionError(
             f"matrix {a.shape} and right-hand side {d.shape} must be equal square shapes"
         )
+    if max_rounds is not None and not (isinstance(max_rounds, numbers.Integral)
+                                       and max_rounds >= 0):
+        raise ValidationError(
+            f"the round budget must be a nonnegative integer, got {max_rounds!r}")
     n = a.shape[0]
     nu = graph.n_agents
     if assignment is None:
         assignment = default_assignment(n, nu)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    planned = planned_bytes(n, int(np.count_nonzero(a)), nu)
+    planned = planned_bytes(a, nu)
     if planned > physical / 2:
         raise ValidationError(
             f"{nu} agents on a {n}-state system would hold about "

@@ -207,18 +207,25 @@ class ShiftedLyapunov:
         t = self.t.copy()
         t[np.diag_indices(self.n)] -= shift
         y = rhs.copy()
-        scale = self._recursive(t, y, adjoint)
-        if not np.all(np.isfinite(y)):
+        # an overflow shows as a non-finite solution or norm and is raised
+        # as SolveFailure below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = self._recursive(t, y, adjoint)
+            if not np.all(np.isfinite(y)):
+                raise SolveFailure(
+                    f"triangular Sylvester solve overflowed (scale={scale})"
+                )
+            y /= scale
+            y = 0.5 * (y + y.T)
+            # T Y + Y T^T = M + M^T with M = T Y, as Y is symmetric
+            m = y @ t if adjoint else t @ y
+            resid = np.linalg.norm(m + m.T - rhs)
+            # backward-stable solves leave a residual of order eps (|R| + 2|T||Y|)
+            size = np.linalg.norm(rhs) + 2.0 * np.linalg.norm(t) * np.linalg.norm(y)
+        if not (math.isfinite(resid) and math.isfinite(size)):
             raise SolveFailure(
-                f"triangular Sylvester solve overflowed (scale={scale})"
+                f"Lyapunov residual overflowed for shift {shift}"
             )
-        y /= scale
-        y = 0.5 * (y + y.T)
-        # T Y + Y T^T = M + M^T with M = T Y, as Y is symmetric
-        m = y @ t if adjoint else t @ y
-        resid = np.linalg.norm(m + m.T - rhs)
-        # backward-stable solves leave a residual of order eps (|R| + 2|T||Y|)
-        size = np.linalg.norm(rhs) + 2.0 * np.linalg.norm(t) * np.linalg.norm(y)
         if resid > RESIDUAL_TOL * size:
             raise SolveFailure(
                 f"Lyapunov residual {resid:.3e} exceeds tolerance for shift {shift}"

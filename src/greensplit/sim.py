@@ -241,9 +241,10 @@ def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: flo
     step's inflows, the output) and about sixteen words of grid work:
     event times, the grid and the list :func:`_sample_grid` deduplicates
     through, step midpoints, modes and lengths, the run bookkeeping of
-    the stepping.
+    the stepping.  A span that is not finite and positive is refused
+    first, and one that :func:`_check_span` refuses after the memory check.
     """
-    _check_span(horizon, dt)
+    _check_positive(horizon, dt)
     samples = _planned_samples(network, schedule, horizon, dt)
     planned = 8.0 * trajectories * samples * (3 * network.n + 16)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -254,6 +255,7 @@ def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: flo
             f"{planned / 2**30:.3g} GiB, over half of the "
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
+    _check_span(horizon, dt)
 
 
 def _modes_at(schedule: Schedule, t: np.ndarray) -> np.ndarray:
@@ -300,14 +302,25 @@ def _check_x0(network: NetworkSpec, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
-def _check_span(horizon: float, dt: float) -> None:
+def _check_positive(horizon: float, dt: float) -> None:
     if not (math.isfinite(horizon) and math.isfinite(dt) and horizon > 0 and dt > 0):
         raise ValidationError(
             f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
         )
-    if horizon <= _grid_tol(horizon):
+
+
+def _check_span(horizon: float, dt: float) -> None:
+    """Refuse a span that is not finite and positive, or whose horizon or
+    step is within the sampling tolerance."""
+    _check_positive(horizon, dt)
+    tol = _grid_tol(horizon)
+    if horizon <= tol:
         raise ValidationError(f"horizon {horizon!r} s leaves no step: it must exceed "
-                              f"the sampling tolerance of {_grid_tol(horizon):g} s")
+                              f"the sampling tolerance of {tol:g} s")
+    # samples closer than the tolerance would merge into irregular steps
+    if dt <= tol:
+        raise ValidationError(f"dt {dt!r} s must exceed the sampling tolerance "
+                              f"of {tol:g} s")
 
 
 def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
@@ -338,12 +351,11 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
                      grid: np.ndarray | None = None,
                      table: ExponentialTable | None = None) -> Trajectory:
     """Integrate the averaged surrogate on the same kind of grid."""
-    _check_span(horizon, dt)
+    check_size(network, schedule, horizon, dt)
     x = _check_x0(network, x0)
     modes = assemble_modes(network, schedule)
     avg = average_system(network, modes)
     if grid is None:
-        check_size(network, schedule, horizon, dt)
         grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
     n_steps = grid.shape[0] - 1
     states = _propagate(x, [avg.A], np.zeros(n_steps, dtype=int), avg.B,

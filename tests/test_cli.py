@@ -249,6 +249,21 @@ def test_horizon_within_the_sampling_tolerance_is_refused(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "single_road"],
+                                     ["simulate", "single_road", "--mode", "average"],
+                                     ["compare-averaging", "single_road"]])
+def test_dt_within_the_sampling_tolerance_is_refused(tmp_path, command):
+    # a 1e-8 s horizon merges samples closer than 1e-9 s: the run would end
+    # at 9e-9 s with irregular steps
+    out = tmp_path / "out.csv"
+    result = CliRunner().invoke(cli.main, [*command, "--horizon", "1e-8",
+                                           "--dt", "1e-9", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == ("ValidationError: dt 1e-09 s must exceed the "
+                             "sampling tolerance of 1e-09 s\n")
+    assert not out.exists()
+
+
 def test_simulate_state_file(runner, tmp_path):
     x0 = tmp_path / "x0.txt"
     x0.write_text("# densities\n1.0\n0.5\n0.25\n0.0\n")
@@ -352,6 +367,20 @@ def test_optimize_rejects_bad_xi(tmp_path, value):
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("ValidationError: xi must be finite and positive")
+    assert not out.exists()
+
+
+def test_optimize_overflowing_xi_is_one_line(tmp_path):
+    # the root search overflows at this increment; no numpy warning may
+    # precede the typed error line
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "greensplit.cli", "optimize", "single_road",
+         "--xi", "1e300", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("NoConvergence: ")
     assert not out.exists()
 
 
@@ -499,6 +528,17 @@ def test_distributed_round_budget_exit_4(runner):
     result = invoke(runner, "distributed", "single_road", "--agents", "path:3",
                     "--rounds", "0")
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("rounds", ["-3", "-1"])
+def test_distributed_negative_round_budget_is_one_validation_line(tmp_path, rounds):
+    out = tmp_path / "rounds.csv"
+    result = CliRunner().invoke(cli.main, ["distributed", "single_road", "--rounds", rounds,
+                                           "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"ValidationError: the round budget must be a nonnegative integer, got {rounds}\n")
+    assert not out.exists()
 
 
 def test_distributed_memory_preflight_is_one_validation_line(tmp_path):

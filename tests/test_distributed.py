@@ -346,14 +346,18 @@ def _known_system(shares, rhs, known):
 LAYOUTS = [(1, [0, 0, 0, 0]), (2, [0, 1, 0, 1]), (2, [0, 0, 0, 0]),
            (3, [0, 0, 1, 2]), (4, [0, 2, 2, 3])]
 
-# (graph, row owners): LAYOUTS on paths, then default owners on larger
-# graphs; on the 3x3 grid five of the nine agents own no rows
+# (graph, row owners, scale of agent 0's rows): LAYOUTS on paths, then
+# default owners on larger graphs, where on the 3x3 grid five of the nine
+# agents own no rows, then one share scaled by 1e3 and by 1e-3
 ROUND_LAYOUTS = (
-    [pytest.param(dist.CommGraph.path(k), owners, id=f"path{k}-{''.join(map(str, owners))}")
+    [pytest.param(dist.CommGraph.path(k), owners, 1.0,
+                  id=f"path{k}-{''.join(map(str, owners))}")
      for k, owners in LAYOUTS]
-    + [pytest.param(dist.CommGraph.path(4), None, id="path4"),
-       pytest.param(dist.CommGraph.grid(2, 2), None, id="grid2x2"),
-       pytest.param(dist.CommGraph.grid(3, 3), None, id="grid3x3")])
+    + [pytest.param(dist.CommGraph.path(4), None, 1.0, id="path4"),
+       pytest.param(dist.CommGraph.grid(2, 2), None, 1.0, id="grid2x2"),
+       pytest.param(dist.CommGraph.grid(3, 3), None, 1.0, id="grid3x3")]
+    + [pytest.param(dist.CommGraph.path(3), [0, 0, 1, 2], scale, id=f"path3-0012-x{scale:g}")
+       for scale in (1e3, 1e-3)])
 
 
 @pytest.mark.parametrize("n_agents, owners", LAYOUTS)
@@ -400,27 +404,26 @@ def test_fold_intersects_affine_sets(problem, n_agents, owners):
     assert mine.w_hat is before
 
 
-@pytest.mark.parametrize("graph, owners", ROUND_LAYOUTS)
-def test_rounds_match_dense_oracle(problem, graph, owners):
+@pytest.mark.parametrize("graph, owners, scale", ROUND_LAYOUTS)
+def test_rounds_match_dense_oracle(problem, graph, owners, scale):
     a, d = problem
     nu, nn = graph.n_agents, a.size
     owners = dist.default_assignment(4, nu) if owners is None else np.array(owners)
+    a = a * np.where(owners == 0, scale, 1.0)[:, None]
     shares = dist.partition_rows(a, owners, nu)
     sparse_agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
     dense_agents = [DenseAgent(i, shares[i], d, nu) for i in range(nu)]
     reference = solve_lyapunov(a, d)
 
-    for agent in sparse_agents:
-        h, z = _known_system(shares, d, [agent.id])
-        np.testing.assert_allclose(
-            agent.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
     for _ in range(graph.diameter + 1):
         for mine, oracle in zip(sparse_agents, dense_agents):
             err = np.linalg.norm(mine.solution() - reference) / np.linalg.norm(reference)
             oracle_err = (np.linalg.norm(oracle.solution() - reference)
                           / np.linalg.norm(reference))
             assert abs(err - oracle_err) <= 1e-9
-            h, _ = _known_system(shares, d, mine.blocks)
+            h, z = _known_system(shares, d, mine.blocks)
+            np.testing.assert_allclose(
+                mine.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
             assert mine.kernel_dim == (nu - len(mine.blocks)) * nn
             assert mine.kernel_dim == h.shape[1] - np.linalg.matrix_rank(h)
             assert oracle.kernel_dim == mine.kernel_dim
@@ -430,6 +433,27 @@ def test_rounds_match_dense_oracle(problem, graph, owners):
             for j in graph.neighbors(agent.id):
                 agent.fold(*messages[j])
     assert all(agent.kernel_dim == 0 for agent in sparse_agents)
+
+
+def test_path2_factors_two_systems_in_round_zero(problem, monkeypatch):
+    # path:2: both agents miss one share in round 0; after one round both
+    # are complete and solve by Bartels-Stewart, as the reference does
+    a, d = problem
+    factors = _recording_splu(monkeypatch)
+    solves = []
+    rounds = []
+    lyapunov, round_ = dist.solve_lyapunov, dist.synchronous_round
+    monkeypatch.setattr(dist, "solve_lyapunov",
+                        lambda *args: solves.append(1) or lyapunov(*args))
+    monkeypatch.setattr(dist, "synchronous_round",
+                        lambda *args: rounds.append(len(factors)) or round_(*args))
+    res = dist.run_distributed(a, d, dist.CommGraph.path(2))
+    assert res.rounds == 1
+    assert rounds == [2]            # both factorizations came before round 1
+    assert len(factors) == 2
+    assert len(solves) == 3         # the reference and the two complete agents
+    for lu in factors:
+        assert lu.shape == (a.size, a.size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,20 +479,29 @@ def test_random_layouts_match_centralized(n, n_agents, seed, data):
 
 # memory preflight -----------------------------------------------------------
 
-def _factor_entries(agent):
-    lu = splu(agent.system()[0])
-    return lu.L.nnz + lu.U.nnz
-
-
 def _block_bytes(agent):
     return sum(b.data.nbytes + b.indices.nbytes + b.indptr.nbytes
                for b in agent.blocks.values())
 
 
-def test_planned_bytes_bounds_blocks_and_factors(problem, four_modes):
-    """Held blocks and estimates plus the largest LU factors, at every
-    number of known blocks, on a random 4-state and the 36-state network."""
+def _recording_splu(monkeypatch):
+    """Wrap ``dist.splu``; the list it returns gets every factor made."""
+    factors = []
+
+    def recording(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(dist, "splu", recording)
+    return factors
+
+
+def test_planned_bytes_bounds_blocks_and_factors(problem, four_modes, monkeypatch):
+    """Held shares and estimates plus the largest LU factors an agent
+    makes, at every number of known shares, on a random 4-state and the
+    36-state network."""
     from greensplit.dynamics import average_matrix
+    factors = _recording_splu(monkeypatch)
     cases = [(a, d, graph)
              for a, d in (problem, (average_matrix(four_modes), np.ones((36, 36))))
              for graph in (dist.CommGraph.path(2), dist.CommGraph.grid(2, 2),
@@ -476,14 +509,18 @@ def test_planned_bytes_bounds_blocks_and_factors(problem, four_modes):
     for a, d, graph in cases:
         n, nu = a.shape[0], graph.n_agents
         shares = dist.partition_rows(a, dist.default_assignment(n, nu), nu)
+        factors.clear()
         agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
-        widest = 0
         for k in range(1, nu + 1):
             agents[0].fold({j: agents[j].blocks[j] for j in range(k)})
-            widest = max(widest, _factor_entries(agents[0]))
+            agents[0].w_hat
+        # every agent at one known share, then agent 0 at 2 .. nu - 1; the
+        # complete agent factors nothing
+        assert len(factors) == 2 * nu - 2
+        widest = max((lu.L.nnz + lu.U.nnz for lu in factors), default=0)
         held = (sum(agent.w_hat.nbytes + agent.share.nbytes for agent in agents)
                 + _block_bytes(agents[0]))
-        assert held + 12 * widest < dist.planned_bytes(n, np.count_nonzero(a), nu)
+        assert held + 12 * widest < dist.planned_bytes(a, nu)
 
 
 def test_memory_preflight_refuses_before_building(monkeypatch):
@@ -492,7 +529,7 @@ def test_memory_preflight_refuses_before_building(monkeypatch):
     n, graph = 500, dist.CommGraph.grid(20, 20)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 8 * 400 * 401 * n**2 > physical / 2
-    assert dist.planned_bytes(n, n, graph.n_agents) > 8 * 400 * 401 * n**2
+    assert dist.planned_bytes(-np.eye(n), graph.n_agents) > 8 * 400 * 401 * n**2
 
     def no_agent(*args, **kwargs):
         raise AssertionError("an agent was built")

@@ -1,5 +1,7 @@
 """Lyapunov solves, shifted solves, and the congestion cost."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -81,6 +83,16 @@ def test_singular_shift_raises_solve_failure():
     with pytest.raises(SolveFailure):
         # a - shift*I has a zero eigenvalue
         solver.solve(-(solver.u.T @ solver.u), shift=-1.0)
+
+
+def test_overflowing_residual_raises_solve_failure_without_warnings():
+    # a finite solution of order 1e200 squares past the float range in the
+    # residual guard's norms; that is a SolveFailure, not a numpy warning
+    solver = ShiftedLyapunov(np.diag([-1.0, -2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveFailure, match="overflowed"):
+            solver.solve(np.full((2, 2), 1e200))
 
 
 def test_abscissa_property():
