@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure,
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
 from collections.abc import Iterable
@@ -84,15 +83,33 @@ def _write_csv(path: str, headers: list[str], columns: list[str],
     :func:`_cells`, or a string that fills the whole column.  Blocks are
     written as they come, so a generator streams them.  The bytes are those
     of ``csv.writer``: header lines end in ``\n``, rows in ``\r\n``.
+
+    A block is one ``str.join`` over pieces that slice assignment places a
+    column at a time.  A column at an odd position carries the commas on
+    both of its sides, so the others go in as they are; its pieces are
+    reused while the next block passes the same list (the times of
+    ``simulate``, the agent ids of ``distributed``).
     """
+    width = len(columns) + 1
+    glued: dict[int, tuple[list[str], list[str]]] = {}
     with open(path, "w", newline="") as fh:
         for line in headers:
             fh.write(f"# {line}\n")
         fh.write(",".join(map(_quote, columns)) + "\r\n")
         for block in blocks:
-            cols = [itertools.repeat(_quote(c)) if isinstance(c, str) else c
-                    for c in block]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
+            rows = next(len(c) for c in block if not isinstance(c, str))
+            pieces = ["\r\n"] * (rows * width)
+            for j, col in enumerate(block):
+                glue = (",{}," if j + 1 < len(block) else ",{}") if j % 2 else "{}"
+                if isinstance(col, str):
+                    pieces[j::width] = [glue.format(_quote(col))] * rows
+                elif j % 2 == 0:
+                    pieces[j::width] = col
+                else:
+                    if j not in glued or glued[j][0] is not col:
+                        glued[j] = (col, list(map(glue.format, col)))
+                    pieces[j::width] = glued[j][1]
+            fh.write("".join(pieces))
 
 
 def _cells(values: Any) -> list[str]:
@@ -224,7 +241,7 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
     except ValueError:
         raise ValidationError(f"cannot parse cycle list {cycles!r}")
     if not cycle_list:
-        raise ValidationError("cycle times must be positive")
+        raise ValidationError(f"no cycle time given in {cycles!r}")
     for cycle in cycle_list:
         if not 0.0 < cycle < np.inf:
             raise ValidationError(f"cycle time {cycle:g} must be finite and positive")
@@ -236,14 +253,14 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
     for schedule in schedules:
         sim.check_size(network, schedule, horizon, dt, trajectories=2)
     # one table for the sweep: at the uniform split the mode matrices and
-    # the averaged matrix are the same at every cycle time
+    # the averaged run are the same at every cycle time.  Only the error is
+    # kept, so a cycle's switched run is let go before the next one is built.
     table = sim.ExponentialTable()
     errors = []
     for cycle, schedule in zip(cycle_list, schedules):
-        report = sim.averaging_error(network, schedule, state0, horizon, dt,
-                                     table=table)
-        errors.append(report.error_percent)
-        click.echo(f"T={cycle:g}: error {report.error_percent:.4f}%")
+        errors.append(sim.averaging_error(network, schedule, state0, horizon, dt,
+                                          table=table).error_percent)
+        click.echo(f"T={cycle:g}: error {errors[-1]:.4f}%")
     if out is not None:
         _write_csv(out, _header_lines(scenario.config_hash(network), 0),
                    ["cycle_time", "error_percent"],

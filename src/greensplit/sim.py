@@ -12,7 +12,10 @@ the runs' interiors with matrix-matrix products (:func:`_propagate`).
 The agreement metric integrates the relative gap between the switched and
 averaged state trajectories over a horizon and normalizes by its length;
 samples where the averaged state has essentially vanished are excluded so
-the ratio stays meaningful.
+the ratio stays meaningful.  A sweep over cycle times shares one
+:class:`ExponentialTable`, which also keeps the last averaged run: at a
+uniform split the averaged system does not depend on the cycle time, so
+cycles whose grids coincide run it once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .net_model import NetworkSpec, Schedule
 
 #: relative floor under which the averaged state counts as vanished
 _EXCLUDE_FLOOR = 1e-6
+#: rows per block of the error integral's row norms
+_NORM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class AveragingReport:
+    """One cycle time of a sweep.  Reports made with one table may share
+    their ``averaged`` trajectory, whose arrays are then read-only."""
+
     cycle_time: float
     horizon: float
     error_percent: float
@@ -51,17 +59,22 @@ class AveragingReport:
 
 
 class ExponentialTable:
-    """Augmented exponentials ``E = expm([[A, b], [0, 0]] dt)``.
+    """Augmented exponentials ``E = expm([[A, b], [0, 0]] dt)``, and the
+    last averaged run.
 
     Entries are keyed by the bytes of ``A`` and ``b`` and by ``dt``, so
     simulations handed the same table share every system they meet
     again: at a uniform split the mode matrices and the averaged matrix
-    do not depend on the cycle time.  A table serves one command; nothing
-    is kept between commands.
+    do not depend on the cycle time.  For the same reason
+    :func:`averaging_error` keeps its averaged trajectory here, keyed by
+    the bytes of the averaged system, the initial state and the grid.
+    One run is kept, with read-only arrays.  A table serves one command;
+    nothing is kept between commands.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple, np.ndarray] = {}
+        self._averaged: tuple[tuple, Trajectory] | None = None
 
     def exponential(self, key: tuple, a: np.ndarray, b: np.ndarray,
                     dt: float) -> np.ndarray:
@@ -74,6 +87,17 @@ class ExponentialTable:
             aug[:n, n] = b
             hit = self._entries[key] = linalg.expm(aug * dt)
         return hit
+
+    def averaged(self, key: tuple, run) -> Trajectory:
+        """The kept trajectory if its key is ``key``, else ``run()``, kept
+        in its place.  The old run is let go before the new one is built."""
+        if self._averaged is None or self._averaged[0] != key:
+            self._averaged = None
+            traj = run()
+            for array in (traj.times, traj.states, traj.outputs):
+                array.flags.writeable = False
+            self._averaged = (key, traj)
+        return self._averaged[1]
 
 
 def _propagate(x0: np.ndarray, matrices: list[np.ndarray], mode: np.ndarray,
@@ -169,12 +193,15 @@ def _grid_tol(horizon: float) -> float:
 
 
 def _sample_grid(horizon: float, dt: float, extra: np.ndarray) -> np.ndarray:
-    """Uniform samples merged with event instants, deduplicated."""
+    """Uniform samples merged with event instants, deduplicated; the last
+    point is the horizon."""
     tol = _grid_tol(horizon)
     n_steps = int(math.floor(horizon / dt + 1e-9))
     samples = np.arange(n_steps + 1) * dt
     if samples[-1] < horizon - tol:
         samples = np.append(samples, horizon)
+    else:
+        samples[-1] = horizon
     grid = np.concatenate([samples, extra])
     grid = grid[(grid >= 0.0) & (grid <= horizon * (1 + 1e-12))]
     grid = np.unique(grid)
@@ -182,7 +209,8 @@ def _sample_grid(horizon: float, dt: float, extra: np.ndarray) -> np.ndarray:
     for t in grid[1:]:
         if t - keep[-1] > tol:
             keep.append(t)
-    keep[-1] = min(keep[-1], horizon)
+    # the horizon is in the grid, so the last kept instant is within tol of it
+    keep[-1] = horizon
     return np.asarray(keep)
 
 
@@ -233,20 +261,32 @@ def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
     return count
 
 
-def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-               trajectories: int = 1) -> None:
-    """Refuse a run whose arrays would hold over half of physical memory.
+def _planned_bytes(network: NetworkSpec, schedule: Schedule, horizon: float,
+                   dt: float, trajectories: int = 1) -> tuple[float, float]:
+    """Planned grid points and bytes of ``trajectories`` runs held at once.
 
     A grid point costs up to three rows of ``n`` doubles (the state, the
     step's inflows, the output) and about sixteen words of grid work:
     event times, the grid and the list :func:`_sample_grid` deduplicates
     through, step midpoints, modes and lengths, the run bookkeeping of
-    the stepping.  A span that is not finite and positive is refused
-    first, and one that :func:`_check_span` refuses after the memory check.
+    the stepping, the row norms of :func:`averaging_error`.
+    """
+    samples = _planned_samples(network, schedule, horizon, dt)
+    return samples, 8.0 * trajectories * samples * (3 * network.n + 16)
+
+
+def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
+               trajectories: int = 1) -> None:
+    """Refuse a run whose arrays would hold over half of physical memory.
+
+    ``trajectories`` counts the runs held at once (:func:`_planned_bytes`):
+    a sweep of :func:`averaging_error` holds two, the switched run of one
+    cycle time and the averaged run the sweep shares.  A span that is not
+    finite and positive is refused first, and one that :func:`_check_span`
+    refuses after the memory check.
     """
     _check_positive(horizon, dt)
-    samples = _planned_samples(network, schedule, horizon, dt)
-    planned = 8.0 * trajectories * samples * (3 * network.n + 16)
+    samples, planned = _planned_bytes(network, schedule, horizon, dt, trajectories)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if planned > physical / 2:
         raise ValidationError(
@@ -373,17 +413,28 @@ def averaging_error(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     Returns the horizon-normalized integral of
     ``norm(x - x_av) / norm(x_av)`` as a percentage, excluding samples where
     the averaged state has decayed below ``1e-6`` of the initial norm.
-    Both runs share ``table``; pass one to share it across a sweep.
+    Both runs share ``table``; pass one to share it across a sweep.  The
+    table then also keeps the averaged run, and a later cycle time with
+    the same averaged system, initial state and grid reuses it instead of
+    calling :func:`simulate_average`.
     """
     check_size(network, schedule, horizon, dt, trajectories=2)
     x0 = _check_x0(network, x0)
     if table is None:
         table = ExponentialTable()
     switched = simulate_switching(network, schedule, x0, horizon, dt, table=table)
-    averaged = simulate_average(network, schedule, x0, horizon, dt,
-                                grid=switched.times, table=table)
-    ref = np.linalg.norm(averaged.states, axis=1)
-    gap = np.linalg.norm(switched.states - averaged.states, axis=1)
+    avg = average_system(network, assemble_modes(network, schedule))
+    key = tuple(a.tobytes() for a in (avg.A, avg.B, avg.u, avg.C, x0, switched.times))
+    averaged = table.averaged(key, lambda: simulate_average(
+        network, schedule, x0, horizon, dt, grid=switched.times, table=table))
+    # row norms a block of rows at a time, with no temporary of the
+    # trajectories' size; each row sums as in one call on the whole array
+    ref = np.empty(switched.times.shape[0])
+    gap = np.empty_like(ref)
+    for start in range(0, ref.shape[0], _NORM_ROWS):
+        rows = slice(start, start + _NORM_ROWS)
+        ref[rows] = np.linalg.norm(averaged.states[rows], axis=1)
+        gap[rows] = np.linalg.norm(switched.states[rows] - averaged.states[rows], axis=1)
     floor = _EXCLUDE_FLOOR * np.linalg.norm(x0)
     ratio = np.where(ref > floor, gap / np.where(ref > floor, ref, 1.0), 0.0)
     error = np.trapezoid(ratio, switched.times) / horizon

@@ -291,6 +291,15 @@ def test_compare_averaging_bad_cycles(runner):
     assert result.exit_code == 2
 
 
+
+def test_compare_averaging_empty_cycle_list(tmp_path):
+    out = tmp_path / "err.csv"
+    result = CliRunner().invoke(cli.main, ["compare-averaging", "single_road",
+                                           "--cycles", ",,", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == "ValidationError: no cycle time given in ',,'\n"
+    assert not out.exists()
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_compare_averaging_rejects_non_finite_cycle(tmp_path, value):
     out = tmp_path / "err.csv"
@@ -324,6 +333,75 @@ def test_compare_averaging_shares_exponentials_within_one_command(runner, monkey
     assert len(calls) == 5          # nothing is kept between commands
     assert second.output == first.output
 
+
+
+@pytest.mark.parametrize("cycles, runs", [("40,80,96,112", 1), (None, 2)])
+def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_path,
+                                                                   monkeypatch, cycles, runs):
+    # every switch of 40, 80, 96 and 112 s falls on the 1 s grid; in the
+    # default 30,60,100,120 the 7.5 s switches of T=30 give it its own grid
+    from greensplit import net_model, scenario, sim
+    calls = []
+    run = sim.simulate_average
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].cycle_time)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate_average", counting)
+    out = tmp_path / "err.csv"
+    args = ["compare-averaging", "four_intersections", "--out", str(out)]
+    result = invoke(runner, *args, *(["--cycles", cycles] if cycles else []))
+    assert result.exit_code == 0
+    assert len(calls) == runs
+    _, rows = read_artifact(out)
+    network = scenario.load("four_intersections")
+    horizon = 10.0 * max(float(r[0]) for r in rows[1:])
+    for cycle, error in rows[1:]:
+        schedule = net_model.uniform_schedule(network, cycle_time=float(cycle))
+        fresh = sim.averaging_error(network, schedule, np.ones(network.n), horizon)
+        assert float(error) == fresh.error_percent
+
+
+def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path):
+    # a sweep holds one switched run and the averaged run it shares; the
+    # traced peak stays under what check_size plans for it (a sweep that
+    # also held the previous cycle's runs peaked at 89.5 MB here)
+    import tracemalloc
+
+    from greensplit import net_model, scenario, sim
+    cycles, horizon = [40.0, 80.0, 96.0, 112.0], 6000.0
+    network = scenario.load("grid_4x4")
+    plan = max(sim._planned_bytes(network, net_model.uniform_schedule(network, cycle_time=c),
+                                  horizon, 1.0, trajectories=2)[1] for c in cycles)
+    args = ["compare-averaging", "grid_4x4", "--cycles", ",".join(map(repr, cycles)),
+            "--horizon", repr(horizon), "--out", str(tmp_path / "err.csv")]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = CliRunner().invoke(cli.main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak < plan
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("mode", ["switching", "average"])
+def test_simulate_ends_at_the_horizon(runner, tmp_path, mode):
+    # the last uniform sample, 9.9e-9 s, is within the grid's 1e-9 s
+    # tolerance below the horizon
+    out = tmp_path / "traj.csv"
+    result = invoke(runner, "simulate", "single_road", "--mode", mode, "--horizon", "1e-8",
+                    "--dt", "1.1e-9", "--out", str(out))
+    assert result.exit_code == 0
+    assert "10 samples, t_end=1e-08" in result.output
+    _, rows = read_artifact(out)
+    assert rows[10][1] == "1e-08"
 
 @pytest.mark.parametrize("command, out_name", [
     (["simulate", "four_intersections", "--dt", "0.7", "--horizon", "250.5"], "traj.csv"),

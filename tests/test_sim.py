@@ -392,6 +392,86 @@ def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
     assert fresh == errors
 
 
+
+def _count_average_runs(monkeypatch):
+    """Wrap ``sim.simulate_average``; the list gets one entry per call."""
+    calls = []
+    run = sim.simulate_average
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].cycle_time)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate_average", counting)
+    return calls
+
+
+def test_sweep_shares_one_read_only_averaged_run(four_net, monkeypatch):
+    # every switch of these uniform cycles falls on the 1 s grid, so all
+    # cycles share one grid and the averaged run is made once
+    calls = _count_average_runs(monkeypatch)
+    x0 = np.ones(four_net.n)
+    table = sim.ExponentialTable()
+    reports = [sim.averaging_error(four_net, net_model.uniform_schedule(four_net, cycle_time=c),
+                                   x0, 600.0, table=table) for c in (40.0, 80.0, 96.0)]
+    assert len(calls) == 1
+    assert all(r.averaged is reports[0].averaged for r in reports)
+    for array in (reports[0].averaged.times, reports[0].averaged.states,
+                  reports[0].averaged.outputs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    fresh = [sim.averaging_error(four_net, net_model.uniform_schedule(four_net, cycle_time=c),
+                                 x0, 600.0) for c in (40.0, 80.0, 96.0)]
+    assert len(calls) == 4
+    assert [r.error_percent for r in reports] == [r.error_percent for r in fresh]
+    for kept, new in zip(reports, fresh):
+        np.testing.assert_array_equal(kept.averaged.states, new.averaged.states)
+
+
+def test_kept_averaged_run_is_keyed_on_state_and_grid(four_net, monkeypatch):
+    calls = _count_average_runs(monkeypatch)
+    table = sim.ExponentialTable()
+    rng = np.random.default_rng(9)
+    x0, x1 = rng.uniform(0.0, 1.0, (2, four_net.n))
+    schedule = net_model.uniform_schedule(four_net, cycle_time=40.0)
+    # another initial state, then another grid (switches at 7.5 s), then
+    # the first state again: each one runs the averaged system anew
+    cases = [(x0, schedule), (x1, schedule),
+             (x1, net_model.uniform_schedule(four_net, cycle_time=30.0)), (x0, schedule)]
+    shared = [sim.averaging_error(four_net, sched, x, 300.0, table=table)
+              for x, sched in cases]
+    assert len(calls) == 4
+    fresh = [sim.averaging_error(four_net, sched, x, 300.0) for x, sched in cases]
+    assert [r.error_percent for r in shared] == [r.error_percent for r in fresh]
+    assert shared[0].error_percent == shared[3].error_percent
+
+
+def test_sample_grid_ends_at_the_horizon():
+    # the last uniform sample, 9.9e-9 s, lies within the 1e-9 s tolerance
+    # below the horizon: it moves onto the horizon
+    grid = sim._sample_grid(1e-8, 1.1e-9, np.empty(0))
+    assert grid.shape[0] == 10
+    assert grid[-1] == 1e-8
+    assert np.diff(grid).min() > 1.09e-9
+    # an event just below the horizon keeps its place; the end moves up
+    grid = sim._sample_grid(10.0, 1.0, np.array([4.5, 10.0 - 5e-9]))
+    assert grid[-1] == 10.0
+    np.testing.assert_array_equal(grid[:-1], [0, 1, 2, 3, 4, 4.5, 5, 6, 7, 8, 9])
+
+
+@pytest.mark.parametrize("cycle", [30.0, 40.0, 100.0, 112.0])
+@pytest.mark.parametrize("horizon", [3000.0, 6000.0, 1000.3])
+def test_sample_grid_at_unit_dt_is_the_union_of_samples_and_events(four_net, cycle,
+                                                                   horizon):
+    # at dt 1 the grid is every whole second, the horizon and every event
+    schedule = net_model.uniform_schedule(four_net, cycle_time=cycle)
+    events = sim._cycle_events(schedule, four_net, horizon)
+    grid = sim._sample_grid(horizon, 1.0, events)
+    expected = np.unique(np.concatenate([np.arange(math.floor(horizon) + 1.0),
+                                         [horizon], events[events <= horizon]]))
+    np.testing.assert_array_equal(grid, expected)
+
 def _loop_events(schedule, network, horizon):
     """Event instants one cycle at a time: the reference for
     ``sim._cycle_events``."""
