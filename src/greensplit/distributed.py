@@ -1,11 +1,12 @@
 """Distributed solution of the network Lyapunov equation.
 
-The stable matrix is split row-wise over agents, ``A = S_1 + ... + S_nu``.
-Writing the equation ``A X + X A^T + D = 0`` per share introduces one
-unknown share ``D_j = -(S_j X + X S_j^T)`` per agent, tied together by
-``sum(D_j) = D``.  Over the stacked vectorized unknowns
+The stable matrix is split row-wise over agents, ``A = S_1 + ... + S_nu``:
+agent ``j`` owns the rows ``rows_j`` and holds them as the dense row block
+``R_j = A[rows_j]``.  Writing the equation ``A X + X A^T + D = 0`` per
+share introduces one unknown share ``D_j = -(S_j X + X S_j^T)`` per agent,
+tied together by ``sum(D_j) = D``.  Over the stacked vectorized unknowns
 ``w = [X^v, D_1^v, ..., D_nu^v]`` agent ``j``'s block of constraints is
-``Lambda_j X^v + D_j^v = 0``, with the sparse Kronecker sum
+``Lambda_j X^v + D_j^v = 0``, with the Kronecker sum
 ``Lambda_j = I (x) S_j + S_j (x) I``, and every agent knows the balance
 row ``sum(D_j) = D``.
 
@@ -25,14 +26,33 @@ left is one symmetric positive definite ``n^2 x n^2`` system
     G X^v = -Lambda_K^T D^v / m,
     G = I + sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m,
 
-factored once by a sparse LU in symmetric mode on a minimum degree
-ordering of its pattern.  Every eigenvalue of ``G`` is at least 1, so
-``cond(G) <= 1 + ||sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m||_2``.
-Once every share is known the set is one point, ``X`` solves the
-Lyapunov equation of ``A = sum_j S_j``, and the Bartels-Stewart solver of
+solved by conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49(6),
+1952) on products with ``G`` alone, which is never formed.  ``D`` is
+symmetric and every ``Lambda_j`` and its transpose map symmetric matrices
+to symmetric ones, so every iterate is a symmetric ``X``; then
+``Lambda_j X = M + M^T`` with ``M = S_j X``, which is ``R_j X`` in the rows
+``rows_j``, and ``Lambda_j^T Y = N + N^T`` with ``N = S_j^T Y =
+R_j^T Y[rows_j]``.  One product costs ``O(r_K n^2)`` in matrix products
+for the ``r_K`` known rows (:meth:`Agent._gram`).
+
+Every eigenvalue of ``G`` is at least 1, and
+``sum_K |Lambda_j X|^2 <= 4 |S_K|_2^2 |X|^2`` for the known rows
+``S_K = sum_K S_j``, so
+
+    cond(G) <= 1 + |sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m|_2
+            <= 1 + 4 (1 + 1/m) |S_K|_1 |S_K|_inf,
+
+about 10 on the bundled scenarios.  Conjugate gradients start at 0 and
+stop once the residual is :data:`CG_TOL` of ``|b|``; the iteration cap
+(:func:`_iteration_cap`) is what the classical bound on their convergence
+needs at that condition number.  The true residual is computed again at
+the end, and a cap that runs out or a true residual over the tolerance is
+a :class:`SolveFailure`, never an estimate.  Once every share is known the
+set is one point, ``X`` solves the Lyapunov equation of
+``A = sum_j S_j``, and the Bartels-Stewart solver of
 :mod:`greensplit.lyapunov` gives it in ``O(n^3)``.
 
-A message carries the row shares its sender knows and a fold takes the
+A message carries the row blocks its sender knows and a fold takes the
 union, so after as many synchronous rounds as the communication graph's
 diameter every agent knows every share and holds the unique global
 solution.  The centralized solution appears below purely as
@@ -41,24 +61,70 @@ instrumentation for error traces.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-# ``linalg`` and ``np`` stay module attributes: perfbench/tracing.py wraps
-# ``linalg.null_space`` and ``np.linalg.lstsq`` by their paths in this module
-from scipy import linalg, sparse  # noqa: F401
-from scipy.sparse import csgraph
-from scipy.sparse.linalg import splu
+# nothing here calls ``linalg``; it and ``np`` stay module attributes because
+# perfbench/tracing.py resolves ``linalg.null_space`` and ``np.linalg.lstsq``
+# through this module
+from scipy import linalg  # noqa: F401
 
 from .errors import (DimensionError, InconsistentLocal, NotConverged,
-                     ValidationError)
+                     SolveFailure, ValidationError)
 from .lyapunov import solve_lyapunov
 
-#: LU entries per ``n^4`` allowed beyond four per system nonzero; see
-#: :func:`planned_bytes`
-FILL = 0.06
+#: relative residual ``|b - G x| / |b|`` at which conjugate gradients stop
+CG_TOL = 1e-13
+
+
+def _iteration_cap(cond: float) -> int:
+    """Conjugate-gradient iterations that reach :data:`CG_TOL` on a system
+    whose condition number is at most ``cond``.
+
+    After ``k`` iterations the ``G``-norm of the error has fallen by at
+    least ``2 q^k`` with ``q = (c - 1) / (c + 1) <= exp(-2 / (c + 1))`` and
+    ``c = sqrt(cond)``, so the residual by at least ``2 c q^k``.
+    """
+    c = math.sqrt(cond)
+    return math.ceil(0.5 * (c + 1.0) * math.log(2.0 * c / CG_TOL))
+
+
+def _conjugate_gradients(gram, b: np.ndarray, cap: int) -> tuple[np.ndarray, int]:
+    """Solution of ``G x = b`` for a symmetric positive definite ``G``
+    given by its product ``gram``, and the iterations it took.
+
+    Starts at 0 and stops once the residual is :data:`CG_TOL` of ``|b|``.
+    Running out of ``cap`` iterations, or a true residual ``b - G x`` over
+    the tolerance at the end, is a :class:`SolveFailure`.
+    """
+    goal = CG_TOL * np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = np.vdot(r, r)
+    iterations = 0
+    while math.sqrt(rr) > goal:
+        if iterations == cap:
+            raise SolveFailure(
+                f"conjugate gradients left a relative residual of "
+                f"{math.sqrt(rr) / np.linalg.norm(b):.3e} after {cap} iterations")
+        q = gram(p)
+        step = rr / np.vdot(p, q)
+        x += step * p
+        r -= step * q
+        rr, previous = np.vdot(r, r), rr
+        p *= rr / previous
+        p += r
+        iterations += 1
+    resid = np.linalg.norm(b - gram(x))
+    if not resid <= goal:
+        raise SolveFailure(
+            f"conjugate gradients stopped with a true relative residual of "
+            f"{resid / np.linalg.norm(b):.3e}, over {CG_TOL:g}")
+    return x, iterations
 
 
 @dataclass(frozen=True)
@@ -114,12 +180,29 @@ class CommGraph:
 
     @property
     def diameter(self) -> int | None:
-        """Longest shortest hop count; ``None`` when the graph is disconnected."""
-        links = np.zeros((self.n_agents, self.n_agents))
+        """Longest shortest hop count; ``None`` when the graph is disconnected.
+        One breadth-first search from every agent."""
+        links: list[list[int]] = [[] for _ in range(self.n_agents)]
         for i, j in self.edges:
-            links[i, j] = 1.0
-        hops = csgraph.shortest_path(links, directed=False, unweighted=True)
-        return None if np.isinf(hops).any() else int(hops.max())
+            links[i].append(j)
+            links[j].append(i)
+        widest = 0
+        for start in range(self.n_agents):
+            hops = [-1] * self.n_agents
+            hops[start] = 0
+            frontier = [start]
+            while frontier:
+                reached = []
+                for i in frontier:
+                    for j in links[i]:
+                        if hops[j] < 0:
+                            hops[j] = hops[i] + 1
+                            reached.append(j)
+                frontier = reached
+            if min(hops) < 0:
+                return None
+            widest = max(widest, max(hops))
+        return widest
 
 
 def partition_rows(a: np.ndarray, assignment: np.ndarray, n_agents: int) -> list[np.ndarray]:
@@ -161,8 +244,10 @@ class Agent:
         self.n_agents = n_agents
         self.share = share
         self.rhs = rhs
-        #: sparse row share ``S_j`` of every agent ``j`` this agent has heard of
-        self.blocks = {agent_id: sparse.csr_matrix(share)}
+        rows = np.flatnonzero(share.any(axis=1))
+        #: row block ``(rows_j, R_j)``, with ``R_j = A[rows_j]``, of every
+        #: agent ``j`` this agent has heard of
+        self.blocks = {agent_id: (rows, share[rows])}
         self._w_hat = None
 
         gap = self.local_residual()
@@ -180,19 +265,31 @@ class Agent:
     def kernel_dim(self) -> int:
         return (self.n_agents - len(self.blocks)) * self.n * self.n
 
-    def _system(self) -> tuple[sparse.csc_matrix, np.ndarray]:
-        """The symmetric positive definite system ``G x = b`` for ``X^v`` of
-        an agent that misses ``m >= 1`` shares:
-        ``G = I + sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m`` and
-        ``b = -Lambda_K^T D^v / m``."""
-        missing = self.n_agents - len(self.blocks)
-        eye = sparse.identity(self.n, format="csr")
-        lams = [(sparse.kron(eye, s) + sparse.kron(s, eye)).tocsr()
-                for _, s in sorted(self.blocks.items())]
-        lam_k = sum(lams)
-        g = (sparse.identity(self.n * self.n, format="csr")
-             + sum(lam.T @ lam for lam in lams) + (lam_k.T @ lam_k) / missing)
-        return g.tocsc(), -(lam_k.T @ self.rhs.reshape(-1, order="F")) / missing
+    def _gram(self, rows: np.ndarray, known: np.ndarray, owner: np.ndarray,
+              missing: int):
+        """Product ``X -> G X`` for symmetric ``X``, from the known rows
+        ``rows`` of ``A``, ``known = A[rows]``, and the agent ``owner``
+        of each.
+
+        ``Lambda_j^T Lambda_j X = N_j + N_j^T`` with ``N_j = S_j^T S_j X +
+        S_j^T X S_j^T``.  With ``M = known X`` and ``Q = M[:, rows]``, the
+        first terms sum to ``known^T M`` over ``K``, and the second ones
+        to ``known^T Q_same^T`` in the columns ``rows``, where ``Q_same``
+        keeps the entries of ``Q`` between rows of one owner.  For
+        ``Lambda_K`` the same holds with the whole ``Q``, so
+        ``G X = X + N + N^T`` with ``N = (1 + 1/m) known^T M`` plus
+        ``known^T (Q_same + Q / m)^T`` in the columns ``rows``.
+        """
+        same = owner[:, None] == owner[None, :]
+        weight = 1.0 + 1.0 / missing
+
+        def gram(x: np.ndarray) -> np.ndarray:
+            m = known @ x
+            q = m[:, rows]
+            half = weight * (known.T @ m)
+            half[:, rows] += known.T @ (np.where(same, q, 0.0) + q / missing).T
+            return x + half + half.T
+        return gram
 
     @property
     def w_hat(self) -> np.ndarray:
@@ -205,14 +302,34 @@ class Agent:
         if self._w_hat is None:
             n = self.n
             missing = self.n_agents - len(self.blocks)
+            known = sorted(self.blocks.items())
+            rows = np.concatenate([rows_j for _, (rows_j, _) in known])
+            if np.unique(rows).shape[0] < rows.shape[0]:
+                raise ValidationError(
+                    f"agent {self.id}: the row shares it knows overlap; each row of "
+                    "the matrix belongs to one agent")
+            block = np.concatenate([r_j for _, (_, r_j) in known])
             if missing:
-                g, b = self._system()
-                lu = splu(g, permc_spec="MMD_AT_PLUS_A",
-                          options={"SymmetricMode": True})
-                x = lu.solve(b).reshape((n, n), order="F")
+                owner = np.repeat(np.arange(len(known)),
+                                  [rows_j.shape[0] for _, (rows_j, _) in known])
+                half = block.T @ self.rhs[rows]
+                b = -(half + half.T) / missing
+                cond = 1.0 + 4.0 * (1.0 + 1.0 / missing) * (
+                    np.abs(block).sum(axis=0).max(initial=0.0)
+                    * np.abs(block).sum(axis=1).max(initial=0.0))
+                x, _ = _conjugate_gradients(self._gram(rows, block, owner, missing),
+                                            b, _iteration_cap(cond))
             else:
-                x = solve_lyapunov(sum(self.blocks.values()).toarray(), self.rhs)
-            shares = {j: -(s @ x + x @ s.T) for j, s in sorted(self.blocks.items())}
+                a = np.zeros((n, n))
+                a[rows] = block
+                x = solve_lyapunov(a, self.rhs)
+            shares = {}
+            for j, (rows_j, r_j) in known:
+                m = r_j @ x
+                share = np.zeros((n, n))
+                share[rows_j] -= m
+                share[:, rows_j] -= m.T
+                shares[j] = share
             rest = (self.rhs - sum(shares.values())) / missing if missing else None
             self._w_hat = np.concatenate(
                 [x.reshape(-1, order="F")]
@@ -229,8 +346,8 @@ class Agent:
         balance = total.reshape((self.n, self.n), order="F") - self.rhs
         return float(np.hypot(np.linalg.norm(own), np.linalg.norm(balance)))
 
-    def fold(self, blocks: dict[int, sparse.csr_matrix]) -> None:
-        """Take the union with one neighbor's known shares.
+    def fold(self, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Take the union with one neighbor's known row blocks.
 
         The estimate is solved again on its next read, and only when the
         neighbor knew a share this agent did not.  ``blocks`` is rebound,
@@ -266,49 +383,22 @@ def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
 
 def planned_bytes(a: np.ndarray, n_agents: int) -> int:
     """Memory a distributed solve of ``a`` holds at its peak, from the
-    sizes and the sparsity pattern of ``a``.
+    sizes of ``a`` alone.
 
     Held throughout are every agent's estimate, ``(nu+1) n^2`` doubles,
-    the dense row shares, ``n^2`` doubles each, and the sparse row shares
-    that the agents pass around, one copy of each.  Agents factor one at a
-    time.  The largest system is ``G`` of an agent that misses one share.
-    With ``P`` the pattern of ``|A|^T |A|``, ``G``'s pattern lies in that
-    of ``I + I (x) P + P (x) I + |A| (x) |A|^T + |A|^T (x) |A|``, so it
-    has at most ``S = n^2 + 2 n nnz(P) + 2 nnz(A)^2`` nonzeros; it is
-    counted at 40 bytes a nonzero for its assembly copies, and its LU
-    factors at 12 bytes an entry.  A complete agent's Bartels-Stewart
-    solve holds a few dense ``n x n`` arrays, less than that.
-
-    SuperLU's fill has no closed form, so ``L.nnz + U.nnz <= 4 S + FILL
-    n^4`` is a bound measured, not proved.  The ``n^4`` part comes from
-    ``X``, whose Kronecker-sum coupling fills like a two-dimensional
-    operator; below n = 36 the ``4 S`` part dominates.  The fill per
-    ``n^4`` of ``G`` with one share of ``nu`` missing, on the bundled
-    scenarios with default row owners:
-
-    ======  ======  ======  ======  ======  ======
-    n       nu = 2  4       9       16      36
-    ======  ======  ======  ======  ======  ======
-    36      0.0074  0.0277  0.0337  0.0356  0.0372
-    144     0.0018  0.0141  0.0304  0.0418  0.0520
-    240     0.0007  0.0094  0.0212
-    ======  ======  ======  ======  ======  ======
-
-    At n = 240 only the first agent's share was left out; elsewhere the
-    first, the middle and the last, and the table gives the largest.  With
-    144 agents at n = 144 it is 0.0484, and on single_road (n = 4) the fill
-    is at most 0.62 S.  In every case the fill stayed within 0.81 of the
-    bound.
+    the dense row shares, ``n^2`` doubles each, and the row blocks that
+    the agents pass around, one copy of each, ``n^2`` doubles in all.
+    Agents solve one at a time.  One solve holds the agent's known shares
+    and its estimate being assembled, ``2 nu + 2`` arrays of ``n^2``
+    doubles, and the stacked known rows with the conjugate-gradient
+    vectors and the temporaries of one product with ``G``, or the arrays
+    of a complete agent's Bartels-Stewart solve; 24 arrays of ``n^2``
+    doubles cover either.
     """
-    pattern = sparse.csr_matrix(np.asarray(a) != 0, dtype=float)
-    n, nnz = pattern.shape[0], pattern.nnz
-    nn = n * n
-    system = nn + 2 * n * (pattern.T @ pattern).nnz + 2 * nnz * nnz
-    factors = 4 * system + FILL * nn * nn
-    held = (8 * n_agents * (n_agents + 1) * nn      # estimates
-            + 8 * n_agents * nn                     # dense row shares
-            + 12 * nnz + 8 * n_agents * (n + 1))    # sparse row shares
-    return int(held + 40 * system + 12 * factors)
+    n = np.shape(a)[0]
+    held = n_agents * (n_agents + 1) + n_agents + 1
+    solve = 2 * n_agents + 2 + 24
+    return 8 * n * n * (held + solve)
 
 
 @dataclass

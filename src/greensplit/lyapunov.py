@@ -38,8 +38,7 @@ import heapq
 import math
 
 import numpy as np
-from scipy import linalg, sparse
-from scipy.sparse import csgraph
+from scipy import linalg
 
 from .errors import DimensionError, EigenFailure, SolveFailure, UnstableMatrix, ValidationError
 
@@ -85,6 +84,55 @@ def spectral_abscissa(a: np.ndarray) -> float:
     return float(eigs.real.max())
 
 
+def _strong_components(n: int, rows: np.ndarray,
+                       cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Number of strongly connected components of the directed graph on
+    ``n`` nodes with the edges ``rows[k] -> cols[k]``, sorted by tail, and
+    the component label of each node.
+
+    Tarjan's depth-first search, with an explicit stack in place of
+    recursion: a node is on the component stack while it is visited and
+    unlabelled.
+    """
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    heads = cols.tolist()
+    order = [-1] * n            # visit number
+    low = [0] * n               # smallest visit number reached from the subtree
+    labels = [-1] * n
+    pending: list[int] = []
+    count = visits = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visits
+        visits += 1
+        pending.append(root)
+        path = [(root, iter(heads[bounds[root]:bounds[root + 1]]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = visits
+                    visits += 1
+                    pending.append(w)
+                    path.append((w, iter(heads[bounds[w]:bounds[w + 1]])))
+                    break
+                if labels[w] < 0:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    w = -1
+                    while w != v:
+                        w = pending.pop()
+                        labels[w] = count
+                    count += 1
+    return count, np.array(labels, dtype=np.intp)
+
+
 @functools.lru_cache(maxsize=16)
 def _block_order(pattern: bytes, n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Permutation of the states that makes a matrix with the given packed
@@ -98,11 +146,9 @@ def _block_order(pattern: bytes, n: int) -> tuple[np.ndarray, tuple[tuple[int, i
     identity permutation.  States keep their order within a component.
     """
     mask = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n)
-    graph = sparse.csr_matrix(mask.reshape(n, n))
-    count, labels = csgraph.connected_components(graph, directed=True,
-                                                 connection="strong")
+    rows, cols = np.nonzero(mask.reshape(n, n))
+    count, labels = _strong_components(n, rows, cols)
     # a nonzero a[i, j] between components puts i's component before j's
-    rows, cols = graph.nonzero()
     tail, head = labels[rows], labels[cols]
     between = tail != head
     edges = set(zip(tail[between].tolist(), head[between].tolist()))

@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import ValidationError
 
@@ -469,14 +468,16 @@ def _validate_network(spec: NetworkSpec) -> NetworkSpec:
 
     # every road must be able to send vehicles to some destination: search
     # the movement graph backwards from the destinations
-    index = {r.id: k for k, r in enumerate(spec.roads)}
-    feeds = np.zeros((spec.n_roads, spec.n_roads))
+    feeders: dict[str, list[str]] = {}
     for from_road, to_road in seen_moves:
-        feeds[index[to_road], index[from_road]] = 1.0
-    hops = csgraph.shortest_path(feeds, unweighted=True,
-                                 indices=[index[d] for d in spec.destinations])
-    reaches = np.isfinite(hops).any(axis=0)
-    stranded = sorted(r.id for r, ok in zip(spec.roads, reaches) if not ok)
+        feeders.setdefault(to_road, []).append(from_road)
+    reached = set(spec.destinations)
+    frontier = list(reached)
+    while frontier:
+        frontier = [road for to_road in frontier for road in feeders.get(to_road, ())
+                    if road not in reached]
+        reached.update(frontier)
+    stranded = sorted(r.id for r in spec.roads if r.id not in reached)
     if stranded:
         raise ValidationError(
             f"road(s) {stranded} have no path to any destination road"

@@ -246,47 +246,101 @@ def _cycle_events(schedule: Schedule, network: NetworkSpec, horizon: float) -> n
     return arr[arr <= horizon * (1 + 1e-12)]
 
 
+def _event_families(network: NetworkSpec,
+                    schedule: Schedule) -> list[tuple[float, list[float]]]:
+    """Each periodic family of instants that :func:`_cycle_events` lists:
+    its period and its offsets within one period."""
+    T = schedule.cycle_time
+    families = [(T, [t for t in schedule.switch_times if t < T])]
+    for rid in network.inflows:
+        profile = network.inflow_profile(rid)
+        if len(profile) >= 2:
+            families.append((sum(dur for dur, _ in profile),
+                             np.cumsum([dur for dur, _ in profile[:-1]]).tolist()))
+    return families
+
+
 def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
                      dt: float) -> float:
     """Upper bound on the grid points of a run, from sizes alone: the
     uniform samples plus every instant :func:`_cycle_events` lists."""
-    T = schedule.cycle_time
-    count = horizon / dt + 3.0
-    count += (horizon / T + 3.0) * sum(1 for t in schedule.switch_times if t < T)
-    for rid in network.inflows:
-        profile = network.inflow_profile(rid)
-        if len(profile) >= 2:
-            period = sum(dur for dur, _ in profile)
-            count += (horizon / period + 3.0) * (len(profile) - 1)
+    return horizon / dt + 3.0 + sum((horizon / period + 3.0) * len(marks)
+                                    for period, marks in _event_families(network, schedule))
+
+
+def _off_grid(network: NetworkSpec, schedule: Schedule, horizon: float,
+              dt: float) -> float:
+    """Upper bound on the events of a run that lie off the uniform samples.
+
+    The instant ``c period + mark`` is within ``|mark - k dt| + c |period -
+    k' dt|`` of a sample for the nearest ``k`` and ``k'``; it counts as on
+    the sample when that is at most a quarter of the grid's tolerance.
+    """
+    tol = 0.25 * _grid_tol(horizon)
+    count = 0.0
+    for period, marks in _event_families(network, schedule):
+        cycles = horizon / period + 3.0
+        drift = cycles * abs(math.remainder(period, dt))
+        count += cycles * sum(1 for m in marks if abs(math.remainder(m, dt)) + drift > tol)
     return count
 
 
 def _planned_bytes(network: NetworkSpec, schedule: Schedule, horizon: float,
-                   dt: float, trajectories: int = 1) -> tuple[float, float]:
-    """Planned grid points and bytes of ``trajectories`` runs held at once.
+                   dt: float, trajectories: int = 1) -> tuple[float, float, float]:
+    """Planned grid points of a run, the bytes that ``trajectories`` runs
+    held at once hold, and the part of those bytes in exponentials that
+    stay in the runs' table.
 
     A grid point costs up to three rows of ``n`` doubles (the state, the
     step's inflows, the output) and about sixteen words of grid work:
     event times, the grid and the list :func:`_sample_grid` deduplicates
     through, step midpoints, modes and lengths, the run bookkeeping of
     the stepping, the row norms of :func:`averaging_error`.
+
+    The matrices come on top.  The mode matrices, the averaged system and
+    the input map take ``n_modes + 3`` arrays of ``n^2`` doubles.  The
+    table holds one augmented exponential of ``(n+1)^2`` doubles per
+    (mode, inflow, step length) of a run.  Steps of length ``dt`` take at
+    most two lengths per mode and inflow vector, as lengths that agree
+    within the grid's tolerance can still fall into two groups; every other
+    step ends at the horizon or at an event off the uniform samples
+    (:func:`_off_grid`), which ends two steps.  :func:`_propagate` raises
+    an exponential to a power only when its runs save ``n`` steps, so it
+    keeps at most ``steps / n`` powers, and one ``expm`` or power works in
+    about ten more arrays of that size.
     """
+    n = network.n
     samples = _planned_samples(network, schedule, horizon, dt)
-    return samples, 8.0 * trajectories * samples * (3 * network.n + 16)
+    steps = trajectories * samples
+    families = _event_families(network, schedule)
+    inflows = min(math.prod(len(p) for p in network.inflows.values()),
+                  1.0 + sum((horizon / period + 3.0) * len(marks)
+                            for period, marks in families[1:]))
+    keys = min(steps, 2.0 * (schedule.n_modes * inflows + trajectories - 1)
+               + trajectories * (2.0 * _off_grid(network, schedule, horizon, dt) + 1.0))
+    square = (n + 1) ** 2
+    table = 8.0 * keys * square
+    held = 8.0 * (steps * (3 * n + 16) + (schedule.n_modes + 3) * n * n
+                  + (steps / n + 10.0) * square)
+    return samples, held + table, table
 
 
 def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-               trajectories: int = 1) -> None:
-    """Refuse a run whose arrays would hold over half of physical memory.
+               trajectories: int = 1, kept: float = 0.0) -> float:
+    """Refuse a run whose arrays would hold over half of physical memory,
+    and return the bytes of exponentials it adds to its table.
 
     ``trajectories`` counts the runs held at once (:func:`_planned_bytes`):
     a sweep of :func:`averaging_error` holds two, the switched run of one
-    cycle time and the averaged run the sweep shares.  A span that is not
-    finite and positive is refused first, and one that :func:`_check_span`
-    refuses after the memory check.
+    cycle time and the averaged run the sweep shares.  ``kept`` counts the
+    bytes of exponentials that a table shared with earlier runs already
+    holds; a sweep passes the sum of what this returned for its earlier
+    cycle times.  A span that is not finite and positive is refused first,
+    and one that :func:`_check_span` refuses after the memory check.
     """
     _check_positive(horizon, dt)
-    samples, planned = _planned_bytes(network, schedule, horizon, dt, trajectories)
+    samples, planned, table = _planned_bytes(network, schedule, horizon, dt, trajectories)
+    planned += kept
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if planned > physical / 2:
         raise ValidationError(
@@ -296,6 +350,7 @@ def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: flo
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
     _check_span(horizon, dt)
+    return table
 
 
 def _modes_at(schedule: Schedule, t: np.ndarray) -> np.ndarray:

@@ -634,6 +634,29 @@ def test_distributed_memory_preflight_is_one_validation_line(tmp_path):
     assert not out.exists()
 
 
+def test_distributed_cg_cap_that_runs_out_is_one_solve_failure_line(tmp_path, monkeypatch):
+    from greensplit import distributed
+    monkeypatch.setattr(distributed, "_iteration_cap", lambda cond: 1)
+    out = tmp_path / "rounds.csv"
+    result = CliRunner().invoke(cli.main, ["distributed", "four_intersections", "--agents",
+                                           "path:2", "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("SolveFailure: conjugate gradients left a relative "
+                                    "residual of ")
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_sparse_module():
+    # the distributed agents, the component ordering of the Schur factor and
+    # the network checks need no scipy.sparse
+    code = ("import sys, greensplit.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_distributed_bad_layout(runner):
     result = invoke(runner, "distributed", "single_road", "--agents", "ring:9")
     assert result.exit_code == 2

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
-from scipy.sparse.linalg import splu
+from scipy import linalg, sparse
+from scipy.sparse.linalg import spsolve
 
 from greensplit import distributed as dist
-from greensplit.errors import (DimensionError, NotConverged, UnstableMatrix,
-                               ValidationError)
+from greensplit import net_model, scenario
+from greensplit.dynamics import assemble_modes, average_matrix
+from greensplit.errors import (DimensionError, NotConverged, SolveFailure,
+                               UnstableMatrix, ValidationError)
 from greensplit.lyapunov import solve_lyapunov
 
 from conftest import make_hurwitz
@@ -239,6 +241,17 @@ def test_shape_mismatch_rejected():
         dist.run_distributed(-np.eye(3), np.eye(2), dist.CommGraph.path(2))
 
 
+def test_overlapping_row_shares_are_refused(problem):
+    # the stacked row blocks stand for the sum of the known shares only when
+    # no row is in two of them
+    a, d = problem
+    first = dist.Agent(0, dist.partition_rows(a, np.array([0, 0, 1, 1]), 2)[0], d, 2)
+    second = dist.Agent(1, dist.partition_rows(a, np.array([1, 0, 0, 0]), 2)[0], d, 2)
+    first.fold(second.blocks)
+    with pytest.raises(ValidationError, match="overlap"):
+        first.w_hat
+
+
 def test_agent_local_residual_is_tiny(problem):
     a, d = problem
     shares = dist.partition_rows(a, dist.default_assignment(4, 2), 2)
@@ -435,25 +448,123 @@ def test_rounds_match_dense_oracle(problem, graph, owners, scale):
     assert all(agent.kernel_dim == 0 for agent in sparse_agents)
 
 
-def test_path2_factors_two_systems_in_round_zero(problem, monkeypatch):
+def test_path2_runs_two_cg_solves_in_round_zero(problem, monkeypatch):
     # path:2: both agents miss one share in round 0; after one round both
     # are complete and solve by Bartels-Stewart, as the reference does
     a, d = problem
-    factors = _recording_splu(monkeypatch)
+    cg = _recording_cg(monkeypatch)
     solves = []
     rounds = []
     lyapunov, round_ = dist.solve_lyapunov, dist.synchronous_round
     monkeypatch.setattr(dist, "solve_lyapunov",
                         lambda *args: solves.append(1) or lyapunov(*args))
     monkeypatch.setattr(dist, "synchronous_round",
-                        lambda *args: rounds.append(len(factors)) or round_(*args))
+                        lambda *args: rounds.append(len(cg)) or round_(*args))
     res = dist.run_distributed(a, d, dist.CommGraph.path(2))
     assert res.rounds == 1
-    assert rounds == [2]            # both factorizations came before round 1
-    assert len(factors) == 2
+    assert rounds == [2]            # both CG solves came before round 1
+    assert len(cg) == 2
     assert len(solves) == 3         # the reference and the two complete agents
-    for lu in factors:
-        assert lu.shape == (a.size, a.size)
+    for iterations, cap in cg:
+        assert 0 < iterations <= cap
+
+
+# conjugate gradients against a sparse direct solve -------------------------
+
+def _assembled_system(shares, known, rhs):
+    """Test-only oracle: ``G`` and ``b`` of an agent that knows the shares
+    ``known``, assembled from sparse Kronecker sums:
+    ``G = I + sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m`` and
+    ``b = -Lambda_K^T D^v / m``."""
+    n = rhs.shape[0]
+    missing = len(shares) - len(known)
+    eye = sparse.identity(n, format="csr")
+    lams = []
+    for j in sorted(known):
+        s = sparse.csr_matrix(shares[j])
+        lams.append((sparse.kron(eye, s) + sparse.kron(s, eye)).tocsr())
+    lam_k = sum(lams)
+    g = (sparse.identity(n * n, format="csr")
+         + sum(lam.T @ lam for lam in lams) + (lam_k.T @ lam_k) / missing)
+    return g.tocsc(), -(lam_k.T @ rhs.reshape(-1, order="F")) / missing
+
+
+def _bundled(name):
+    network = scenario.load(name)
+    a = average_matrix(assemble_modes(network, net_model.uniform_schedule(network)))
+    return a, np.ones_like(a)       # x0 = ones
+
+
+@pytest.mark.parametrize("name", ["single_road", "four_intersections", "grid_3x3",
+                                  "grid_4x4"])
+@pytest.mark.parametrize("layout", [(2, 2), (3, 3)])
+def test_cg_matches_sparse_direct_solve(name, layout):
+    a, d = _bundled(name)
+    n = a.shape[0]
+    graph = dist.CommGraph.grid(*layout)
+    nu = graph.n_agents
+    shares = dist.partition_rows(a, dist.default_assignment(n, nu), nu)
+    agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
+    # round 0: every agent knows its own share
+    for agent in agents:
+        g, b = _assembled_system(shares, agent.blocks, d)
+        x = spsolve(g, b).reshape((n, n), order="F")
+        assert np.linalg.norm(agent.solution() - x) <= 1e-10 * np.linalg.norm(x)
+    # agent 0 misses only the last share.  The LU fill of that G costs
+    # seconds past n = 36; there the residual of the assembled G certifies
+    # the solve instead, as every eigenvalue of G is at least 1, so
+    # |x - x*| <= |G x - b|
+    agents[0].fold({j: agents[j].blocks[j] for j in range(nu - 1)})
+    g, b = _assembled_system(shares, agents[0].blocks, d)
+    x = agents[0].solution()
+    if n <= 36:
+        expected = spsolve(g, b).reshape((n, n), order="F")
+        assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+    else:
+        resid = g @ x.reshape(-1, order="F") - b
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_cg_solves_a_small_spd_system():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((12, 12))
+    g = np.eye(12) + m @ m.T
+    b = rng.standard_normal(12)
+    cond = np.linalg.cond(g)
+    x, iterations = dist._conjugate_gradients(lambda v: g @ v, b, dist._iteration_cap(cond))
+    assert np.linalg.norm(g @ x - b) <= dist.CG_TOL * np.linalg.norm(b)
+    assert 0 < iterations <= dist._iteration_cap(cond)
+    # a zero right-hand side takes no iteration
+    x, iterations = dist._conjugate_gradients(lambda v: g @ v, np.zeros(12), 5)
+    assert iterations == 0 and not x.any()
+
+
+def test_cg_true_residual_is_checked():
+    # the iterations see G = 2 I, the final check another matrix: the
+    # recursive residual says converged, the true one does not
+    calls = []
+
+    def drifting(v):
+        calls.append(1)
+        return 2.0 * v if len(calls) < 2 else 2.0 * v + 1e-6
+    with pytest.raises(SolveFailure, match="true relative residual"):
+        dist._conjugate_gradients(drifting, np.ones(5), 10)
+    assert len(calls) == 2
+
+
+def test_cg_cap_that_runs_out_is_a_solve_failure(problem, monkeypatch):
+    a, d = problem
+    monkeypatch.setattr(dist, "_iteration_cap", lambda cond: 1)
+    with pytest.raises(SolveFailure, match="after 1 iterations"):
+        dist.run_distributed(a, d, dist.CommGraph.path(2))
+
+
+def test_iteration_cap_follows_the_condition_bound():
+    # about 10 on the bundled scenarios (the module docstring), where the
+    # solves take at most 28 iterations
+    assert dist._iteration_cap(1.0) == 31
+    assert 60 <= dist._iteration_cap(10.12) <= 70
+    assert dist._iteration_cap(1e6) > 1000 * dist._iteration_cap(1.0) / 31
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,48 +590,43 @@ def test_random_layouts_match_centralized(n, n_agents, seed, data):
 
 # memory preflight -----------------------------------------------------------
 
-def _block_bytes(agent):
-    return sum(b.data.nbytes + b.indices.nbytes + b.indptr.nbytes
-               for b in agent.blocks.values())
+def _recording_cg(monkeypatch):
+    """Wrap ``dist._conjugate_gradients``; the list it returns gets
+    ``(iterations, cap)`` of every solve."""
+    solves = []
+    run = dist._conjugate_gradients
+
+    def recording(gram, b, cap):
+        x, iterations = run(gram, b, cap)
+        solves.append((iterations, cap))
+        return x, iterations
+
+    monkeypatch.setattr(dist, "_conjugate_gradients", recording)
+    return solves
 
 
-def _recording_splu(monkeypatch):
-    """Wrap ``dist.splu``; the list it returns gets every factor made."""
-    factors = []
-
-    def recording(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
-
-    monkeypatch.setattr(dist, "splu", recording)
-    return factors
-
-
-def test_planned_bytes_bounds_blocks_and_factors(problem, four_modes, monkeypatch):
-    """Held shares and estimates plus the largest LU factors an agent
-    makes, at every number of known shares, on a random 4-state and the
-    36-state network."""
-    from greensplit.dynamics import average_matrix
-    factors = _recording_splu(monkeypatch)
-    cases = [(a, d, graph)
-             for a, d in (problem, (average_matrix(four_modes), np.ones((36, 36))))
-             for graph in (dist.CommGraph.path(2), dist.CommGraph.grid(2, 2),
-                           dist.CommGraph.grid(3, 3))]
-    for a, d, graph in cases:
-        n, nu = a.shape[0], graph.n_agents
-        shares = dist.partition_rows(a, dist.default_assignment(n, nu), nu)
-        factors.clear()
-        agents = [dist.Agent(i, shares[i], d, nu) for i in range(nu)]
-        for k in range(1, nu + 1):
-            agents[0].fold({j: agents[j].blocks[j] for j in range(k)})
-            agents[0].w_hat
-        # every agent at one known share, then agent 0 at 2 .. nu - 1; the
-        # complete agent factors nothing
-        assert len(factors) == 2 * nu - 2
-        widest = max((lu.L.nnz + lu.U.nnz for lu in factors), default=0)
-        held = (sum(agent.w_hat.nbytes + agent.share.nbytes for agent in agents)
-                + _block_bytes(agents[0]))
-        assert held + 12 * widest < dist.planned_bytes(a, nu)
+@pytest.mark.parametrize("name, graph", [
+    pytest.param("four_intersections", dist.CommGraph.path(2), id="four_intersections-path2"),
+    pytest.param("grid_3x3", dist.CommGraph.grid(2, 2), id="grid_3x3-2x2"),
+    pytest.param("grid_3x3", dist.CommGraph.grid(3, 3), id="grid_3x3-3x3"),
+])
+def test_planned_bytes_bounds_the_traced_peak(name, graph):
+    """Estimates, row blocks and one agent's solve, against what a run
+    traces at its peak."""
+    import tracemalloc
+    a, d = _bundled(name)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dist.run_distributed(a, d, graph)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= dist.planned_bytes(a, graph.n_agents)
 
 
 def test_memory_preflight_refuses_before_building(monkeypatch):

@@ -1,16 +1,20 @@
 """Lyapunov solves, shifted solves, and the congestion cost."""
 
+import heapq
 import warnings
 
 import numpy as np
 import pytest
-from scipy import linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg, sparse
+from scipy.sparse import csgraph
 
 from greensplit import dynamics, net_model
 from greensplit.errors import (DimensionError, EigenFailure, SolveFailure, UnstableMatrix,
                                ValidationError)
-from greensplit.lyapunov import (BASE, ShiftedLyapunov, _block_order, congestion_cost,
-                                 gramian, solve_lyapunov, spectral_abscissa)
+from greensplit.lyapunov import (BASE, ShiftedLyapunov, _block_order, _strong_components,
+                                 congestion_cost, gramian, solve_lyapunov, spectral_abscissa)
 from greensplit.scenario import load
 from greensplit.ssa import smoothed_abscissa
 
@@ -396,6 +400,81 @@ def test_block_order_follows_each_pattern():
         np.testing.assert_array_equal(perm, expected)
         assert blocks == ()
         check_factorization(a)
+
+
+def _csgraph_block_order(mask):
+    """Test-only oracle: the ordering of :func:`_block_order`, with the
+    components from ``csgraph.connected_components``."""
+    n = mask.shape[0]
+    graph = sparse.csr_matrix(mask.astype(np.uint8))
+    count, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    rows, cols = graph.nonzero()
+    tail, head = labels[rows], labels[cols]
+    between = tail != head
+    successors = [set() for _ in range(count)]
+    blockers = [0] * count
+    for i, j in set(zip(tail[between].tolist(), head[between].tolist())):
+        successors[i].add(j)
+        blockers[j] += 1
+    members = [np.flatnonzero(labels == c) for c in range(count)]
+    ready = [(members[c][0], c) for c in range(count) if blockers[c] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, c = heapq.heappop(ready)
+        order.append(c)
+        for j in successors[c]:
+            blockers[j] -= 1
+            if blockers[j] == 0:
+                heapq.heappush(ready, (members[j][0], j))
+    perm = np.concatenate([members[c] for c in order]) if n else np.zeros(0, dtype=int)
+    sizes = [members[c].shape[0] for c in order]
+    ends = np.cumsum(sizes).tolist()
+    return perm, tuple((e - k, e) for e, k in zip(ends, sizes) if k > 1)
+
+
+def _same_partition(labels, other):
+    """Whether two labellings group the nodes alike."""
+    pairs = set(zip(labels.tolist(), other.tolist()))
+    return len(pairs) == len(set(labels.tolist())) == len(set(other.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2 ** 31 - 1))
+def test_strong_components_and_block_order_match_csgraph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    rows, cols = np.nonzero(mask)
+    count, labels = _strong_components(n, rows, cols)
+    expected_count, expected = csgraph.connected_components(
+        sparse.csr_matrix(mask.astype(np.uint8)), directed=True, connection="strong")
+    assert count == expected_count
+    assert _same_partition(labels, expected)
+    perm, blocks = _block_order(np.packbits(mask).tobytes(), n)
+    expected_perm, expected_blocks = _csgraph_block_order(mask)
+    np.testing.assert_array_equal(perm, expected_perm)
+    assert blocks == expected_blocks
+
+
+@pytest.mark.parametrize("name", ["single_road", "four_intersections", "grid_3x3", "grid_4x4"])
+def test_block_order_of_bundled_scenarios_matches_csgraph(name):
+    # the uniform split, and phases 1 and 3 at weight 0 where there are four
+    patterns = [averaged(name)]
+    if name != "single_road":
+        patterns.append(averaged(name, zero_phases=(1, 3)))
+    for a in patterns:
+        mask = a != 0
+        perm, blocks = _block_order(np.packbits(mask).tobytes(), a.shape[0])
+        expected_perm, expected_blocks = _csgraph_block_order(mask)
+        np.testing.assert_array_equal(perm, expected_perm)
+        assert blocks == expected_blocks
+
+
+def test_strong_components_of_a_long_cycle_need_no_recursion():
+    # one cycle through 5000 nodes, deeper than Python's recursion limit
+    n = 5000
+    count, labels = _strong_components(n, np.arange(n), (np.arange(n) + 1) % n)
+    assert count == 1 and not labels.any()
 
 
 @pytest.mark.parametrize("entry", [(0, 0, np.nan), (0, 1, np.inf), (2, 1, -np.inf)])

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from greensplit import net_model, scenario
 from greensplit.errors import ValidationError
@@ -159,6 +162,38 @@ def test_unreachable_road_rejected():
         with pytest.raises(ValidationError, match="no path") as info:
             net_model.build_network(doc)
         assert stranded in str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_destination_reachability_matches_csgraph(k, data):
+    # roads r0..r{k-1} behind one intersection, r0 a source and some of the
+    # others destinations; random movements leave the non-destinations
+    roads = [f"r{i}" for i in range(k)]
+    ends = data.draw(st.sets(st.integers(1, k - 1), min_size=1))
+    starts = [i for i in range(k) if i not in ends]
+    pairs = [(i, j) for i in starts for j in range(k) if i != j]
+    moves = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    doc = minimal_doc(
+        enforce_turn_conservation=False,
+        roads=[_road(r, source=True, inflow=0.01) if i == 0 else
+               _road(r, destination=True, exit_rate=1.0) if i in ends else _road(r)
+               for i, r in enumerate(roads)],
+        movements=[_move("x", roads[i], roads[j]) for i, j in moves],
+        intersections=[{"id": "x", "phases": [[f"{roads[i]} -> {roads[j]}"]
+                                              for i, j in moves]}],
+    )
+    feeds = np.zeros((k, k))
+    for i, j in moves:
+        feeds[j, i] = 1.0
+    hops = csgraph.shortest_path(feeds, unweighted=True, indices=sorted(ends))
+    stranded = [roads[i] for i in range(k) if not np.isfinite(hops[:, i]).any()]
+    if stranded:
+        with pytest.raises(ValidationError, match="no path") as info:
+            net_model.build_network(doc)
+        assert str(sorted(stranded)) in str(info.value)
+    else:
+        assert net_model.build_network(doc).n_roads == k
 
 
 def test_multi_hop_chain_reaches_destination():

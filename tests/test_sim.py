@@ -505,7 +505,8 @@ def test_cycle_events_and_planned_samples(three_segment_net, four_schedule, cycl
         assert grid.shape[0] <= sim._planned_samples(three_segment_net, schedule, horizon, dt)
 
 
-@pytest.mark.parametrize("horizon, dt", [(1e15, 1.0), (1000.0, 1e-12), (1e300, 1e-300)])
+@pytest.mark.parametrize("horizon, dt", [(1e15, 1.0), (1000.0, 1e-12), (1e300, 1e-300),
+                                         (100.0, 1e-307)])
 def test_oversized_run_is_refused_before_building(single, horizon, dt):
     network, schedule = single
     with pytest.raises(ValidationError, match="physical memory"):
@@ -514,3 +515,65 @@ def test_oversized_run_is_refused_before_building(single, horizon, dt):
         sim.simulate_average(network, schedule, np.ones(network.n), horizon, dt)
     with pytest.raises(ValidationError, match="physical memory"):
         sim.averaging_error(network, schedule, np.ones(network.n), horizon, dt)
+
+
+def _traced_peak(run):
+    """Bytes a call traces at its peak, above what was traced before it."""
+    import tracemalloc
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, horizon, dt", [
+    ("grid_3x3", 300.0, 1.0), ("grid_3x3", 3000.0, 1.0),
+    ("grid_3x3", 300.0, 0.7),
+    ("grid_4x4", 300.0, 1.0), ("grid_4x4", 3000.0, 1.0),
+])
+def test_planned_bytes_cover_the_traced_peak(name, horizon, dt):
+    # the plan counts the mode matrices, the table's exponentials and the
+    # run powers; counting only the samples planned 1.8 MB for the switched
+    # run of grid_4x4 at 300 s, which traced 9.9 MB.  The sweep's table
+    # keeps every cycle time's exponentials, so each cycle's plan adds
+    # those of the cycles before it, as the CLI's check does.
+    network = scenario.load(name)
+    schedule = net_model.uniform_schedule(network)
+    x0 = np.ones(network.n)
+    plan = sim._planned_bytes(network, schedule, horizon, dt)[1]
+    for run in (sim.simulate_switching, sim.simulate_average):
+        assert _traced_peak(lambda: run(network, schedule, x0, horizon, dt)) <= plan
+    schedules = [net_model.uniform_schedule(network, cycle_time=c)
+                 for c in (30.0, 60.0, 100.0, 120.0)]
+    kept = plan = 0.0
+    for schedule in schedules:
+        _, held, table = sim._planned_bytes(network, schedule, horizon, dt, trajectories=2)
+        plan = max(plan, held + kept)
+        kept += table
+
+    def sweep():
+        table = sim.ExponentialTable()
+        for schedule in schedules:
+            sim.averaging_error(network, schedule, x0, horizon, dt, table=table).error_percent
+    assert _traced_peak(sweep) <= plan
+
+
+def test_planned_bytes_count_inflow_events_off_the_grid(three_segment_net):
+    # inflow segments of 20, 25 and 15 s repeat every 60 s; at dt 0.7 their
+    # ends fall off the uniform samples and each gets its own exponentials
+    schedule = net_model.uniform_schedule(three_segment_net)
+    x0 = np.ones(three_segment_net.n)
+    for dt in (1.0, 0.7):
+        plan = sim._planned_bytes(three_segment_net, schedule, 3000.0, dt)[1]
+        peak = _traced_peak(lambda: sim.simulate_switching(three_segment_net, schedule,
+                                                           x0, 3000.0, dt))
+        assert peak <= plan
+    assert sim._off_grid(three_segment_net, schedule, 3000.0, 1.0) == 0.0
+    assert sim._off_grid(three_segment_net, schedule, 3000.0, 0.7) > 0.0
