@@ -20,8 +20,10 @@ kernel of dimension ``m n^2`` with ``m = nu - k``.  Its estimate
 pairwise projections of that method land.  The point is found in closed
 form.  The known shares are ``D_j = -Lambda_j X^v``; the ``m`` missing
 ones are free but for their sum ``D + Lambda_K X^v``, with
-``Lambda_K = sum_K Lambda_j``, so at the minimum they are equal.  What is
-left is one symmetric positive definite ``n^2 x n^2`` system
+``Lambda_K = sum_K Lambda_j``, so at the minimum they are equal.  All of
+``w_hat`` thus follows from ``X`` and the known row blocks, and an agent
+stores only those two: the shares and ``w_hat`` are derived when read.
+What is left is one symmetric positive definite ``n^2 x n^2`` system
 
     G X^v = -Lambda_K^T D^v / m,
     G = I + sum_K Lambda_j^T Lambda_j + Lambda_K^T Lambda_K / m,
@@ -233,33 +235,27 @@ def default_assignment(n: int, n_agents: int) -> np.ndarray:
 
 
 class Agent:
-    """One participant: the row shares it knows and the minimum-norm point
-    of their constraints."""
+    """One participant.  Its state is the row blocks of the shares it knows
+    and the ``X`` of the minimum-norm point of their constraints, solved on
+    first read and cleared by a fold that brings a new share.  The share
+    estimates ``D_j`` and the stacked ``w_hat`` are derived from the two
+    when read."""
 
     def __init__(self, agent_id: int, share: np.ndarray, rhs: np.ndarray,
                  n_agents: int):
         self.id = agent_id
-        n = share.shape[0]
-        self.n = n
+        self.n = share.shape[0]
         self.n_agents = n_agents
-        self.share = share
         self.rhs = rhs
         rows = np.flatnonzero(share.any(axis=1))
         #: row block ``(rows_j, R_j)``, with ``R_j = A[rows_j]``, of every
         #: agent ``j`` this agent has heard of
         self.blocks = {agent_id: (rows, share[rows])}
-        self._w_hat = None
+        self._x = None
 
         gap = self.local_residual()
         if gap > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            raise InconsistentLocal(
-                f"agent {agent_id}: local system residual {gap:.3e}"
-            )
-
-    def _rows(self, agent: int) -> slice:
-        """Entries of ``w`` that hold ``D_agent``."""
-        nn = self.n * self.n
-        return slice((1 + agent) * nn, (2 + agent) * nn)
+            raise InconsistentLocal(f"agent {agent_id}: local system residual {gap:.3e}")
 
     @property
     def kernel_dim(self) -> int:
@@ -291,16 +287,11 @@ class Agent:
             return x + half + half.T
         return gram
 
-    @property
-    def w_hat(self) -> np.ndarray:
-        """Minimum-norm point of the known constraints, solved on first read.
-
-        The known shares are ``D_j = -(S_j X + X S_j^T)``; the missing ones
-        share what is left of ``D`` equally.  Once every share is known,
-        ``X`` solves the Lyapunov equation of ``A = sum_j S_j``.
-        """
-        if self._w_hat is None:
-            n = self.n
+    def solution(self) -> np.ndarray:
+        """``X`` of the minimum-norm point of the known constraints, solved
+        on first read.  Once every share is known it solves the Lyapunov
+        equation of ``A = sum_j S_j``."""
+        if self._x is None:
             missing = self.n_agents - len(self.blocks)
             known = sorted(self.blocks.items())
             rows = np.concatenate([rows_j for _, (rows_j, _) in known])
@@ -320,51 +311,66 @@ class Agent:
                 x, _ = _conjugate_gradients(self._gram(rows, block, owner, missing),
                                             b, _iteration_cap(cond))
             else:
-                a = np.zeros((n, n))
+                a = np.zeros((self.n, self.n))
                 a[rows] = block
                 x = solve_lyapunov(a, self.rhs)
-            shares = {}
-            for j, (rows_j, r_j) in known:
-                m = r_j @ x
-                share = np.zeros((n, n))
-                share[rows_j] -= m
-                share[:, rows_j] -= m.T
-                shares[j] = share
-            rest = (self.rhs - sum(shares.values())) / missing if missing else None
-            self._w_hat = np.concatenate(
-                [x.reshape(-1, order="F")]
-                + [shares.get(j, rest).reshape(-1, order="F")
-                   for j in range(self.n_agents)])
-        return self._w_hat
+            self._x = np.asfortranarray(x)
+        return self._x
+
+    def _lambda(self, agents) -> np.ndarray:
+        """``sum_j (S_j X + X S_j^T)`` over known ``agents`` ``j``: ``P + P^T``
+        with the rows ``R_j X`` of ``P`` in ``rows_j``."""
+        x = self.solution()
+        p = np.zeros((self.n, self.n))
+        for j in agents:
+            rows, block = self.blocks[j]
+            p[rows] = block @ x
+        return p + p.T
+
+    def share(self, j: int) -> np.ndarray:
+        """Current estimate of ``D_j``: ``-(S_j X + X S_j^T)`` for a known
+        share, and for a missing one an equal part of what the known ones
+        leave of ``D``."""
+        if j in self.blocks:
+            return -self._lambda([j])
+        return (self.rhs + self._lambda(self.blocks)) / (self.n_agents - len(self.blocks))
+
+    def own_share(self) -> np.ndarray:
+        """Current estimate of this agent's right-hand-side share."""
+        return self.share(self.id)
+
+    @property
+    def w_hat(self) -> np.ndarray:
+        """The stacked estimate ``[X, D_1, ..., D_nu]``, each block
+        vectorized column by column, assembled on every read."""
+        missing = [j for j in range(self.n_agents) if j not in self.blocks]
+        rest = self.share(missing[0]) if missing else None
+        blocks = [self.solution()] + [self.share(j) if j in self.blocks else rest
+                                      for j in range(self.n_agents)]
+        return np.concatenate([block.reshape(-1, order="F") for block in blocks])
 
     def local_residual(self) -> float:
-        """Residual of ``S_i X + X S_i^T + D_i = 0`` and ``sum(D_j) = D``."""
-        x = self.solution()
-        own = self.share @ x + x @ self.share.T + self.own_share()
-        nn = self.n * self.n
-        total = self.w_hat[nn:].reshape(self.n_agents, nn).sum(axis=0)
-        balance = total.reshape((self.n, self.n), order="F") - self.rhs
+        """Residual of ``S_i X + X S_i^T + D_i = 0`` and of the balance
+        ``sum(D_j) = D``; for a complete agent the balance is the residual
+        of the Lyapunov equation."""
+        own = self._lambda([self.id]) + self.own_share()
+        total = -self._lambda(self.blocks)      # the known D_j
+        missing = self.n_agents - len(self.blocks)
+        if missing:
+            total += missing * ((self.rhs - total) / missing)
+        balance = total - self.rhs
         return float(np.hypot(np.linalg.norm(own), np.linalg.norm(balance)))
 
     def fold(self, blocks: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
         """Take the union with one neighbor's known row blocks.
 
-        The estimate is solved again on its next read, and only when the
-        neighbor knew a share this agent did not.  ``blocks`` is rebound,
-        never written in place, so a message may share it with its sender.
+        ``X`` is solved again on its next read, and only when the neighbor
+        knew a share this agent did not.  ``blocks`` is rebound, never
+        written in place, so a message may share it with its sender.
         """
         if not blocks.keys() <= self.blocks.keys():
             self.blocks = {**self.blocks, **blocks}
-            self._w_hat = None
-
-    def solution(self) -> np.ndarray:
-        """Current estimate of the Lyapunov solution block."""
-        nn = self.n * self.n
-        return self.w_hat[:nn].reshape((self.n, self.n), order="F")
-
-    def own_share(self) -> np.ndarray:
-        """Current estimate of this agent's right-hand-side share."""
-        return self.w_hat[self._rows(self.id)].reshape((self.n, self.n), order="F")
+            self._x = None
 
 
 def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
@@ -385,20 +391,18 @@ def planned_bytes(a: np.ndarray, n_agents: int) -> int:
     """Memory a distributed solve of ``a`` holds at its peak, from the
     sizes of ``a`` alone.
 
-    Held throughout are every agent's estimate, ``(nu+1) n^2`` doubles,
-    the dense row shares, ``n^2`` doubles each, and the row blocks that
-    the agents pass around, one copy of each, ``n^2`` doubles in all.
-    Agents solve one at a time.  One solve holds the agent's known shares
-    and its estimate being assembled, ``2 nu + 2`` arrays of ``n^2``
-    doubles, and the stacked known rows with the conjugate-gradient
-    vectors and the temporaries of one product with ``G``, or the arrays
-    of a complete agent's Bartels-Stewart solve; 24 arrays of ``n^2``
-    doubles cover either.
+    Held throughout are every agent's ``X``, ``n^2`` doubles, and the row
+    blocks that the agents pass around, one copy of each, ``n^2`` doubles
+    in all, with the centralized reference solution.  While the agents are
+    built, the dense row shares add ``n^2`` doubles per agent, and at the
+    end so do the shares in the result.  Agents solve one at a time: the
+    stacked known rows with the conjugate-gradient vectors and the
+    temporaries of one product with ``G``, or the arrays of a complete
+    agent's Bartels-Stewart solve; 24 arrays of ``n^2`` doubles cover
+    either.  The plan is ``8 n^2 (2 nu + 26)`` bytes.
     """
     n = np.shape(a)[0]
-    held = n_agents * (n_agents + 1) + n_agents + 1
-    solve = 2 * n_agents + 2 + 24
-    return 8 * n * n * (held + solve)
+    return 8 * n * n * (2 * n_agents + 26)
 
 
 @dataclass
@@ -459,12 +463,12 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
             f"{planned / 2**30:.1f} GiB, over half of the "
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
-    shares = partition_rows(a, assignment, nu)
-
     reference = solve_lyapunov(a, d)
     ref_norm = np.linalg.norm(reference)
 
-    agents = [Agent(i, shares[i], d, nu) for i in range(nu)]
+    # the dense shares live only while the agents are built
+    agents = [Agent(i, share, d, nu)
+              for i, share in enumerate(partition_rows(a, assignment, nu))]
 
     def snapshot_errors() -> np.ndarray:
         return np.array([
@@ -487,25 +491,19 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
         kernel_dims.append(np.array([agent.kernel_dim for agent in agents]))
         converged = bool(np.all(errors[-1] <= tol))
 
+    solutions = [agent.solution() for agent in agents]
     result = DistributedResult(
-        solutions=[agent.solution() for agent in agents],
+        solutions=solutions,
         shares=[agent.own_share() for agent in agents],
         rounds=rounds,
         converged=converged,
         errors=np.vstack(errors),
         kernel_dims=np.vstack(kernel_dims),
         reference=reference,
-        symmetry_gaps=[
-            float(np.linalg.norm(agent.solution() - agent.solution().T)
-                  / max(np.linalg.norm(agent.solution()), 1e-300))
-            for agent in agents
-        ],
+        symmetry_gaps=[float(np.linalg.norm(x - x.T) / max(np.linalg.norm(x), 1e-300))
+                       for x in solutions],
     )
     if not converged:
-        worst = ", ".join(
-            f"agent {i}: {e:.2e}" for i, e in enumerate(result.errors[-1])
-        )
-        raise NotConverged(
-            f"agents disagree after {rounds} rounds ({worst})"
-        )
+        worst = ", ".join(f"agent {i}: {e:.2e}" for i, e in enumerate(result.errors[-1]))
+        raise NotConverged(f"agents disagree after {rounds} rounds ({worst})")
     return result

@@ -268,20 +268,54 @@ def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
                                     for period, marks in _event_families(network, schedule))
 
 
+def _inflow_vectors(network: NetworkSpec, families: list[tuple[float, list[float]]],
+                    horizon: float) -> float:
+    """Upper bound on the distinct inflow vectors of a run: the product of
+    the profiles' lengths, and one more than the inflow events."""
+    return min(math.prod(len(p) for p in network.inflows.values()),
+               1.0 + sum((horizon / period + 3.0) * len(marks)
+                         for period, marks in families[1:]))
+
+
 def _off_grid(network: NetworkSpec, schedule: Schedule, horizon: float,
               dt: float) -> float:
-    """Upper bound on the events of a run that lie off the uniform samples.
+    """Upper bound on the keys of the steps that start or end at an event
+    off the uniform samples.
 
     The instant ``c period + mark`` is within ``|mark - k dt| + c |period -
     k' dt|`` of a sample for the nearest ``k`` and ``k'``; it counts as on
-    the sample when that is at most a quarter of the grid's tolerance.
+    the sample when that is at most a quarter of the grid's tolerance.  An
+    event off the samples ends one step and starts another, two keys.
+
+    When a family's period is a whole number of ``dt`` steps, within that
+    quarter over the run, each of its marks falls at the same place
+    between two samples in every period, and :func:`_step_lengths` merges
+    the lengths of its steps into at most two groups each.  Such a mark
+    counts once: the step that ends at it starts at a fixed point or at a
+    mark of another such family, and the step after it ends at the next
+    sample or is counted at the mark where it ends.  Each step is under
+    one mode for the cycle's own switches, and under any mode for a mark
+    of an inflow family whose period is not a multiple of the cycle's;
+    either can meet any inflow vector.
     """
     tol = 0.25 * _grid_tol(horizon)
+    families = _event_families(network, schedule)
+    inflows = _inflow_vectors(network, families, horizon)
     count = 0.0
-    for period, marks in _event_families(network, schedule):
+    fixed = []
+    for index, (period, marks) in enumerate(families):
         cycles = horizon / period + 3.0
         drift = cycles * abs(math.remainder(period, dt))
-        count += cycles * sum(1 for m in marks if abs(math.remainder(m, dt)) + drift > tol)
+        off = sum(1 for m in marks if abs(math.remainder(m, dt)) + drift > tol)
+        if drift > tol:
+            count += 2.0 * cycles * off
+        else:
+            once = index == 0 or abs(math.remainder(period, schedule.cycle_time)) <= tol
+            fixed.append((cycles, off, 1 if once else schedule.n_modes))
+    others = sum(off for _, off, _ in fixed)
+    for cycles, off, modes in fixed:
+        count += min(2.0 * cycles * off,
+                     2.0 * off * (2 + others - off) * modes * inflows)
     return count
 
 
@@ -303,21 +337,18 @@ def _planned_bytes(network: NetworkSpec, schedule: Schedule, horizon: float,
     (mode, inflow, step length) of a run.  Steps of length ``dt`` take at
     most two lengths per mode and inflow vector, as lengths that agree
     within the grid's tolerance can still fall into two groups; every other
-    step ends at the horizon or at an event off the uniform samples
-    (:func:`_off_grid`), which ends two steps.  :func:`_propagate` raises
-    an exponential to a power only when its runs save ``n`` steps, so it
-    keeps at most ``steps / n`` powers, and one ``expm`` or power works in
-    about ten more arrays of that size.
+    step ends at the horizon or starts or ends at an event off the uniform
+    samples (:func:`_off_grid`).  :func:`_propagate` raises an exponential
+    to a power only when its runs save ``n`` steps, so it keeps at most
+    ``steps / n`` powers, and one ``expm`` or power works in about ten
+    more arrays of that size.
     """
     n = network.n
     samples = _planned_samples(network, schedule, horizon, dt)
     steps = trajectories * samples
-    families = _event_families(network, schedule)
-    inflows = min(math.prod(len(p) for p in network.inflows.values()),
-                  1.0 + sum((horizon / period + 3.0) * len(marks)
-                            for period, marks in families[1:]))
+    inflows = _inflow_vectors(network, _event_families(network, schedule), horizon)
     keys = min(steps, 2.0 * (schedule.n_modes * inflows + trajectories - 1)
-               + trajectories * (2.0 * _off_grid(network, schedule, horizon, dt) + 1.0))
+               + trajectories * (_off_grid(network, schedule, horizon, dt) + 1.0))
     square = (n + 1) ** 2
     table = 8.0 * keys * square
     held = 8.0 * (steps * (3 * n + 16) + (schedule.n_modes + 3) * n * n

@@ -620,11 +620,11 @@ def test_distributed_negative_round_budget_is_one_validation_line(tmp_path, roun
 
 
 def test_distributed_memory_preflight_is_one_validation_line(tmp_path):
-    # grid_4x4 has 240 cells; 30x30 agents would each keep a 415 MB
-    # estimate, 374 GB in all
+    # grid_4x4 has 240 cells; 200x200 agents would keep 40,000 X of
+    # 461 kB each, and the plan comes to 34 GiB
     out = tmp_path / "rounds.csv"
     start = time.perf_counter()
-    result = CliRunner().invoke(cli.main, ["distributed", "grid_4x4", "--agents", "30x30",
+    result = CliRunner().invoke(cli.main, ["distributed", "grid_4x4", "--agents", "200x200",
                                            "--out", str(out)])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 2

@@ -260,6 +260,23 @@ def test_agent_local_residual_is_tiny(problem):
     assert agent.kernel_dim > 0
 
 
+def test_agent_stores_only_its_blocks_and_x(problem):
+    # the shares and w_hat are derived from X and the row blocks when read
+    a, d = problem
+    shares = dist.partition_rows(a, dist.default_assignment(4, 3), 3)
+    agent = dist.Agent(0, shares[0], d, 3)
+
+    def arrays():
+        return [v for v in vars(agent).values() if isinstance(v, np.ndarray) and v is not d]
+    x = agent.solution()
+    assert len(arrays()) == 1 and arrays()[0] is x
+    assert agent.w_hat.shape == (4 * a.size,)
+    np.testing.assert_array_equal(agent.own_share(), agent.share(0))
+    # a fold that brings a new share clears X
+    agent.fold({1: dist.Agent(1, shares[1], d, 3).blocks[1]})
+    assert arrays() == []
+
+
 def test_interior_agents_finish_first(problem):
     a, d = problem
     res = dist.run_distributed(a, d, dist.CommGraph.grid(3, 3))
@@ -411,10 +428,10 @@ def test_fold_intersects_affine_sets(problem, n_agents, owners):
     assert np.linalg.norm(kernel.T @ mine.w_hat) < 1e-10
     np.testing.assert_allclose(
         mine.w_hat, np.linalg.lstsq(h, z, rcond=None)[0], rtol=0, atol=1e-10)
-    # a fold that brings nothing new keeps the estimate
-    before = mine.w_hat
+    # a fold that brings nothing new keeps the solved X
+    before = mine.solution()
     mine.fold(theirs.blocks)
-    assert mine.w_hat is before
+    assert mine.solution() is before
 
 
 @pytest.mark.parametrize("graph, owners, scale", ROUND_LAYOUTS)
@@ -609,10 +626,13 @@ def _recording_cg(monkeypatch):
     pytest.param("four_intersections", dist.CommGraph.path(2), id="four_intersections-path2"),
     pytest.param("grid_3x3", dist.CommGraph.grid(2, 2), id="grid_3x3-2x2"),
     pytest.param("grid_3x3", dist.CommGraph.grid(3, 3), id="grid_3x3-3x3"),
+    pytest.param("grid_3x3", dist.CommGraph.grid(6, 6), id="grid_3x3-6x6"),
 ])
 def test_planned_bytes_bounds_the_traced_peak(name, graph):
-    """Estimates, row blocks and one agent's solve, against what a run
-    traces at its peak."""
+    """Every agent's ``X``, the shares, the row blocks and one agent's
+    solve, against what a run traces at its peak: the plan covers the
+    peak and stays within four times it, so the refusal tracks what the
+    solver holds."""
     import tracemalloc
     a, d = _bundled(name)
     tracing = tracemalloc.is_tracing()
@@ -626,22 +646,28 @@ def test_planned_bytes_bounds_the_traced_peak(name, graph):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= dist.planned_bytes(a, graph.n_agents)
+    assert peak <= dist.planned_bytes(a, graph.n_agents) <= 4 * peak
+    if graph.n_agents == 36:
+        # agents that stored the stacked [X, D_1, ..., D_36] peaked at 240 MB
+        assert peak < 40e6
 
 
 def test_memory_preflight_refuses_before_building(monkeypatch):
-    # 400 agents on 500 states: the estimates alone, 400 x 401 x 500^2
-    # doubles, take 320 GB
-    n, graph = 500, dist.CommGraph.grid(20, 20)
+    # 400 agents on 20,000 states: their X alone, 400 x 20000^2 doubles,
+    # take 1.3 TB.  The preflight reads only the shapes, so the inputs are
+    # zero-stride views, and nothing may be solved or built before it
+    n, graph = 20_000, dist.CommGraph.grid(20, 20)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    assert 8 * 400 * 401 * n**2 > physical / 2
-    assert dist.planned_bytes(-np.eye(n), graph.n_agents) > 8 * 400 * 401 * n**2
+    assert 8 * 400 * n**2 > physical / 2
+    a, d = np.broadcast_to(-1.0, (n, n)), np.broadcast_to(1.0, (n, n))
+    assert dist.planned_bytes(a, graph.n_agents) > 8 * 400 * n**2
 
-    def no_agent(*args, **kwargs):
-        raise AssertionError("an agent was built")
+    def refused(*args, **kwargs):
+        raise AssertionError("an agent was built or a system solved")
 
-    monkeypatch.setattr(dist, "Agent", no_agent)
+    monkeypatch.setattr(dist, "Agent", refused)
+    monkeypatch.setattr(dist, "solve_lyapunov", refused)
     start = time.perf_counter()
     with pytest.raises(ValidationError, match="physical memory"):
-        dist.run_distributed(-np.eye(n), np.eye(n), graph)
+        dist.run_distributed(a, d, graph)
     assert time.perf_counter() - start < 1.0

@@ -577,3 +577,59 @@ def test_planned_bytes_count_inflow_events_off_the_grid(three_segment_net):
         assert peak <= plan
     assert sim._off_grid(three_segment_net, schedule, 3000.0, 1.0) == 0.0
     assert sim._off_grid(three_segment_net, schedule, 3000.0, 0.7) > 0.0
+
+
+@pytest.mark.parametrize("cycle, horizon", [(30.0, 1200.0), (37.0, 3000.0)])
+def test_off_grid_switches_of_a_whole_step_cycle_count_once(cycle, horizon):
+    # T=30 switches at 7.5 and 22.5 s, T=37 at 9.25, 18.5 and 27.75 s: off
+    # the samples at dt 1, each at one place between two samples in every
+    # cycle.  Counting every cycle's events planned 84.1 and 238.6 MB of
+    # exponentials for tables that end with 3.7 and 4.6 MB.
+    network = scenario.load("grid_4x4")
+    schedule = net_model.uniform_schedule(network, cycle_time=cycle)
+    _, plan, share = sim._planned_bytes(network, schedule, horizon, 1.0)
+    table = sim.ExponentialTable()
+    peak = _traced_peak(lambda: sim.simulate_switching(network, schedule, np.ones(network.n),
+                                                       horizon, 1.0, table=table))
+    real = sum(e.nbytes for e in table._entries.values())
+    assert peak <= plan
+    assert real <= share <= 4 * real
+
+
+TWO_PHASES = """\
+schema_version: 1
+name: two-phases
+h: 100.0
+cycle_time: PERIOD
+roads:
+  - {id: a, length: 100.0, free_flow_speed: 10.0, source: true, inflow: INFLOW}
+  - {id: c, length: 100.0, free_flow_speed: 10.0, source: true, inflow: 0.2}
+  - {id: b, length: 100.0, free_flow_speed: 10.0, destination: true, exit_rate: 1.0}
+movements:
+  - {intersection: x, from: a, to: b, routing_ratio: 1.0, saturation_speed: 0.05}
+  - {intersection: x, from: c, to: b, routing_ratio: 1.0, saturation_speed: 0.05}
+intersections:
+  - id: x
+    phases:
+      - [a -> b]
+      - [c -> b]
+"""
+
+
+@pytest.mark.parametrize("period, inflow", [
+    ("13.0", "[[7.5, 0.1], [5.5, 0.0]]"),
+    ("7.0", "[[3.25, 0.2], [0.5, 0.0], [3.25, 0.1]]"),
+])
+@pytest.mark.parametrize("cycle", [60.0, 37.0, 13.0])
+@pytest.mark.parametrize("dt", [1.0, 0.7])
+def test_planned_table_covers_every_key(tmp_path, period, inflow, cycle, dt):
+    # inflow marks whose period is not the cycle's fall under either phase,
+    # and off-grid marks of two families can share a step between samples
+    path = tmp_path / "two.yaml"
+    path.write_text(TWO_PHASES.replace("PERIOD", period).replace("INFLOW", inflow))
+    network = scenario.load(path)
+    schedule = net_model.uniform_schedule(network, cycle_time=cycle)
+    table = sim.ExponentialTable()
+    sim.simulate_switching(network, schedule, np.ones(network.n), 600.0, dt, table=table)
+    keys = sim._planned_bytes(network, schedule, 600.0, dt)[2] / (8 * (network.n + 1) ** 2)
+    assert len(table._entries) <= keys
