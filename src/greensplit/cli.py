@@ -274,7 +274,9 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
 @click.argument("scenario_ref")
 @click.option("--x0", default="ones", show_default=True)
 @click.option("--xi", type=float, default=0.05, show_default=True,
-              help="Weight increment relative to the starting weight.")
+              help="First weight increment relative to the starting weight; it "
+                   "doubles after each achieved weight until one fails, then "
+                   "halves after each failure.")
 @click.option("--starts", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,

@@ -4,8 +4,14 @@ The cost ``J(d) = trace(C W(A(d)) C^T)`` is attacked through its reciprocal:
 a smoothing weight ``eps_bar`` is feasible when the smoothed abscissa at
 that weight can be driven to zero over the duration simplex, which happens
 exactly when some split achieves ``J(d) <= 1 / eps_bar``.  The outer loop
-pushes ``eps_bar`` upward in shrinking increments; the inner loop is a
-projected descent on the smoothed abscissa at fixed weight.
+pushes ``eps_bar`` upward: the increment doubles after each achieved weight
+until the first weight that cannot be achieved, and from then on is halved
+after each such weight, so every weight tried lies on the dyadic grid of the
+first increment.  The inner loop is a projected descent on the smoothed
+abscissa at fixed weight.  A new weight starts from the certified root of
+the outer iterate: its first step moves that root's value along
+``d(alpha_s)/d(epsilon)`` and takes the gradient from its ``P`` and ``Q``,
+with no new root search.
 
 The inner step follows the projected gradient of ``alpha_s * d(alpha_s)``
 (the signed scaling keeps zero an attractor from both sides) and is the
@@ -75,11 +81,14 @@ def project_tangent(grad: np.ndarray, durations: np.ndarray) -> np.ndarray:
 @dataclass
 class InnerResult:
     durations: np.ndarray
-    result: SmoothedAbscissa    # the root search at the last iterate
+    # the certified root the next weight starts from: the achieved root at
+    # ``durations``, or else a root at the start of the descent
+    anchor: SmoothedAbscissa
     # "achieved": |alpha_s| reached its tolerance; "stationary": the projected
     # direction vanished, or a step raised |alpha_s|; "budget": MAX_INNER ran out
     reason: str
     iterations: int
+    searches: int         # root searches, one Schur factorization each
     evaluations: int      # root-search evaluations over all iterates
 
 
@@ -118,37 +127,51 @@ class OptimizationReport:
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    epsilon: float, start: np.ndarray,
                    rows: list[dict[str, float]], outer_index: int,
-                   best_cost: float, root: float | None = None) -> InnerResult:
+                   best_cost: float, anchor: SmoothedAbscissa | None) -> InnerResult:
     """Drive the smoothed abscissa at fixed weight toward zero.
 
-    ``root`` is a first guess for the first root search; every later search
-    starts from the first-order prediction ``value + g . (d_new - d)`` of
-    its root, with ``g`` the duration gradient the step was built from.
+    ``anchor`` is a certified root at ``start`` for another weight, or
+    None.  With an anchor the first iterate takes no root search: its value
+    is the anchor's moved to ``epsilon`` along
+    :meth:`SmoothedAbscissa.epsilon_slope`, and its gradient comes from the
+    anchor's ``P`` and ``Q``.  Without one the first search starts cold,
+    and its root becomes the anchor.
+    Every later search starts from the first-order prediction
+    ``value + g . (d_new - d)`` of its root, with ``g`` the duration
+    gradient the step was built from.  Only a searched root is achieved.
     """
     d = start.copy()
     total = d.sum()
-    evaluations = 0
+    searches = evaluations = 0
     last = np.inf    # |alpha_s| at the previous iterate
+    root = None
     for it in range(MAX_INNER):
-        a = average_matrix(mode_set, d)
-        res = smoothed_abscissa(a, output, x0, epsilon, warm_start=root)
-        evaluations += res.evaluations
-        tol_alpha = 1e-8 * (1.0 + abs(res.abscissa))
-        if abs(res.value) <= tol_alpha:
-            return InnerResult(d, res, "achieved", it, evaluations)
-        if abs(res.value) > last:
+        if it == 0 and anchor is not None:
+            res = anchor
+            value = anchor.value + (epsilon - anchor.epsilon) * anchor.epsilon_slope()
+        else:
+            a = average_matrix(mode_set, d)
+            res = smoothed_abscissa(a, output, x0, epsilon, warm_start=root)
+            searches += 1
+            evaluations += res.evaluations
+            value = res.value
+            if anchor is None:
+                anchor = res
+            if abs(value) <= 1e-8 * (1.0 + abs(res.abscissa)):
+                return InnerResult(d, res, "achieved", it, searches, evaluations)
+        if abs(value) > last:
             # the last step overshot a positive minimum of |alpha_s|
-            return InnerResult(d, res, "stationary", it, evaluations)
-        last = abs(res.value)
+            return InnerResult(d, anchor, "stationary", it, searches, evaluations)
+        last = abs(value)
         try:
             g = duration_gradient(mode_set, res, d)
         except ZeroTrace:
-            return InnerResult(d, res, "stationary", it, evaluations)
-        nabla = res.value * g
+            return InnerResult(d, anchor, "stationary", it, searches, evaluations)
+        nabla = value * g
         v = project_tangent(nabla, d)
         rows.append({
             "outer": float(outer_index), "inner": float(it),
-            "epsilon": float(epsilon), "alpha_smooth": float(res.value),
+            "epsilon": float(epsilon), "alpha_smooth": float(value),
             "kkt_norm": float(np.abs(v).max()), "cost": float(best_cost),
             "simplex_gap": float(abs(d.sum() - total)),
             "d_min": float(d.min()),
@@ -156,9 +179,9 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         denom = float(g @ v)
         direction_norm = float(np.abs(project_tangent(g, d)).max())
         if direction_norm <= KKT_TOL * (1.0 + float(np.abs(g).max())) or denom == 0.0:
-            return InnerResult(d, res, "stationary", it, evaluations)
+            return InnerResult(d, anchor, "stationary", it, searches, evaluations)
         # the Newton step zeroes the linearized abscissa
-        step = res.value / denom
+        step = value / denom
         vmax = float(np.abs(v).max())
         if vmax > 0 and step * vmax > 0.1 * total:
             step = 0.1 * total / vmax
@@ -170,9 +193,9 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         d_new = d - step * v
         d_new[d_new < 0] = 0.0
         d_new *= total / d_new.sum()
-        root = res.value + float(g @ (d_new - d))
+        root = value + float(g @ (d_new - d))
         d = d_new
-    return InnerResult(d, res, "budget", MAX_INNER, evaluations)
+    return InnerResult(d, anchor, "budget", MAX_INNER, searches, evaluations)
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
@@ -187,9 +210,10 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     output, x0 : arrays
         Output map and initial state defining the congestion cost.
     xi : float
-        Initial weight increment as a fraction of the starting weight;
-        halved whenever an increment proves unachievable, until it falls
-        below ``1e-4`` of the starting weight.
+        First weight increment as a fraction of the starting weight.  It
+        doubles after each achieved weight until the first weight that
+        cannot be achieved; from then on it is halved after each such
+        weight, until it falls below ``1e-4`` of the starting weight.
     starts : int
         Number of initial splits: the baseline plus ``starts - 1`` random
         simplex points drawn with ``seed``, a nonnegative integer or None.
@@ -247,31 +271,41 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         iters = 0
         outer = 0
         hit_cap = False
-        root = None    # the next search's first guess
+        growing = True    # until the first weight that cannot be achieved
+        anchor = None     # a certified root at d, once one was searched
+        reasons = {"achieved": 0, "stationary": 0, "budget": 0}
+        searches = evaluations = 0
         while xi_cur >= 1e-4 * eps0:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
-                                   rows, outer, 1.0 / eps_bar, root)
+                                   rows, outer, 1.0 / eps_bar, anchor)
             log.debug("outer %d: epsilon %.9g, %d inner iterations, "
                       "%d root-search evaluations, %s", outer,
                       eps_bar + xi_cur, inner.iterations, inner.evaluations,
                       inner.reason)
             iters += max(inner.iterations, 1)
             outer += 1
+            reasons[inner.reason] += 1
+            searches += inner.searches
+            evaluations += inner.evaluations
+            anchor = inner.anchor
             if inner.reason == "achieved":
                 eps_bar += xi_cur
                 d = inner.durations
+                if growing:
+                    xi_cur *= 2.0
             else:
+                growing = False
                 xi_cur *= 0.5
                 if inner.reason == "budget":
                     hit_cap = True
-            # move the last root to the next weight; after a failed descent
-            # d reverts to the outer iterate, and the duration term is left
-            # out there
-            res = inner.result
-            root = res.value + (eps_bar + xi_cur - res.epsilon) * res.epsilon_slope()
             if outer > 100000:
                 hit_cap = True
                 break
+        log.debug("start %d: %d outer steps (%d achieved, %d stationary, "
+                  "%d budget), %d inner iterations, %d root searches, "
+                  "%d root-search evaluations", idx, outer, reasons["achieved"],
+                  reasons["stationary"], reasons["budget"], iters, searches,
+                  evaluations)
         candidate = {"d": d, "eps": eps_bar, "cost": 1.0 / eps_bar,
                      "rows": rows, "iters": iters, "start": idx,
                      "converged": not hit_cap}
