@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +74,7 @@ import numpy as np
 from scipy import linalg  # noqa: F401
 
 from .errors import (DimensionError, InconsistentLocal, NotConverged,
-                     SolveFailure, ValidationError)
+                     SolveFailure, ValidationError, check_memory)
 from .lyapunov import solve_lyapunov
 
 #: relative residual ``|b - G x| / |b|`` at which conjugate gradients stop
@@ -464,14 +463,7 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     nu = graph.n_agents
     if assignment is None:
         assignment = default_assignment(n, nu)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    planned = planned_bytes(a, nu)
-    if planned > physical / 2:
-        raise ValidationError(
-            f"{nu} agents on a {n}-state system would hold about "
-            f"{planned / 2**30:.1f} GiB, over half of the "
-            f"{physical / 2**30:.1f} GiB of physical memory"
-        )
+    check_memory(planned_bytes(a, nu), f"{nu} agents on a {n}-state system")
     reference = solve_lyapunov(a, d)
     ref_norm = np.linalg.norm(reference)
 

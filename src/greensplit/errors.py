@@ -2,8 +2,11 @@
 
 Every error that can escape a public API call is defined here so callers
 (and the command-line layer, which maps them to exit codes) can catch by
-class rather than by message text.
+class rather than by message text.  The memory-refusal policy that the
+simulator and the distributed solver share lives here too.
 """
+
+import os
 
 
 class GreensplitError(Exception):
@@ -12,6 +15,18 @@ class GreensplitError(Exception):
 
 class ValidationError(GreensplitError):
     """A scenario document or network description violates the data contract."""
+
+
+def check_memory(planned: float, what: str) -> None:
+    """Refuse a request whose arrays would hold ``planned`` bytes, over half
+    of physical memory, with one :class:`ValidationError` that names it as
+    ``what``."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if planned > physical / 2:
+        raise ValidationError(
+            f"{what} would hold about {planned / 2**30:.3g} GiB, over half of the "
+            f"{physical / 2**30:.1f} GiB of physical memory"
+        )
 
 
 class DimensionError(GreensplitError):

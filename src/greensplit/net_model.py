@@ -215,14 +215,6 @@ class Schedule:
     def durations(self) -> np.ndarray:
         return np.diff(np.asarray(self.switch_times, dtype=float))
 
-    def phase_of(self, mode: int, intersection_id: str) -> int:
-        for xid, p in self.assignments[mode]:
-            if xid == intersection_id:
-                return p
-        raise ValidationError(
-            f"intersection {intersection_id!r} has no assignment in mode {mode}"
-        )
-
     def green_set(self, network: NetworkSpec, mode: int) -> frozenset[tuple[str, str]]:
         """Movement keys that are green during the given mode."""
         keys: set[tuple[str, str]] = set()
@@ -251,15 +243,6 @@ class Schedule:
             raise ValidationError("mode durations must be nonnegative")
         times = np.concatenate([[0.0], np.cumsum(np.clip(d, 0.0, None))])
         return Schedule(tuple(float(t) for t in times), self.assignments)
-
-    def phase_durations(self, intersection_id: str) -> dict[int, float]:
-        """Total green time each phase of one intersection receives."""
-        out: dict[int, float] = {}
-        d = self.durations
-        for k in range(self.n_modes):
-            p = self.phase_of(k, intersection_id)
-            out[p] = out.get(p, 0.0) + float(d[k])
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ than an ODE integrator: every step lands on switching instants exactly and
 the only discretization left is where the trajectory is sampled.  The mode
 and the exogenous inflow of every step are looked up once per grid, for all
 step midpoints at once.  Steps of one mode, inflow and length come in
-runs; the stepping jumps between run starts with matrix powers and fills
-the runs' interiors with matrix-matrix products (:func:`_propagate`).
+runs.  A plan (:func:`_plan`) lists the runs, their keys and the powers
+that jump over them; the stepping (:func:`_propagate`) jumps between run
+starts with those powers and fills the runs' interiors with matrix-matrix
+products.  Memory is checked from sizes alone (:func:`check_size`), then
+from the plan with the exact exponentials a run adds (:func:`_check_plans`).
 
 The agreement metric integrates the relative gap between the switched and
 averaged state trajectories over a horizon and normalizes by its length;
@@ -20,16 +23,19 @@ cycles whose grids coincide run it once.
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .dynamics import assemble_modes, average_system, output_map
-from .errors import DimensionError, ValidationError
+from .dynamics import AveragedSystem, ModeSet, assemble_modes, average_system, output_map
+from .errors import DimensionError, ValidationError, check_memory
 from .net_model import NetworkSpec, Schedule
+
+log = logging.getLogger(__name__)
 
 #: relative floor under which the averaged state counts as vanished
 _EXCLUDE_FLOOR = 1e-6
@@ -62,14 +68,14 @@ class ExponentialTable:
     """Augmented exponentials ``E = expm([[A, b], [0, 0]] dt)``, and the
     last averaged run.
 
-    Entries are keyed by the bytes of ``A`` and ``b`` and by ``dt``, so
-    simulations handed the same table share every system they meet
-    again: at a uniform split the mode matrices and the averaged matrix
-    do not depend on the cycle time.  For the same reason
-    :func:`averaging_error` keeps its averaged trajectory here, keyed by
-    the bytes of the averaged system, the initial state and the grid.
-    One run is kept, with read-only arrays.  A table serves one command;
-    nothing is kept between commands.
+    Entries are keyed by a BLAKE2 digest of ``A``, the bytes of ``b`` and
+    ``dt``, so the table holds no copy of the matrices.  Simulations handed
+    the same table share every system they meet again: at a uniform split
+    the mode matrices and the averaged matrix do not depend on the cycle
+    time.  For the same reason :func:`averaging_error` keeps its averaged
+    trajectory here, keyed by the bytes of the averaged system, the initial
+    state and the grid.  One run is kept, with read-only arrays.  A table
+    serves one command; nothing is kept between commands.
     """
 
     def __init__(self) -> None:
@@ -78,7 +84,7 @@ class ExponentialTable:
 
     def exponential(self, key: tuple, a: np.ndarray, b: np.ndarray,
                     dt: float) -> np.ndarray:
-        """``E`` of the system ``key = (A bytes, b bytes, dt)``."""
+        """``E`` of the system ``key = (A digest, b bytes, dt)``."""
         hit = self._entries.get(key)
         if hit is None:
             n = a.shape[0]
@@ -100,26 +106,37 @@ class ExponentialTable:
         return self._averaged[1]
 
 
-def _propagate(x0: np.ndarray, matrices: list[np.ndarray], mode: np.ndarray,
-               input_map: np.ndarray, inputs: np.ndarray, steps: np.ndarray,
-               table: ExponentialTable) -> np.ndarray:
-    """Exact states of ``x' = A x + B u`` before and after every step.
+@dataclass(frozen=True)
+class _Plan:
+    """Index bookkeeping of one run of :func:`_propagate`, built before any
+    state or exponential.
+
+    Run ``r`` starts at step ``starts[r]``, lasts ``lengths[r]`` steps and
+    has the key ``systems[labels[r]]``: its table key, ``A``, drift and
+    step length.  Where ``jump[r]``, it jumps to its end with a power of
+    its exponential; ``powers`` counts the (key, length) pairs raised.
+    """
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+    jump: np.ndarray
+    systems: list[tuple]
+    powers: int
+
+
+def _plan(matrices: list[np.ndarray], mode: np.ndarray, input_map: np.ndarray,
+          inputs: np.ndarray, steps: np.ndarray) -> _Plan:
+    """Plan of the steps of ``x' = A x + B u``.
 
     Step ``i`` lasts ``steps[i]`` under ``A = matrices[mode[i]]`` and the
     drift ``B u = input_map @ inputs[i]``.  The steps are grouped into
-    maximal runs of one key (mode, input, length), cut into chunks of at most
-    ``ceil(sqrt(len(steps)))`` steps.  A sequential pass walks the run
-    boundaries: a run jumps to its end with the power ``E^L`` of its
-    augmented exponential (``np.linalg.matrix_power``, kept for this call)
-    when its (key, ``L``) recurs often enough to pay for the power, and is
-    stepped one step at a time otherwise.  A fill pass then steps the
-    interiors of all jumped runs of one key together, one matrix-matrix
-    product per step index.  When every step has its own key, this is one
-    matrix-vector product per step.
+    maximal runs of one key (mode, input, length), cut into chunks of at
+    most ``ceil(sqrt(len(steps)))`` steps.  A power costs a few products of
+    order n, about n matrix-vector steps each, so a run jumps only when the
+    runs of its (key, length) save more steps than that.
     """
-    n_steps, n = steps.shape[0], x0.shape[0]
-    states = np.empty((n_steps + 1, n))
-    states[0] = x0
+    n_steps, n = steps.shape[0], matrices[0].shape[0]
     cut = np.ones(n_steps, dtype=bool)
     cut[1:] = ((mode[1:] != mode[:-1]) | (steps[1:] != steps[:-1])
                | (inputs[1:] != inputs[:-1]).any(axis=1))
@@ -128,7 +145,7 @@ def _propagate(x0: np.ndarray, matrices: list[np.ndarray], mode: np.ndarray,
     starts = np.flatnonzero(cut)
     lengths = np.diff(starts, append=n_steps)
 
-    matrix_keys = [a.tobytes() for a in matrices]
+    matrix_keys = [hashlib.blake2b(np.ascontiguousarray(a)).digest() for a in matrices]
     labels: dict[tuple, int] = {}
     systems = []
     run_label = []
@@ -138,28 +155,44 @@ def _propagate(x0: np.ndarray, matrices: list[np.ndarray], mode: np.ndarray,
             drift = input_map @ inputs[s]
             systems.append(((matrix_keys[k], drift.tobytes(), dt), matrices[k], drift, dt))
         run_label.append(label)
+    run_label = np.asarray(run_label)
+    _, pair, repeats = np.unique(np.stack([run_label, lengths]), axis=1,
+                                 return_inverse=True, return_counts=True)
+    pair = pair.ravel()
+    jump = (lengths > 1) & (repeats[pair] * (lengths - 1) >= n)
+    return _Plan(starts, lengths, run_label, jump, systems, np.unique(pair[jump]).size)
+
+
+def _propagate(x0: np.ndarray, plan: _Plan, table: ExponentialTable) -> np.ndarray:
+    """Exact states before and after every step of ``plan``.
+
+    A sequential pass walks the run boundaries: a run that jumps goes to
+    its end with the power ``E^L`` of its augmented exponential
+    (``np.linalg.matrix_power``, kept for this call), and every other run
+    is stepped one step at a time.  A fill pass then steps the interiors of
+    all jumped runs of one key together, one matrix-matrix product per step
+    index.  When every step has its own key, this is one matrix-vector
+    product per step.
+    """
+    starts, lengths, run_label = plan.starts, plan.lengths, plan.labels
+    n_steps, n = int(starts[-1] + lengths[-1]), x0.shape[0]
+    states = np.empty((n_steps + 1, n))
+    states[0] = x0
     maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def transition(label: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Blocks ``Phi, d`` of ``E^length`` for the key ``label``."""
         hit = maps.get((label, length))
         if hit is None:
-            e = table.exponential(*systems[label])
+            e = table.exponential(*plan.systems[label])
             if length > 1:
                 e = np.linalg.matrix_power(e, length)
             hit = maps[label, length] = (e[:n, :n], e[:n, n])
         return hit
 
-    # a power costs a few products of order n, about n matrix-vector steps
-    # each; a run jumps only when the runs of its (key, length) save more
-    # steps than that, and is stepped one step at a time otherwise
-    run_label = np.asarray(run_label)
-    _, pair, repeats = np.unique(np.stack([run_label, lengths]), axis=1,
-                                 return_inverse=True, return_counts=True)
-    jump = (lengths > 1) & (repeats[pair.ravel()] * (lengths - 1) >= n)
     x = states[0]
     for s, length, label, jumps in zip(starts.tolist(), lengths.tolist(),
-                                       run_label.tolist(), jump.tolist()):
+                                       run_label.tolist(), plan.jump.tolist()):
         if jumps:
             phi, d = transition(label, length)
         else:
@@ -172,7 +205,7 @@ def _propagate(x0: np.ndarray, matrices: list[np.ndarray], mode: np.ndarray,
 
     # runs that jumped, by key and then by falling length, so the runs of
     # one key still going at step j are a prefix of its group
-    runs = np.flatnonzero(jump)
+    runs = np.flatnonzero(plan.jump)
     runs = runs[np.lexsort((-lengths[runs], run_label[runs]))]
     for group in np.split(runs, np.flatnonzero(np.diff(run_label[runs])) + 1):
         if group.size == 0:
@@ -228,36 +261,26 @@ def _step_lengths(grid: np.ndarray, horizon: float) -> np.ndarray:
     return lengths[index]
 
 
-def _cycle_events(schedule: Schedule, network: NetworkSpec, horizon: float) -> np.ndarray:
-    """All switching and inflow-profile instants inside the horizon."""
-    T = schedule.cycle_time
-    offsets = [0.0] + [t for t in schedule.switch_times if 0.0 < t < T]
-    n_cycles = int(math.ceil(horizon / T + 1e-9))
-    times = [(np.arange(n_cycles + 1)[:, None] * T + offsets).ravel()]
-    for rid in network.inflows:
-        profile = network.inflow_profile(rid)
-        if len(profile) < 2:
-            continue
-        period = sum(dur for dur, _ in profile)
-        marks = np.cumsum([dur for dur, _ in profile[:-1]])
-        reps = int(math.ceil(horizon / period + 1e-9))
-        times.append((np.arange(reps + 1)[:, None] * period + marks).ravel())
-    arr = np.concatenate(times)
-    return arr[arr <= horizon * (1 + 1e-12)]
-
-
 def _event_families(network: NetworkSpec,
                     schedule: Schedule) -> list[tuple[float, list[float]]]:
-    """Each periodic family of instants that :func:`_cycle_events` lists:
-    its period and its offsets within one period."""
+    """Each periodic family of switching and inflow-profile instants: its
+    period and its offsets within one period."""
     T = schedule.cycle_time
-    families = [(T, [t for t in schedule.switch_times if t < T])]
+    families = [(T, [0.0] + [t for t in schedule.switch_times if 0.0 < t < T])]
     for rid in network.inflows:
         profile = network.inflow_profile(rid)
         if len(profile) >= 2:
             families.append((sum(dur for dur, _ in profile),
                              np.cumsum([dur for dur, _ in profile[:-1]]).tolist()))
     return families
+
+
+def _cycle_events(schedule: Schedule, network: NetworkSpec, horizon: float) -> np.ndarray:
+    """All switching and inflow-profile instants inside the horizon."""
+    arr = np.concatenate([
+        (np.arange(math.ceil(horizon / period + 1e-9) + 1)[:, None] * period + marks).ravel()
+        for period, marks in _event_families(network, schedule)])
+    return arr[arr <= horizon * (1 + 1e-12)]
 
 
 def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
@@ -268,120 +291,72 @@ def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
                                     for period, marks in _event_families(network, schedule))
 
 
-def _inflow_vectors(network: NetworkSpec, families: list[tuple[float, list[float]]],
-                    horizon: float) -> float:
-    """Upper bound on the distinct inflow vectors of a run: the product of
-    the profiles' lengths, and one more than the inflow events."""
-    return min(math.prod(len(p) for p in network.inflows.values()),
-               1.0 + sum((horizon / period + 3.0) * len(marks)
-                         for period, marks in families[1:]))
-
-
-def _off_grid(network: NetworkSpec, schedule: Schedule, horizon: float,
-              dt: float) -> float:
-    """Upper bound on the keys of the steps that start or end at an event
-    off the uniform samples.
-
-    The instant ``c period + mark`` is within ``|mark - k dt| + c |period -
-    k' dt|`` of a sample for the nearest ``k`` and ``k'``; it counts as on
-    the sample when that is at most a quarter of the grid's tolerance.  An
-    event off the samples ends one step and starts another, two keys.
-
-    When a family's period is a whole number of ``dt`` steps, within that
-    quarter over the run, each of its marks falls at the same place
-    between two samples in every period, and :func:`_step_lengths` merges
-    the lengths of its steps into at most two groups each.  Such a mark
-    counts once: the step that ends at it starts at a fixed point or at a
-    mark of another such family, and the step after it ends at the next
-    sample or is counted at the mark where it ends.  Each step is under
-    one mode for the cycle's own switches, and under any mode for a mark
-    of an inflow family whose period is not a multiple of the cycle's;
-    either can meet any inflow vector.
-    """
-    tol = 0.25 * _grid_tol(horizon)
-    families = _event_families(network, schedule)
-    inflows = _inflow_vectors(network, families, horizon)
-    count = 0.0
-    fixed = []
-    for index, (period, marks) in enumerate(families):
-        cycles = horizon / period + 3.0
-        drift = cycles * abs(math.remainder(period, dt))
-        off = sum(1 for m in marks if abs(math.remainder(m, dt)) + drift > tol)
-        if drift > tol:
-            count += 2.0 * cycles * off
-        else:
-            once = index == 0 or abs(math.remainder(period, schedule.cycle_time)) <= tol
-            fixed.append((cycles, off, 1 if once else schedule.n_modes))
-    others = sum(off for _, off, _ in fixed)
-    for cycles, off, modes in fixed:
-        count += min(2.0 * cycles * off,
-                     2.0 * off * (2 + others - off) * modes * inflows)
-    return count
-
-
-def _planned_bytes(network: NetworkSpec, schedule: Schedule, horizon: float,
-                   dt: float, trajectories: int = 1) -> tuple[float, float, float]:
-    """Planned grid points of a run, the bytes that ``trajectories`` runs
-    held at once hold, and the part of those bytes in exponentials that
-    stay in the runs' table.
+def _planned_bytes(network: NetworkSpec, schedule: Schedule, samples: float,
+                   trajectories: int = 1) -> float:
+    """Bytes that ``trajectories`` runs of ``samples`` grid points hold at
+    once, apart from their exponentials and powers.
 
     A grid point costs up to three rows of ``n`` doubles (the state, the
     step's inflows, the output) and about sixteen words of grid work:
     event times, the grid and the list :func:`_sample_grid` deduplicates
-    through, step midpoints, modes and lengths, the run bookkeeping of
-    the stepping, the row norms of :func:`averaging_error`.
-
-    The matrices come on top.  The mode matrices, the averaged system and
-    the input map take ``n_modes + 3`` arrays of ``n^2`` doubles.  The
-    table holds one augmented exponential of ``(n+1)^2`` doubles per
-    (mode, inflow, step length) of a run.  Steps of length ``dt`` take at
-    most two lengths per mode and inflow vector, as lengths that agree
-    within the grid's tolerance can still fall into two groups; every other
-    step ends at the horizon or starts or ends at an event off the uniform
-    samples (:func:`_off_grid`).  :func:`_propagate` raises an exponential
-    to a power only when its runs save ``n`` steps, so it keeps at most
-    ``steps / n`` powers, and one ``expm`` or power works in about ten
-    more arrays of that size.
+    through, step midpoints, modes and lengths, the plan's run bookkeeping,
+    the row norms of :func:`averaging_error`.  The mode matrices, the
+    averaged system and the input map take ``n_modes + 3`` arrays of
+    ``n^2`` doubles, and one ``expm`` or power works in about ten arrays of
+    ``(n+1)^2`` doubles.
     """
     n = network.n
-    samples = _planned_samples(network, schedule, horizon, dt)
-    steps = trajectories * samples
-    inflows = _inflow_vectors(network, _event_families(network, schedule), horizon)
-    keys = min(steps, 2.0 * (schedule.n_modes * inflows + trajectories - 1)
-               + trajectories * (_off_grid(network, schedule, horizon, dt) + 1.0))
-    square = (n + 1) ** 2
-    table = 8.0 * keys * square
-    held = 8.0 * (steps * (3 * n + 16) + (schedule.n_modes + 3) * n * n
-                  + (steps / n + 10.0) * square)
-    return samples, held + table, table
+    return 8.0 * (trajectories * samples * (3 * n + 16) + (schedule.n_modes + 3) * n * n
+                  + 10.0 * (n + 1) ** 2)
+
+
+def _check_memory(planned: float, samples: float, schedule: Schedule, horizon: float,
+                  dt: float) -> None:
+    check_memory(planned, f"a run of {horizon:g} s at dt {dt:g} s (cycle "
+                          f"{schedule.cycle_time:g} s) with about {samples:.3g} samples")
 
 
 def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-               trajectories: int = 1, kept: float = 0.0) -> float:
-    """Refuse a run whose arrays would hold over half of physical memory,
-    and return the bytes of exponentials it adds to its table.
+               trajectories: int = 1) -> None:
+    """Refuse, from sizes alone, a run whose arrays would hold over half of
+    physical memory.
 
-    ``trajectories`` counts the runs held at once (:func:`_planned_bytes`):
-    a sweep of :func:`averaging_error` holds two, the switched run of one
-    cycle time and the averaged run the sweep shares.  ``kept`` counts the
-    bytes of exponentials that a table shared with earlier runs already
-    holds; a sweep passes the sum of what this returned for its earlier
-    cycle times.  A span that is not finite and positive is refused first,
-    and one that :func:`_check_span` refuses after the memory check.
+    This is the first step of the memory check, before any per-sample
+    array exists: ``trajectories`` runs held at once over the bound
+    :func:`_planned_samples` on their grid points (:func:`_planned_bytes`).
+    A sweep of :func:`averaging_error` holds two, the switched run of one
+    cycle time and the averaged run the sweep shares.  The second step,
+    :func:`_check_plans`, counts the exponentials from the run's plan.  A
+    span that is not finite and positive is refused first, and one that
+    :func:`_check_span` refuses after the memory check.
     """
     _check_positive(horizon, dt)
-    samples, planned, table = _planned_bytes(network, schedule, horizon, dt, trajectories)
-    planned += kept
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if planned > physical / 2:
-        raise ValidationError(
-            f"a run of {horizon:g} s at dt {dt:g} s (cycle {schedule.cycle_time:g} s) "
-            f"has about {samples:.3g} samples and would hold about "
-            f"{planned / 2**30:.3g} GiB, over half of the "
-            f"{physical / 2**30:.1f} GiB of physical memory"
-        )
+    samples = _planned_samples(network, schedule, horizon, dt)
+    _check_memory(_planned_bytes(network, schedule, samples, trajectories), samples,
+                  schedule, horizon, dt)
     _check_span(horizon, dt)
-    return table
+
+
+def _check_plans(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
+                 samples: int, plans: list[_Plan], table: ExponentialTable) -> None:
+    """Refuse runs whose plans would hold over half of physical memory.
+
+    This is the second step of the memory check, after the plans and
+    before any state or exponential: the rows of one run per plan at the
+    grid's ``samples`` (:func:`_planned_bytes`), the exponentials the table
+    holds, and one augmented exponential of ``(n+1)^2`` doubles for each
+    key of the plans that is not yet in the table and for each power.
+    """
+    keys = {system[0] for plan in plans for system in plan.systems}
+    new = sum(key not in table._entries for key in keys)
+    powers = sum(plan.powers for plan in plans)
+    planned = (_planned_bytes(network, schedule, samples, len(plans))
+               + sum(e.nbytes for e in table._entries.values())
+               + 8.0 * (network.n + 1) ** 2 * (new + powers))
+    log.debug("%d samples, %d runs, %d new keys and %d in the table, %d powers, "
+              "%.0f bytes planned", samples, sum(plan.starts.shape[0] for plan in plans),
+              new, len(keys) - new, powers, planned)
+    _check_memory(planned, samples, schedule, horizon, dt)
 
 
 def _modes_at(schedule: Schedule, t: np.ndarray) -> np.ndarray:
@@ -449,27 +424,46 @@ def _check_span(horizon: float, dt: float) -> None:
                               f"of {tol:g} s")
 
 
+def _switching_plan(network: NetworkSpec, schedule: Schedule, modes: ModeSet,
+                    horizon: float, dt: float) -> tuple[np.ndarray, np.ndarray, _Plan]:
+    """Grid, step lengths and plan of a switched run.  The grid is the
+    union of uniform ``dt`` samples with every switching and inflow-change
+    instant, so no window is ever straddled."""
+    grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    steps = _step_lengths(grid, horizon)
+    return grid, steps, _plan(modes.modes, _modes_at(schedule, mid), modes.input_map,
+                              _inflows_at(network, mid), steps)
+
+
+def _trajectory(x0: np.ndarray, plan: _Plan, table: ExponentialTable, grid: np.ndarray,
+                output: np.ndarray) -> Trajectory:
+    states = _propagate(x0, plan, table)
+    return Trajectory(times=grid, states=states, outputs=states @ output.T)
+
+
+def _average_plan(avg: AveragedSystem, steps: np.ndarray) -> _Plan:
+    return _plan([avg.A], np.zeros(steps.shape[0], dtype=int), avg.B,
+                 np.broadcast_to(avg.u, (steps.shape[0], avg.u.shape[0])), steps)
+
+
 def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
                        horizon: float, dt: float = 1.0,
                        table: ExponentialTable | None = None) -> Trajectory:
     """Integrate the switched dynamics exactly on a sampling grid.
 
-    The grid is the union of uniform ``dt`` samples with every switching
-    and inflow-change instant, so no window is ever straddled.  A run
-    whose arrays would exceed half of physical memory raises
-    :class:`ValidationError` before anything is built.  Pass ``table`` to
-    share exponentials with other runs of the same command.
+    A run whose arrays would exceed half of physical memory raises
+    :class:`ValidationError` before any state or exponential is built.
+    Pass ``table`` to share exponentials with other runs of the same
+    command.
     """
     check_size(network, schedule, horizon, dt)
     x = _check_x0(network, x0)
-    modes = assemble_modes(network, schedule)
-    grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
-    C = output_map(network)
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    states = _propagate(x, modes.modes, _modes_at(schedule, mid), modes.input_map,
-                        _inflows_at(network, mid), _step_lengths(grid, horizon),
-                        ExponentialTable() if table is None else table)
-    return Trajectory(times=grid, states=states, outputs=states @ C.T)
+    table = ExponentialTable() if table is None else table
+    grid, _, plan = _switching_plan(network, schedule, assemble_modes(network, schedule),
+                                    horizon, dt)
+    _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
+    return _trajectory(x, plan, table, grid, output_map(network))
 
 
 def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
@@ -479,16 +473,13 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     """Integrate the averaged surrogate on the same kind of grid."""
     check_size(network, schedule, horizon, dt)
     x = _check_x0(network, x0)
-    modes = assemble_modes(network, schedule)
-    avg = average_system(network, modes)
+    table = ExponentialTable() if table is None else table
+    avg = average_system(network, assemble_modes(network, schedule))
     if grid is None:
         grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
-    n_steps = grid.shape[0] - 1
-    states = _propagate(x, [avg.A], np.zeros(n_steps, dtype=int), avg.B,
-                        np.broadcast_to(avg.u, (n_steps, avg.u.shape[0])),
-                        _step_lengths(grid, horizon),
-                        ExponentialTable() if table is None else table)
-    return Trajectory(times=grid, states=states, outputs=states @ avg.C.T)
+    plan = _average_plan(avg, _step_lengths(grid, horizon))
+    _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
+    return _trajectory(x, plan, table, grid, avg.C)
 
 
 def averaging_error(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
@@ -499,20 +490,22 @@ def averaging_error(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     Returns the horizon-normalized integral of
     ``norm(x - x_av) / norm(x_av)`` as a percentage, excluding samples where
     the averaged state has decayed below ``1e-6`` of the initial norm.
-    Both runs share ``table``; pass one to share it across a sweep.  The
-    table then also keeps the averaged run, and a later cycle time with
-    the same averaged system, initial state and grid reuses it instead of
-    calling :func:`simulate_average`.
+    Both runs share ``table`` and one memory check; pass a table to share
+    it across a sweep.  The table then also keeps the averaged run, and a
+    later cycle time with the same averaged system, initial state and grid
+    reuses it instead of running it again.
     """
     check_size(network, schedule, horizon, dt, trajectories=2)
     x0 = _check_x0(network, x0)
-    if table is None:
-        table = ExponentialTable()
-    switched = simulate_switching(network, schedule, x0, horizon, dt, table=table)
-    avg = average_system(network, assemble_modes(network, schedule))
-    key = tuple(a.tobytes() for a in (avg.A, avg.B, avg.u, avg.C, x0, switched.times))
-    averaged = table.averaged(key, lambda: simulate_average(
-        network, schedule, x0, horizon, dt, grid=switched.times, table=table))
+    table = ExponentialTable() if table is None else table
+    modes = assemble_modes(network, schedule)
+    avg = average_system(network, modes)
+    grid, steps, plan = _switching_plan(network, schedule, modes, horizon, dt)
+    averaged_plan = _average_plan(avg, steps)
+    _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan, averaged_plan], table)
+    switched = _trajectory(x0, plan, table, grid, output_map(network))
+    key = tuple(a.tobytes() for a in (avg.A, avg.B, avg.u, avg.C, x0, grid))
+    averaged = table.averaged(key, lambda: _trajectory(x0, averaged_plan, table, grid, avg.C))
     # row norms a block of rows at a time, with no temporary of the
     # trajectories' size; each row sums as in one call on the whole array
     ref = np.empty(switched.times.shape[0])

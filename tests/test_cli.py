@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import logging
+import re
 import subprocess
 import sys
 import time
@@ -342,13 +344,15 @@ def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_pa
     # default 30,60,100,120 the 7.5 s switches of T=30 give it its own grid
     from greensplit import net_model, scenario, sim
     calls = []
-    run = sim.simulate_average
+    averaged = sim.ExponentialTable.averaged
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].cycle_time)
-        return run(*args, **kwargs)
+    def counting(self, key, run):
+        def counted():
+            calls.append(key)
+            return run()
+        return averaged(self, key, counted)
 
-    monkeypatch.setattr(sim, "simulate_average", counting)
+    monkeypatch.setattr(sim.ExponentialTable, "averaged", counting)
     out = tmp_path / "err.csv"
     args = ["compare-averaging", "four_intersections", "--out", str(out)]
     result = invoke(runner, *args, *(["--cycles", cycles] if cycles else []))
@@ -363,17 +367,19 @@ def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_pa
         assert float(error) == fresh.error_percent
 
 
-def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path):
-    # a sweep holds one switched run and the averaged run it shares; the
-    # traced peak stays under what check_size plans for it (a sweep that
-    # also held the previous cycle's runs peaked at 89.5 MB here)
-    import tracemalloc
+def _planned(caplog):
+    """Planned bytes of each run the simulator logged."""
+    return [int(re.search(r"(\d+) bytes planned", r.getMessage()).group(1))
+            for r in caplog.records if r.name == "greensplit.sim"]
 
-    from greensplit import net_model, scenario, sim
+
+def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path, caplog):
+    # a sweep holds one switched run and the averaged run it shares; the
+    # traced peak stays under what the largest cycle's plan counts (a sweep
+    # that also held the previous cycle's runs peaked at 89.5 MB here)
+    import tracemalloc
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     cycles, horizon = [40.0, 80.0, 96.0, 112.0], 6000.0
-    network = scenario.load("grid_4x4")
-    plan = max(sim._planned_bytes(network, net_model.uniform_schedule(network, cycle_time=c),
-                                  horizon, 1.0, trajectories=2)[1] for c in cycles)
     args = ["compare-averaging", "grid_4x4", "--cycles", ",".join(map(repr, cycles)),
             "--horizon", repr(horizon), "--out", str(tmp_path / "err.csv")]
     tracing = tracemalloc.is_tracing()
@@ -387,8 +393,38 @@ def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path):
         if not tracing:
             tracemalloc.stop()
     assert result.exit_code == 0, result.output
-    assert peak < plan
+    plans = _planned(caplog)
+    assert len(plans) == len(cycles)
+    assert peak < max(plans)
     assert peak < 50e6
+
+
+def test_sweep_refused_by_a_later_cycle_plan_is_one_validation_line(tmp_path, monkeypatch,
+                                                                     caplog):
+    # T=60 puts every step on the 1 s grid; the 9.25 s switches of T=37
+    # add exponentials to the table.  With half of memory between the two
+    # plans, every cycle passes the check from sizes alone, the first cycle
+    # runs, and the second is refused by its plan.
+    from greensplit import errors
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
+    args = ["compare-averaging", "four_intersections", "--cycles", "60,37",
+            "--horizon", "600"]
+    assert CliRunner().invoke(cli.main, args).exit_code == 0
+    first, second = _planned(caplog)
+    assert first < second
+    sysconf = errors.os.sysconf
+    monkeypatch.setattr(errors.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": first + second}.get(name) or sysconf(name))
+    caplog.clear()
+    out = tmp_path / "err.csv"
+    result = CliRunner().invoke(cli.main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert len(_planned(caplog)) == 2
+    assert result.stdout.startswith("T=60: error ")
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: a run of 600 s at dt 1 s (cycle 37 s)")
+    assert "physical memory" in result.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["switching", "average"])

@@ -370,12 +370,6 @@ def test_with_durations_keeps_assignments(four_net, four_schedule):
         four_schedule.with_durations([-40, 60, 40, 40])
 
 
-def test_phase_durations_sum_to_cycle(four_net, four_schedule):
-    for x in four_net.intersections:
-        per_phase = four_schedule.phase_durations(x.id)
-        assert sum(per_phase.values()) == pytest.approx(100.0)
-
-
 def test_green_set_matches_phases(single_net):
     sched = net_model.uniform_schedule(single_net)
     assert sched.green_set(single_net, 0) == frozenset({("r1", "r2")})

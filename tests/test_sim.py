@@ -1,6 +1,8 @@
 """Switched and averaged trajectory integration."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,15 +396,18 @@ def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
 
 
 def _count_average_runs(monkeypatch):
-    """Wrap ``sim.simulate_average``; the list gets one entry per call."""
+    """Wrap the averaged runs an ``ExponentialTable`` makes; the list gets
+    one entry per run."""
     calls = []
-    run = sim.simulate_average
+    averaged = sim.ExponentialTable.averaged
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].cycle_time)
-        return run(*args, **kwargs)
+    def counting(self, key, run):
+        def counted():
+            calls.append(key)
+            return run()
+        return averaged(self, key, counted)
 
-    monkeypatch.setattr(sim, "simulate_average", counting)
+    monkeypatch.setattr(sim.ExponentialTable, "averaged", counting)
     return calls
 
 
@@ -533,67 +538,58 @@ def _traced_peak(run):
             tracemalloc.stop()
 
 
+def _logged_plans(caplog):
+    """Samples, runs, new keys, keys in the table, powers and planned bytes
+    of each plan the simulator logged."""
+    pattern = re.compile(r"(\d+) samples, (\d+) runs, (\d+) new keys and (\d+) in the "
+                         r"table, (\d+) powers, (\d+) bytes planned")
+    return [tuple(int(g) for g in pattern.fullmatch(r.getMessage()).groups())
+            for r in caplog.records if r.name == "greensplit.sim"]
+
+
 @pytest.mark.parametrize("name, horizon, dt", [
     ("grid_3x3", 300.0, 1.0), ("grid_3x3", 3000.0, 1.0),
     ("grid_3x3", 300.0, 0.7),
     ("grid_4x4", 300.0, 1.0), ("grid_4x4", 3000.0, 1.0),
 ])
-def test_planned_bytes_cover_the_traced_peak(name, horizon, dt):
+def test_planned_bytes_cover_the_traced_peak(name, horizon, dt, caplog):
     # the plan counts the mode matrices, the table's exponentials and the
     # run powers; counting only the samples planned 1.8 MB for the switched
     # run of grid_4x4 at 300 s, which traced 9.9 MB.  The sweep's table
-    # keeps every cycle time's exponentials, so each cycle's plan adds
-    # those of the cycles before it, as the CLI's check does.
+    # keeps every cycle time's exponentials, and each cycle's plan counts
+    # those the table holds.
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     network = scenario.load(name)
     schedule = net_model.uniform_schedule(network)
     x0 = np.ones(network.n)
-    plan = sim._planned_bytes(network, schedule, horizon, dt)[1]
     for run in (sim.simulate_switching, sim.simulate_average):
-        assert _traced_peak(lambda: run(network, schedule, x0, horizon, dt)) <= plan
+        caplog.clear()
+        peak = _traced_peak(lambda: run(network, schedule, x0, horizon, dt))
+        assert peak <= _logged_plans(caplog)[0][5]
     schedules = [net_model.uniform_schedule(network, cycle_time=c)
                  for c in (30.0, 60.0, 100.0, 120.0)]
-    kept = plan = 0.0
-    for schedule in schedules:
-        _, held, table = sim._planned_bytes(network, schedule, horizon, dt, trajectories=2)
-        plan = max(plan, held + kept)
-        kept += table
 
     def sweep():
         table = sim.ExponentialTable()
         for schedule in schedules:
             sim.averaging_error(network, schedule, x0, horizon, dt, table=table).error_percent
-    assert _traced_peak(sweep) <= plan
+    caplog.clear()
+    peak = _traced_peak(sweep)
+    assert peak <= max(plan[5] for plan in _logged_plans(caplog))
 
 
-def test_planned_bytes_count_inflow_events_off_the_grid(three_segment_net):
-    # inflow segments of 20, 25 and 15 s repeat every 60 s; at dt 0.7 their
-    # ends fall off the uniform samples and each gets its own exponentials
-    schedule = net_model.uniform_schedule(three_segment_net)
-    x0 = np.ones(three_segment_net.n)
-    for dt in (1.0, 0.7):
-        plan = sim._planned_bytes(three_segment_net, schedule, 3000.0, dt)[1]
-        peak = _traced_peak(lambda: sim.simulate_switching(three_segment_net, schedule,
-                                                           x0, 3000.0, dt))
-        assert peak <= plan
-    assert sim._off_grid(three_segment_net, schedule, 3000.0, 1.0) == 0.0
-    assert sim._off_grid(three_segment_net, schedule, 3000.0, 0.7) > 0.0
-
-
-@pytest.mark.parametrize("cycle, horizon", [(30.0, 1200.0), (37.0, 3000.0)])
-def test_off_grid_switches_of_a_whole_step_cycle_count_once(cycle, horizon):
-    # T=30 switches at 7.5 and 22.5 s, T=37 at 9.25, 18.5 and 27.75 s: off
-    # the samples at dt 1, each at one place between two samples in every
-    # cycle.  Counting every cycle's events planned 84.1 and 238.6 MB of
-    # exponentials for tables that end with 3.7 and 4.6 MB.
+@pytest.mark.parametrize("cycle", [100.0, 37.0])
+def test_plan_of_a_switched_run_is_within_twice_its_traced_peak(cycle, caplog):
+    # at dt 0.7 the steps ending at a switch have their own lengths; a
+    # bound on the keys the grid could give planned 169.3 and 360.8 MB for
+    # runs that traced 34.2 and 49.8 MB, 4.9 and 7.2 times their peak
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     network = scenario.load("grid_4x4")
     schedule = net_model.uniform_schedule(network, cycle_time=cycle)
-    _, plan, share = sim._planned_bytes(network, schedule, horizon, 1.0)
-    table = sim.ExponentialTable()
     peak = _traced_peak(lambda: sim.simulate_switching(network, schedule, np.ones(network.n),
-                                                       horizon, 1.0, table=table))
-    real = sum(e.nbytes for e in table._entries.values())
-    assert peak <= plan
-    assert real <= share <= 4 * real
+                                                       3000.0, 0.7))
+    [plan] = _logged_plans(caplog)
+    assert peak <= plan[5] <= 2 * peak
 
 
 TWO_PHASES = """\
@@ -616,20 +612,68 @@ intersections:
 """
 
 
-@pytest.mark.parametrize("period, inflow", [
-    ("13.0", "[[7.5, 0.1], [5.5, 0.0]]"),
-    ("7.0", "[[3.25, 0.2], [0.5, 0.0], [3.25, 0.1]]"),
-])
-@pytest.mark.parametrize("cycle", [60.0, 37.0, 13.0])
-@pytest.mark.parametrize("dt", [1.0, 0.7])
-def test_planned_table_covers_every_key(tmp_path, period, inflow, cycle, dt):
+@pytest.mark.parametrize("name, period, inflow, cycle, horizon, dt", [
     # inflow marks whose period is not the cycle's fall under either phase,
     # and off-grid marks of two families can share a step between samples
-    path = tmp_path / "two.yaml"
-    path.write_text(TWO_PHASES.replace("PERIOD", period).replace("INFLOW", inflow))
-    network = scenario.load(path)
+    *[pytest.param("two", period, inflow, cycle, 600.0, dt,
+                   id=f"{dt}-{cycle}-{period}-{inflow}")
+      for period, inflow in [("13.0", "[[7.5, 0.1], [5.5, 0.0]]"),
+                             ("7.0", "[[3.25, 0.2], [0.5, 0.0], [3.25, 0.1]]")]
+      for cycle in (60.0, 37.0, 13.0) for dt in (1.0, 0.7)],
+    # inflow segments of 20, 25 and 15 s repeat every 60 s; at dt 0.7
+    # their ends fall off the uniform samples
+    *[pytest.param("three_segment", None, None, 100.0, 3000.0, dt,
+                   id=f"three_segment-{dt}") for dt in (1.0, 0.7)],
+    # T=30 switches at 7.5 and 22.5 s, T=37 at 9.25, 18.5 and 27.75 s: off
+    # the samples at dt 1, each at one place between two samples in every
+    # cycle.  A bound on the keys such grids can give planned 84.1 and
+    # 238.6 MB of exponentials for tables that end with 3.7 and 4.6 MB.
+    *[pytest.param("grid_4x4", None, None, cycle, horizon, 1.0,
+                   id=f"grid_4x4-{cycle}-{horizon}")
+      for cycle, horizon in [(30.0, 1200.0), (37.0, 3000.0)]],
+])
+def test_planned_table_covers_every_key(tmp_path, three_segment_net, caplog, name, period,
+                                        inflow, cycle, horizon, dt):
+    # the plan counts the exponentials a run adds to its table exactly,
+    # and the bytes it plans cover the run's traced peak
+    if name == "two":
+        path = tmp_path / "two.yaml"
+        path.write_text(TWO_PHASES.replace("PERIOD", period).replace("INFLOW", inflow))
+        network = scenario.load(path)
+    else:
+        network = three_segment_net if name == "three_segment" else scenario.load(name)
     schedule = net_model.uniform_schedule(network, cycle_time=cycle)
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     table = sim.ExponentialTable()
-    sim.simulate_switching(network, schedule, np.ones(network.n), 600.0, dt, table=table)
-    keys = sim._planned_bytes(network, schedule, 600.0, dt)[2] / (8 * (network.n + 1) ** 2)
-    assert len(table._entries) <= keys
+    peak = _traced_peak(lambda: sim.simulate_switching(network, schedule, np.ones(network.n),
+                                                       horizon, dt, table=table))
+    [(_, _, new, held, _, planned)] = _logged_plans(caplog)
+    assert (new, held) == (len(table._entries), 0)
+    assert peak <= planned
+    # a second run on the same table adds none and finds them all held
+    caplog.clear()
+    sim.simulate_switching(network, schedule, np.zeros(network.n), horizon, dt, table=table)
+    [(_, _, new, held, _, _)] = _logged_plans(caplog)
+    assert (new, held) == (0, len(table._entries))
+
+
+def test_each_run_logs_its_plan(four_net, caplog):
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
+    x0 = np.ones(four_net.n)
+    table = sim.ExponentialTable()
+    traj = sim.simulate_switching(four_net, net_model.uniform_schedule(four_net), x0, 400.0,
+                                  0.7, table=table)
+    [(samples, runs, new, held, powers, planned)] = _logged_plans(caplog)
+    assert samples == traj.times.shape[0]
+    assert (new, held) == (len(table._entries), 0)
+    assert new <= runs < samples
+    assert planned >= traj.states.nbytes + new * 8 * (four_net.n + 1) ** 2
+    # one line for both runs of an averaging error: the modes' keys are
+    # held, and the averaged system's are new
+    caplog.clear()
+    sim.averaging_error(four_net, net_model.uniform_schedule(four_net), x0, 400.0, 0.7,
+                        table=table)
+    [(samples2, runs2, new2, held2, _, _)] = _logged_plans(caplog)
+    assert (samples2, held2) == (samples, new)
+    assert new2 == len(table._entries) - new > 0
+    assert runs2 > runs
