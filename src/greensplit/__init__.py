@@ -11,14 +11,13 @@ splits, exact trajectory simulation, and a distributed Lyapunov solver.
 from .distributed import (Agent, CommGraph, DistributedResult,
                           default_assignment, partition_rows,
                           run_distributed, synchronous_round)
-from .dynamics import (AveragedSystem, ModeSet, assemble_modes,
-                       average_matrix, average_system, output_map)
+from .dynamics import ModeSet, assemble_modes, average_matrix, output_map
 from .errors import (DegenerateSystem, DimensionError, EigenFailure,
                      GreensplitError, InconsistentLocal, NoConvergence,
                      NoStableStart, NotConverged, SolveFailure,
                      UnstableMatrix, ValidationError, ZeroTrace)
-from .lyapunov import (ShiftedLyapunov, congestion_cost, gramian,
-                       solve_lyapunov, spectral_abscissa)
+from .lyapunov import (ShiftedLyapunov, congestion_cost, solve_lyapunov,
+                       spectral_abscissa)
 from .net_model import (InflowProfile, Intersection, Movement, NetworkSpec,
                         Road, Schedule, build_network, generate_grid,
                         movement_label, parse_movement_key, uniform_schedule)
@@ -26,7 +25,7 @@ from .optimizer import (OptimizationReport, optimize, project_tangent)
 from .scenario import (config_hash, dump, dumps, load, load_document,
                        to_document)
 from .sim import (AveragingReport, Trajectory, averaging_error,
-                  simulate_average, simulate_switching)
+                  averaging_sweep, simulate_average, simulate_switching)
 from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 
 __version__ = "0.1.0"
@@ -40,18 +39,16 @@ __all__ = [
     # scenarios
     "load", "load_document", "to_document", "dumps", "dump", "config_hash",
     # dynamics
-    "ModeSet", "AveragedSystem", "assemble_modes", "average_matrix",
-    "average_system", "output_map",
+    "ModeSet", "assemble_modes", "average_matrix", "output_map",
     # Lyapunov machinery
-    "ShiftedLyapunov", "solve_lyapunov", "gramian", "congestion_cost",
-    "spectral_abscissa",
+    "ShiftedLyapunov", "solve_lyapunov", "congestion_cost", "spectral_abscissa",
     # smoothed abscissa
     "SmoothedAbscissa", "smoothed_abscissa", "duration_gradient",
     # optimization
     "OptimizationReport", "optimize", "project_tangent",
     # simulation
     "Trajectory", "AveragingReport", "simulate_switching",
-    "simulate_average", "averaging_error",
+    "simulate_average", "averaging_error", "averaging_sweep",
     # distributed solver
     "CommGraph", "Agent", "DistributedResult", "run_distributed",
     "synchronous_round", "partition_rows", "default_assignment",

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, dynamics, net_model, scenario, sim
 from . import distributed as dist
 from .errors import (DimensionError, GreensplitError, NotConverged,
-                     ValidationError)
+                     ValidationError, check_memory)
 from .optimizer import optimize
 
 
@@ -48,6 +48,7 @@ def _wrap(callback):
 
 def load_state(source: str, network: net_model.NetworkSpec) -> np.ndarray:
     """Initial state from a preset name (zeros, ones) or a text file."""
+    check_memory(8 * network.n, f"an initial state of {network.n} cells")
     if source == "zeros":
         return np.zeros(network.n)
     if source == "ones":
@@ -250,18 +251,11 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
         horizon = 10.0 * max(cycle_list)
     schedules = [net_model.uniform_schedule(network, cycle_time=cycle)
                  for cycle in cycle_list]
-    # sizes alone, before the first cycle runs; each cycle checks its plan
-    for schedule in schedules:
-        sim.check_size(network, schedule, horizon, dt, trajectories=2)
-    # one table for the sweep: at the uniform split the mode matrices and
-    # the averaged run are the same at every cycle time.  Only the error is
-    # kept, so a cycle's switched run is let go before the next one is built.
-    table = sim.ExponentialTable()
     errors = []
-    for cycle, schedule in zip(cycle_list, schedules):
-        errors.append(sim.averaging_error(network, schedule, state0, horizon, dt,
-                                          table=table).error_percent)
-        click.echo(f"T={cycle:g}: error {errors[-1]:.4f}%")
+    for cycle, error in zip(cycle_list, sim.averaging_sweep(network, schedules, state0,
+                                                            horizon, dt)):
+        errors.append(error)
+        click.echo(f"T={cycle:g}: error {error:.4f}%")
     if out is not None:
         _write_csv(out, _header_lines(scenario.config_hash(network), 0),
                    ["cycle_time", "error_percent"],

@@ -176,10 +176,6 @@ class CommGraph:
         return tuple(sorted(touching))
 
     @property
-    def is_connected(self) -> bool:
-        return self.diameter is not None
-
-    @property
     def diameter(self) -> int | None:
         """Longest shortest hop count; ``None`` when the graph is disconnected.
         One breadth-first search from every agent."""
@@ -334,10 +330,6 @@ class Agent:
             return -self._lambda([j])
         return (self.rhs + self._lambda(self.blocks)) / (self.n_agents - len(self.blocks))
 
-    def own_share(self) -> np.ndarray:
-        """Current estimate of this agent's right-hand-side share."""
-        return self.share(self.id)
-
     @property
     def w_hat(self) -> np.ndarray:
         """The stacked estimate ``[X, D_1, ..., D_nu]``, each block
@@ -352,7 +344,7 @@ class Agent:
         """Residual of ``S_i X + X S_i^T + D_i = 0`` and of the balance
         ``sum(D_j) = D``; for a complete agent the balance is the residual
         of the Lyapunov equation."""
-        own = self._lambda([self.id]) + self.own_share()
+        own = self._lambda([self.id]) + self.share(self.id)
         total = -self._lambda(self.blocks)      # the known D_j
         missing = self.n_agents - len(self.blocks)
         if missing:
@@ -495,7 +487,7 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     solutions = [agent.solution() for agent in agents]
     result = DistributedResult(
         solutions=solutions,
-        shares=[agent.own_share() for agent in agents],
+        shares=[agent.share(agent.id) for agent in agents],
         rounds=rounds,
         converged=converged,
         errors=np.vstack(errors),

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, check_memory
 from .net_model import NetworkSpec, Schedule
 
 
@@ -42,16 +42,6 @@ class ModeSet:
         return float(self.durations.sum())
 
 
-@dataclass(frozen=True)
-class AveragedSystem:
-    """Time-invariant surrogate ``x' = A x + B u``, output ``y = C x``."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    u: np.ndarray
-
-
 def _chain_block(cells: int, rate: float) -> np.ndarray:
     """In-road transport: strictly lower bidiagonal flow at ``rate``.
 
@@ -68,6 +58,8 @@ def _chain_block(cells: int, rate: float) -> np.ndarray:
 def assemble_modes(network: NetworkSpec, schedule: Schedule) -> ModeSet:
     """Build one state matrix per mode window of the schedule."""
     n = network.n
+    check_memory(8 * (schedule.n_modes + 1) * n * n,
+                 f"the {schedule.n_modes} mode matrices of {n} cells")
     base = np.zeros((n, n))
     for r in network.roads:
         sl = network.state_slice(r.id)
@@ -131,14 +123,3 @@ def output_map(network: NetworkSpec) -> np.ndarray:
     for i, r in enumerate(network.roads):
         C[i, network.downstream_index(r.id)] = 1.0
     return C
-
-
-def average_system(network: NetworkSpec, mode_set: ModeSet,
-                   durations: Iterable[float] | None = None) -> AveragedSystem:
-    """Averaged surrogate of the switched dynamics over one cycle."""
-    return AveragedSystem(
-        A=average_matrix(mode_set, durations),
-        B=mode_set.input_map.copy(),
-        C=output_map(network),
-        u=network.average_inflow(),
-    )

@@ -6,7 +6,9 @@ class rather than by message text.  The memory-refusal policy that the
 simulator and the distributed solver share lives here too.
 """
 
+import math
 import os
+import sys
 
 
 class GreensplitError(Exception):
@@ -20,11 +22,12 @@ class ValidationError(GreensplitError):
 def check_memory(planned: float, what: str) -> None:
     """Refuse a request whose arrays would hold ``planned`` bytes, over half
     of physical memory, with one :class:`ValidationError` that names it as
-    ``what``."""
+    ``what``.  ``planned`` may be an integer past the range of a float."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if planned > physical / 2:
+        gib = planned / 2**30 if planned <= sys.float_info.max else math.inf
         raise ValidationError(
-            f"{what} would hold about {planned / 2**30:.3g} GiB, over half of the "
+            f"{what} would hold about {gib:.3g} GiB, over half of the "
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
 

@@ -352,13 +352,6 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return solver.from_schur(solver.solve(solver.to_schur(d)))
 
 
-def gramian(a: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Reachability-type Gramian of the pair ``(A, x0)``: the solution of
-    ``A W + W A^T + x0 x0^T = 0``."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    return solve_lyapunov(a, np.outer(x0, x0))
-
-
 def congestion_cost(a: np.ndarray, output: np.ndarray, x0: np.ndarray) -> float:
     """Integrated squared stop-line occupancy from ``x0``.
 

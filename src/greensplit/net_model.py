@@ -30,7 +30,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_memory
 
 SCHEMA_VERSION = 1
 
@@ -250,8 +250,11 @@ class Schedule:
 
 
 def _cells_for(length: float, h: float) -> int:
+    cells = length / h
+    if not math.isfinite(cells):
+        raise ValidationError(f"a length of {length!r} at h {h!r} gives no finite cell count")
     # tiny slack keeps exact multiples from rounding up to an extra cell
-    return max(1, math.ceil(length / h - 1e-9))
+    return max(1, math.ceil(cells - 1e-9))
 
 
 def _require_keys(section: str, data: Mapping[str, Any], allowed: set[str],
@@ -270,7 +273,7 @@ def _as_number(section: str, key: str, value: Any) -> float:
     """A finite float; ``bool`` is refused although it is an ``int``."""
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         v = None
     if v is None or isinstance(value, bool):
         raise ValidationError(f"{section}: {key} must be a number, got {value!r}")
@@ -283,6 +286,15 @@ def _as_flag(section: str, key: str, value: Any) -> bool:
     """A YAML boolean; strings such as ``"no"`` and numbers are refused."""
     if not isinstance(value, bool):
         raise ValidationError(f"{section}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _as_list(key: str, value: Any) -> list:
+    """An optional list section; absent or null is empty."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(f"scenario: {key} must be a list, got {value!r}")
     return value
 
 
@@ -547,7 +559,7 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
             inflows[rid] = _parse_inflow(rid, entry["inflow"], cycle_time)
 
     moves_by_x: dict[str, list[Movement]] = {}
-    for entry in document.get("movements", []) or []:
+    for entry in _as_list("movements", document.get("movements")):
         if not isinstance(entry, Mapping):
             raise ValidationError("movements: each entry must be a mapping")
         _require_keys("movement", entry, _MOVE_KEYS, _MOVE_KEYS)
@@ -565,7 +577,7 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
 
     intersections: list[Intersection] = []
     declared_x: set[str] = set()
-    for entry in document.get("intersections", []) or []:
+    for entry in _as_list("intersections", document.get("intersections")):
         if not isinstance(entry, Mapping):
             raise ValidationError("intersections: each entry must be a mapping")
         _require_keys("intersection", entry, {"id", "phases"}, {"id", "phases"})
@@ -639,6 +651,8 @@ def generate_grid(rows: int, cols: int, *, h: float = 100.0,
 
     turn_ratio = (1.0 - through_ratio) / 2.0
     cells = _cells_for(block_length, h)
+    n = cells * (2 * rows * (cols + 1) + 2 * cols * (rows + 1))
+    check_memory(8 * n * n, f"one {n}x{n} matrix of a {rows}x{cols} grid")
 
     roads: list[Road] = []
     inflows: dict[str, InflowProfile] = {}

@@ -44,6 +44,9 @@ KKT_TOL = 1e-6
 #: inner iteration budget per smoothing weight
 MAX_INNER = 5000
 
+#: inner iteration budget of one start, over all its smoothing weights
+MAX_ITERATIONS = 20000
+
 #: simplex drift allowed on iterates, relative to the cycle time
 SIMPLEX_TOL = 1e-9
 
@@ -223,8 +226,10 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         finite and nonnegative with a positive sum, and is rescaled to the
         cycle time.
 
-    Each inner descent runs at most ``MAX_INNER`` iterations; a descent
-    that hits this budget marks the report as not converged.
+    Each inner descent runs at most ``MAX_INNER`` iterations, and a start
+    stops once its descents have run ``MAX_ITERATIONS`` in all; a start
+    that hits either budget is not converged, and neither is the report
+    when it is the best start.
     """
     if not 0.0 < xi < np.inf:
         raise ValidationError(f"xi must be finite and positive, got {xi}")
@@ -298,7 +303,7 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                 xi_cur *= 0.5
                 if inner.reason == "budget":
                     hit_cap = True
-            if outer > 100000:
+            if iters >= MAX_ITERATIONS:
                 hit_cap = True
                 break
         log.debug("start %d: %d outer steps (%d achieved, %d stationary, "

@@ -9,16 +9,17 @@ step midpoints at once.  Steps of one mode, inflow and length come in
 runs.  A plan (:func:`_plan`) lists the runs, their keys and the powers
 that jump over them; the stepping (:func:`_propagate`) jumps between run
 starts with those powers and fills the runs' interiors with matrix-matrix
-products.  Memory is checked from sizes alone (:func:`check_size`), then
+products.  Memory is checked from sizes alone (:func:`_check_size`), then
 from the plan with the exact exponentials a run adds (:func:`_check_plans`).
 
 The agreement metric integrates the relative gap between the switched and
 averaged state trajectories over a horizon and normalizes by its length;
 samples where the averaged state has essentially vanished are excluded so
-the ratio stays meaningful.  A sweep over cycle times shares one
-:class:`ExponentialTable`, which also keeps the last averaged run: at a
-uniform split the averaged system does not depend on the cycle time, so
-cycles whose grids coincide run it once.
+the ratio stays meaningful.  :func:`averaging_sweep` runs it over a list of
+schedules.  It owns the sweep: it checks every size up front, shares one
+dict of exponentials across the cycles and keeps the last averaged run, and
+at a uniform split the averaged system does not depend on the cycle time,
+so cycles whose grids coincide run it once.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .dynamics import AveragedSystem, ModeSet, assemble_modes, average_system, output_map
+from .dynamics import ModeSet, assemble_modes, average_matrix
 from .errors import DimensionError, ValidationError, check_memory
 from .net_model import NetworkSpec, Schedule
 
@@ -49,13 +51,11 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    outputs: np.ndarray
 
 
 @dataclass(frozen=True)
 class AveragingReport:
-    """One cycle time of a sweep.  Reports made with one table may share
-    their ``averaged`` trajectory, whose arrays are then read-only."""
+    """One cycle time of a comparison of the switched and averaged runs."""
 
     cycle_time: float
     horizon: float
@@ -64,46 +64,19 @@ class AveragingReport:
     averaged: Trajectory
 
 
-class ExponentialTable:
-    """Augmented exponentials ``E = expm([[A, b], [0, 0]] dt)``, and the
-    last averaged run.
-
-    Entries are keyed by a BLAKE2 digest of ``A``, the bytes of ``b`` and
-    ``dt``, so the table holds no copy of the matrices.  Simulations handed
-    the same table share every system they meet again: at a uniform split
-    the mode matrices and the averaged matrix do not depend on the cycle
-    time.  For the same reason :func:`averaging_error` keeps its averaged
-    trajectory here, keyed by the bytes of the averaged system, the initial
-    state and the grid.  One run is kept, with read-only arrays.  A table
-    serves one command; nothing is kept between commands.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, np.ndarray] = {}
-        self._averaged: tuple[tuple, Trajectory] | None = None
-
-    def exponential(self, key: tuple, a: np.ndarray, b: np.ndarray,
-                    dt: float) -> np.ndarray:
-        """``E`` of the system ``key = (A digest, b bytes, dt)``."""
-        hit = self._entries.get(key)
-        if hit is None:
-            n = a.shape[0]
-            aug = np.zeros((n + 1, n + 1))
-            aug[:n, :n] = a
-            aug[:n, n] = b
-            hit = self._entries[key] = linalg.expm(aug * dt)
-        return hit
-
-    def averaged(self, key: tuple, run) -> Trajectory:
-        """The kept trajectory if its key is ``key``, else ``run()``, kept
-        in its place.  The old run is let go before the new one is built."""
-        if self._averaged is None or self._averaged[0] != key:
-            self._averaged = None
-            traj = run()
-            for array in (traj.times, traj.states, traj.outputs):
-                array.flags.writeable = False
-            self._averaged = (key, traj)
-        return self._averaged[1]
+def _exponential(table: dict[tuple, np.ndarray], key: tuple, a: np.ndarray,
+                 b: np.ndarray, dt: float) -> np.ndarray:
+    """Augmented exponential ``E = expm([[A, b], [0, 0]] dt)`` of the system
+    ``key = (A digest, b bytes, dt)``, kept in ``table``.  Keying by a
+    BLAKE2 digest of ``A`` keeps no copy of the matrices."""
+    hit = table.get(key)
+    if hit is None:
+        n = a.shape[0]
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = a
+        aug[:n, n] = b
+        hit = table[key] = linalg.expm(aug * dt)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -163,7 +136,7 @@ def _plan(matrices: list[np.ndarray], mode: np.ndarray, input_map: np.ndarray,
     return _Plan(starts, lengths, run_label, jump, systems, np.unique(pair[jump]).size)
 
 
-def _propagate(x0: np.ndarray, plan: _Plan, table: ExponentialTable) -> np.ndarray:
+def _propagate(x0: np.ndarray, plan: _Plan, table: dict[tuple, np.ndarray]) -> np.ndarray:
     """Exact states before and after every step of ``plan``.
 
     A sequential pass walks the run boundaries: a run that jumps goes to
@@ -184,7 +157,7 @@ def _propagate(x0: np.ndarray, plan: _Plan, table: ExponentialTable) -> np.ndarr
         """Blocks ``Phi, d`` of ``E^length`` for the key ``label``."""
         hit = maps.get((label, length))
         if hit is None:
-            e = table.exponential(*plan.systems[label])
+            e = _exponential(table, *plan.systems[label])
             if length > 1:
                 e = np.linalg.matrix_power(e, length)
             hit = maps[label, length] = (e[:n, :n], e[:n, n])
@@ -296,17 +269,17 @@ def _planned_bytes(network: NetworkSpec, schedule: Schedule, samples: float,
     """Bytes that ``trajectories`` runs of ``samples`` grid points hold at
     once, apart from their exponentials and powers.
 
-    A grid point costs up to three rows of ``n`` doubles (the state, the
-    step's inflows, the output) and about sixteen words of grid work:
-    event times, the grid and the list :func:`_sample_grid` deduplicates
-    through, step midpoints, modes and lengths, the plan's run bookkeeping,
-    the row norms of :func:`averaging_error`.  The mode matrices, the
-    averaged system and the input map take ``n_modes + 3`` arrays of
-    ``n^2`` doubles, and one ``expm`` or power works in about ten arrays of
-    ``(n+1)^2`` doubles.
+    A grid point costs up to two rows of ``n`` doubles (the state and the
+    step's inflows) and about sixteen words of grid work: event times, the
+    grid and the list :func:`_sample_grid` deduplicates through, step
+    midpoints, modes and lengths, the plan's run bookkeeping, the row norms
+    of :func:`_compare`.  The mode matrices, the averaged matrix, the input
+    map and the base matrix :func:`assemble_modes` builds them from take
+    ``n_modes + 3`` arrays of ``n^2`` doubles, and one ``expm`` or power
+    works in about ten arrays of ``(n+1)^2`` doubles.
     """
     n = network.n
-    return 8.0 * (trajectories * samples * (3 * n + 16) + (schedule.n_modes + 3) * n * n
+    return 8.0 * (trajectories * samples * (2 * n + 16) + (schedule.n_modes + 3) * n * n
                   + 10.0 * (n + 1) ** 2)
 
 
@@ -316,21 +289,24 @@ def _check_memory(planned: float, samples: float, schedule: Schedule, horizon: f
                           f"{schedule.cycle_time:g} s) with about {samples:.3g} samples")
 
 
-def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-               trajectories: int = 1) -> None:
+def _check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
+                trajectories: int = 1) -> None:
     """Refuse, from sizes alone, a run whose arrays would hold over half of
     physical memory.
 
     This is the first step of the memory check, before any per-sample
     array exists: ``trajectories`` runs held at once over the bound
     :func:`_planned_samples` on their grid points (:func:`_planned_bytes`).
-    A sweep of :func:`averaging_error` holds two, the switched run of one
-    cycle time and the averaged run the sweep shares.  The second step,
-    :func:`_check_plans`, counts the exponentials from the run's plan.  A
-    span that is not finite and positive is refused first, and one that
-    :func:`_check_span` refuses after the memory check.
+    A comparison holds two, the switched run of one cycle time and the
+    averaged run.  The second step, :func:`_check_plans`, counts the
+    exponentials from the run's plan.  A span that is not finite and
+    positive is refused first, and one that :func:`_check_span` refuses
+    after the memory check.
     """
-    _check_positive(horizon, dt)
+    if not (math.isfinite(horizon) and math.isfinite(dt) and horizon > 0 and dt > 0):
+        raise ValidationError(
+            f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
+        )
     samples = _planned_samples(network, schedule, horizon, dt)
     _check_memory(_planned_bytes(network, schedule, samples, trajectories), samples,
                   schedule, horizon, dt)
@@ -338,7 +314,7 @@ def check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: flo
 
 
 def _check_plans(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-                 samples: int, plans: list[_Plan], table: ExponentialTable) -> None:
+                 samples: int, plans: list[_Plan], table: dict[tuple, np.ndarray]) -> None:
     """Refuse runs whose plans would hold over half of physical memory.
 
     This is the second step of the memory check, after the plans and
@@ -348,10 +324,10 @@ def _check_plans(network: NetworkSpec, schedule: Schedule, horizon: float, dt: f
     key of the plans that is not yet in the table and for each power.
     """
     keys = {system[0] for plan in plans for system in plan.systems}
-    new = sum(key not in table._entries for key in keys)
+    new = sum(key not in table for key in keys)
     powers = sum(plan.powers for plan in plans)
     planned = (_planned_bytes(network, schedule, samples, len(plans))
-               + sum(e.nbytes for e in table._entries.values())
+               + sum(e.nbytes for e in table.values())
                + 8.0 * (network.n + 1) ** 2 * (new + powers))
     log.debug("%d samples, %d runs, %d new keys and %d in the table, %d powers, "
               "%.0f bytes planned", samples, sum(plan.starts.shape[0] for plan in plans),
@@ -403,17 +379,8 @@ def _check_x0(network: NetworkSpec, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
-def _check_positive(horizon: float, dt: float) -> None:
-    if not (math.isfinite(horizon) and math.isfinite(dt) and horizon > 0 and dt > 0):
-        raise ValidationError(
-            f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
-        )
-
-
 def _check_span(horizon: float, dt: float) -> None:
-    """Refuse a span that is not finite and positive, or whose horizon or
-    step is within the sampling tolerance."""
-    _check_positive(horizon, dt)
+    """Refuse a span whose horizon or step is within the sampling tolerance."""
     tol = _grid_tol(horizon)
     if horizon <= tol:
         raise ValidationError(f"horizon {horizon!r} s leaves no step: it must exceed "
@@ -436,91 +403,109 @@ def _switching_plan(network: NetworkSpec, schedule: Schedule, modes: ModeSet,
                               _inflows_at(network, mid), steps)
 
 
-def _trajectory(x0: np.ndarray, plan: _Plan, table: ExponentialTable, grid: np.ndarray,
-                output: np.ndarray) -> Trajectory:
-    states = _propagate(x0, plan, table)
-    return Trajectory(times=grid, states=states, outputs=states @ output.T)
-
-
-def _average_plan(avg: AveragedSystem, steps: np.ndarray) -> _Plan:
-    return _plan([avg.A], np.zeros(steps.shape[0], dtype=int), avg.B,
-                 np.broadcast_to(avg.u, (steps.shape[0], avg.u.shape[0])), steps)
+def _average_plan(network: NetworkSpec, modes: ModeSet, steps: np.ndarray) -> _Plan:
+    """Plan of the averaged run: the duration-weighted mean of the modes,
+    driven by the cycle-averaged inflow."""
+    u = network.average_inflow()
+    return _plan([average_matrix(modes)], np.zeros(steps.shape[0], dtype=int),
+                 modes.input_map, np.broadcast_to(u, (steps.shape[0], u.shape[0])), steps)
 
 
 def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
-                       horizon: float, dt: float = 1.0,
-                       table: ExponentialTable | None = None) -> Trajectory:
+                       horizon: float, dt: float = 1.0) -> Trajectory:
     """Integrate the switched dynamics exactly on a sampling grid.
 
     A run whose arrays would exceed half of physical memory raises
     :class:`ValidationError` before any state or exponential is built.
-    Pass ``table`` to share exponentials with other runs of the same
-    command.
     """
-    check_size(network, schedule, horizon, dt)
+    _check_size(network, schedule, horizon, dt)
     x = _check_x0(network, x0)
-    table = ExponentialTable() if table is None else table
+    table: dict[tuple, np.ndarray] = {}
     grid, _, plan = _switching_plan(network, schedule, assemble_modes(network, schedule),
                                     horizon, dt)
     _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
-    return _trajectory(x, plan, table, grid, output_map(network))
+    return Trajectory(grid, _propagate(x, plan, table))
 
 
 def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
-                     horizon: float, dt: float = 1.0,
-                     grid: np.ndarray | None = None,
-                     table: ExponentialTable | None = None) -> Trajectory:
+                     horizon: float, dt: float = 1.0) -> Trajectory:
     """Integrate the averaged surrogate on the same kind of grid."""
-    check_size(network, schedule, horizon, dt)
+    _check_size(network, schedule, horizon, dt)
     x = _check_x0(network, x0)
-    table = ExponentialTable() if table is None else table
-    avg = average_system(network, assemble_modes(network, schedule))
-    if grid is None:
-        grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
-    plan = _average_plan(avg, _step_lengths(grid, horizon))
+    table: dict[tuple, np.ndarray] = {}
+    modes = assemble_modes(network, schedule)
+    grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
+    plan = _average_plan(network, modes, _step_lengths(grid, horizon))
     _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
-    return _trajectory(x, plan, table, grid, avg.C)
+    return Trajectory(grid, _propagate(x, plan, table))
+
+
+def _compare(network: NetworkSpec, schedule: Schedule, x0: np.ndarray, horizon: float,
+             dt: float, table: dict[tuple, np.ndarray],
+             kept: dict[tuple, Trajectory]) -> AveragingReport:
+    """Switched and averaged runs of one cycle time and the gap between them.
+
+    Both runs take their exponentials from ``table`` and pass one memory
+    check.  ``kept`` holds at most one averaged run, keyed by its system's
+    table key and the grid's bytes; a run under the same key is reused, and
+    otherwise the kept run is let go before the new one is built.
+    """
+    modes = assemble_modes(network, schedule)
+    grid, steps, plan = _switching_plan(network, schedule, modes, horizon, dt)
+    averaged_plan = _average_plan(network, modes, steps)
+    _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan, averaged_plan], table)
+    switched = _propagate(x0, plan, table)
+    key = (averaged_plan.systems[0][0], grid.tobytes())
+    averaged = kept.get(key)
+    if averaged is None:
+        kept.clear()
+        averaged = kept[key] = Trajectory(grid, _propagate(x0, averaged_plan, table))
+    # row norms a block of rows at a time, with no temporary of the
+    # trajectories' size; each row sums as in one call on the whole array
+    ref = np.empty(grid.shape[0])
+    gap = np.empty_like(ref)
+    for start in range(0, ref.shape[0], _NORM_ROWS):
+        rows = slice(start, start + _NORM_ROWS)
+        ref[rows] = np.linalg.norm(averaged.states[rows], axis=1)
+        gap[rows] = np.linalg.norm(switched[rows] - averaged.states[rows], axis=1)
+    floor = _EXCLUDE_FLOOR * np.linalg.norm(x0)
+    ratio = np.where(ref > floor, gap / np.where(ref > floor, ref, 1.0), 0.0)
+    error = np.trapezoid(ratio, grid) / horizon
+    return AveragingReport(
+        cycle_time=schedule.cycle_time,
+        horizon=horizon,
+        error_percent=100.0 * float(error),
+        switched=Trajectory(grid, switched),
+        averaged=averaged,
+    )
 
 
 def averaging_error(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
-                    horizon: float, dt: float = 1.0,
-                    table: ExponentialTable | None = None) -> AveragingReport:
+                    horizon: float, dt: float = 1.0) -> AveragingReport:
     """Relative gap between switched and averaged trajectories.
 
     Returns the horizon-normalized integral of
     ``norm(x - x_av) / norm(x_av)`` as a percentage, excluding samples where
     the averaged state has decayed below ``1e-6`` of the initial norm.
-    Both runs share ``table`` and one memory check; pass a table to share
-    it across a sweep.  The table then also keeps the averaged run, and a
-    later cycle time with the same averaged system, initial state and grid
-    reuses it instead of running it again.
     """
-    check_size(network, schedule, horizon, dt, trajectories=2)
+    _check_size(network, schedule, horizon, dt, trajectories=2)
+    return _compare(network, schedule, _check_x0(network, x0), horizon, dt, {}, {})
+
+
+def averaging_sweep(network: NetworkSpec, schedules: Sequence[Schedule], x0: np.ndarray,
+                    horizon: float, dt: float = 1.0) -> Iterator[float]:
+    """Averaging error percent of each schedule in turn, on one horizon.
+
+    Every schedule's size is checked before the first cycle runs, and each
+    cycle checks its own plan.  The cycles share one dict of exponentials
+    and the last averaged run, which at a uniform split serves every cycle
+    on the same grid.  Only the error is handed out, so a cycle's switched
+    run is let go before the next one is built.
+    """
+    for schedule in schedules:
+        _check_size(network, schedule, horizon, dt, trajectories=2)
     x0 = _check_x0(network, x0)
-    table = ExponentialTable() if table is None else table
-    modes = assemble_modes(network, schedule)
-    avg = average_system(network, modes)
-    grid, steps, plan = _switching_plan(network, schedule, modes, horizon, dt)
-    averaged_plan = _average_plan(avg, steps)
-    _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan, averaged_plan], table)
-    switched = _trajectory(x0, plan, table, grid, output_map(network))
-    key = tuple(a.tobytes() for a in (avg.A, avg.B, avg.u, avg.C, x0, grid))
-    averaged = table.averaged(key, lambda: _trajectory(x0, averaged_plan, table, grid, avg.C))
-    # row norms a block of rows at a time, with no temporary of the
-    # trajectories' size; each row sums as in one call on the whole array
-    ref = np.empty(switched.times.shape[0])
-    gap = np.empty_like(ref)
-    for start in range(0, ref.shape[0], _NORM_ROWS):
-        rows = slice(start, start + _NORM_ROWS)
-        ref[rows] = np.linalg.norm(averaged.states[rows], axis=1)
-        gap[rows] = np.linalg.norm(switched.states[rows] - averaged.states[rows], axis=1)
-    floor = _EXCLUDE_FLOOR * np.linalg.norm(x0)
-    ratio = np.where(ref > floor, gap / np.where(ref > floor, ref, 1.0), 0.0)
-    error = np.trapezoid(ratio, switched.times) / horizon
-    return AveragingReport(
-        cycle_time=schedule.cycle_time,
-        horizon=horizon,
-        error_percent=100.0 * float(error),
-        switched=switched,
-        averaged=averaged,
-    )
+    table: dict[tuple, np.ndarray] = {}
+    kept: dict[tuple, Trajectory] = {}
+    for schedule in schedules:
+        yield _compare(network, schedule, x0, horizon, dt, table, kept).error_percent

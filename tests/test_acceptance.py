@@ -26,7 +26,7 @@ from scipy.integrate import quad_vec, solve_ivp
 
 from greensplit import cli, scenario
 from greensplit.distributed import CommGraph, run_distributed
-from greensplit.dynamics import assemble_modes, average_matrix, average_system
+from greensplit.dynamics import assemble_modes, average_matrix
 from greensplit.lyapunov import congestion_cost, solve_lyapunov, spectral_abscissa
 from greensplit.net_model import uniform_schedule
 from greensplit.optimizer import optimize

@@ -344,21 +344,20 @@ def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_pa
     # default 30,60,100,120 the 7.5 s switches of T=30 give it its own grid
     from greensplit import net_model, scenario, sim
     calls = []
-    averaged = sim.ExponentialTable.averaged
+    propagate = sim._propagate
 
-    def counting(self, key, run):
-        def counted():
-            calls.append(key)
-            return run()
-        return averaged(self, key, counted)
+    def counting(x0, plan, table):
+        calls.append(plan)
+        return propagate(x0, plan, table)
 
-    monkeypatch.setattr(sim.ExponentialTable, "averaged", counting)
+    monkeypatch.setattr(sim, "_propagate", counting)
     out = tmp_path / "err.csv"
     args = ["compare-averaging", "four_intersections", "--out", str(out)]
     result = invoke(runner, *args, *(["--cycles", cycles] if cycles else []))
     assert result.exit_code == 0
-    assert len(calls) == runs
     _, rows = read_artifact(out)
+    # one switched run per cycle, and the averaged runs
+    assert len(calls) == len(rows) - 1 + runs
     network = scenario.load("four_intersections")
     horizon = 10.0 * max(float(r[0]) for r in rows[1:])
     for cycle, error in rows[1:]:
@@ -531,6 +530,19 @@ def test_optimize_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
     assert not trace.exists()
 
 
+def test_optimize_overall_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
+    from greensplit import optimizer
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 10)
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    result = CliRunner().invoke(cli.main, ["optimize", "four_intersections", "--out", str(out),
+                                           "--plot-out", str(trace)])
+    assert result.exit_code == 4
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("NotConverged: optimize hit its iteration budget")
+    assert not out.exists()
+    assert not trace.exists()
+
+
 def test_optimize_artifacts_and_determinism(tmp_path):
     def run(tag):
         report = tmp_path / f"r{tag}.json"
@@ -696,3 +708,62 @@ def test_cli_import_loads_no_sparse_module():
 def test_distributed_bad_layout(runner):
     result = invoke(runner, "distributed", "single_road", "--agents", "ring:9")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [["modes"], ["optimize"],
+                                     ["distributed", "--agents", "path:2"]])
+def test_network_whose_mode_matrices_cannot_fit_is_one_validation_line(tmp_path, command):
+    # single_road at h 0.001 has 400,000 cells: it builds, but its mode
+    # matrices would need 3.5 TiB
+    from greensplit import scenario
+    path = tmp_path / "big.yaml"
+    path.write_text(scenario.resolve("single_road").replace("\nh: 100.0\n", "\nh: 0.001\n"))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, [command[0], str(path), *command[1:],
+                                           "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: the 2 mode matrices of 400000 cells")
+    assert "physical memory" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("{rows: 2, cols: 2, h: 1.0e-320}", "no finite cell count"),
+    ("{rows: 2, cols: 2, block_length: 1.0e+308, h: 1.0e-10}", "no finite cell count"),
+    ("{rows: 1000000, cols: 1000000}", "physical memory"),
+    # bytes past the range of a float
+    (f"{{rows: 1{'0' * 400}, cols: 2}}", "about inf GiB"),
+], ids=["tiny-h", "long-block", "huge-grid", "past-float-range"])
+def test_grid_no_command_can_hold_is_one_validation_line(tmp_path, grid, message):
+    path = tmp_path / "grid.yaml"
+    path.write_text(f"schema_version: 1\nname: huge\ngrid: {grid}\n")
+    out = tmp_path / "out.yaml"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, ["build", str(path), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: ")
+    assert message in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare-averaging"])
+def test_network_whose_state_cannot_fit_is_one_validation_line(tmp_path, command):
+    # at h 1e-9 single_road has 4e11 cells, and its initial state alone
+    # would take 2.9 TiB
+    from greensplit import scenario
+    path = tmp_path / "big.yaml"
+    path.write_text(scenario.resolve("single_road").replace("\nh: 100.0\n", "\nh: 1.0e-9\n"))
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, [command, str(path), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: an initial state of 400000000000 cells")
+    assert not out.exists()

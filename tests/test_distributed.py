@@ -55,7 +55,6 @@ def test_graph_validation():
 def test_disconnected_graph_reports_no_diameter():
     g = dist.CommGraph.from_edges(3, [(0, 1)])
     assert g.diameter is None
-    assert not g.is_connected
 
 
 def _bfs_diameter(graph):
@@ -92,7 +91,6 @@ def test_diameter_matches_breadth_first_search():
         expected = _bfs_diameter(g)
         seen.add(expected is None)
         assert g.diameter == expected
-        assert g.is_connected == (expected is not None)
     assert seen == {True, False}    # both connected and disconnected cases ran
 
 
@@ -271,7 +269,6 @@ def test_agent_stores_only_its_blocks_and_x(problem):
     x = agent.solution()
     assert len(arrays()) == 1 and arrays()[0] is x
     assert agent.w_hat.shape == (4 * a.size,)
-    np.testing.assert_array_equal(agent.own_share(), agent.share(0))
     # a fold that brings a new share clears X
     agent.fold({1: dist.Agent(1, shares[1], d, 3).blocks[1]})
     assert arrays() == []

@@ -99,13 +99,6 @@ def test_output_map_selects_last_cells(four_net):
         assert y[i] == x[four_net.state_slice(road.id).stop - 1]
 
 
-def test_average_system_carries_mean_inflow(four_net, four_modes):
-    avg = dynamics.average_system(four_net, four_modes)
-    np.testing.assert_allclose(avg.u, four_net.average_inflow())
-    assert avg.B.shape == (four_net.n, four_net.n_roads)
-    np.testing.assert_allclose(avg.A, dynamics.average_matrix(four_modes))
-
-
 def test_unknown_movement_in_phase_rejected(single_net):
     sched = net_model.uniform_schedule(single_net)
     bad = net_model.Schedule(

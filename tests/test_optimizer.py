@@ -193,6 +193,18 @@ def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
     assert report.cost == pytest.approx(1179.1073053020937, rel=1e-12)
 
 
+def test_overall_budget_ends_a_start_unconverged(four_modes, four_output, monkeypatch):
+    # the run takes 65 iterations over 24 weights, at most 4 in one descent
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 30)
+    report = optimize(four_modes, four_output, np.ones(four_modes.n))
+    assert not report.converged
+    assert 30 <= report.iterations < 30 + optimizer.MAX_INNER
+    assert report.cost < report.baseline_cost
+    # a second start that also runs out leaves the report unconverged
+    report = optimize(four_modes, four_output, np.ones(four_modes.n), starts=2, seed=0)
+    assert not report.converged
+
+
 @pytest.mark.parametrize("name, cost, max_iterations", [
     ("four_intersections", 1179.1073053020937, 70),
     ("grid_3x3", 7945.66198478998, 36),

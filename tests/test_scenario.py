@@ -1,8 +1,15 @@
 """Scenario file loading, canonical export, and hashing."""
 
-import pytest
+import copy
+import math
+import time
 
-from greensplit import scenario
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from greensplit import net_model, scenario
 from greensplit.errors import ValidationError
 
 
@@ -71,3 +78,95 @@ def test_grid_block_loads(tmp_path):
     doc.write_text("schema_version: 1\ngrid: {rows: 2, cols: 2}\n")
     net = scenario.load(doc)
     assert len(net.intersections) == 4
+
+
+# property tests over the scenario grammar ------------------------------------
+
+#: the bundled documents as parsed, before any building
+DOCUMENTS = {name: scenario.load_document(scenario.resolve(name)) for name in scenario.BUNDLED}
+
+#: values a mutation puts in place of a node: every YAML kind, and numbers
+#: at and past the edges of the float range
+VALUES = st.sampled_from([None, True, False, "", "x", "a -> b", math.inf, -math.inf,
+                          math.nan, 0, -1, 1e-320, 1e308, -1e308, 10**400, [], [1.0],
+                          [[1.0, 2.0]], {}, {"id": "x"}])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled document with one to three nodes replaced, dropped, or
+    given an unknown sibling.  Each node is found by a walk from the top
+    that stops at each level with even odds, so the top-level keys are
+    drawn as often as the leaves deep in the road and movement lists."""
+    doc = copy.deepcopy(DOCUMENTS[draw(st.sampled_from(scenario.BUNDLED))])
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (parent is None
+                                                            or draw(st.booleans())):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            break
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace":
+            parent[key] = copy.deepcopy(draw(VALUES))
+        elif action == "drop":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["unknown", "lenght"]))] = copy.deepcopy(draw(VALUES))
+        else:
+            parent.append(copy.deepcopy(draw(VALUES)))
+    return doc
+
+
+SIZES = st.one_of(st.integers(-1, 4), st.sampled_from([100, 10**6, 10**24]), VALUES)
+
+
+@st.composite
+def grid_documents(draw):
+    """A grid declaration of small or huge rows and cols, with some of its
+    parameters set to any value."""
+    grid = {"rows": draw(SIZES), "cols": draw(SIZES)}
+    for key in draw(st.sets(st.sampled_from(sorted(net_model._GRID_KEYS - {"rows", "cols"})))):
+        grid[key] = copy.deepcopy(draw(st.one_of(VALUES, st.floats(1e-3, 1e3))))
+    return {"schema_version": 1, "grid": grid}
+
+
+def _builds_or_refuses(doc):
+    """A document builds a network or raises ValidationError, within a second."""
+    start = time.perf_counter()
+    try:
+        net = net_model.build_network(doc)
+    except ValidationError:
+        pass
+    else:
+        assert isinstance(net, net_model.NetworkSpec)
+    assert time.perf_counter() - start < 1.0
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_bundled_document_builds_or_is_refused(doc):
+    _builds_or_refuses(doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(grid_documents())
+def test_grid_declaration_builds_or_is_refused(doc):
+    _builds_or_refuses(doc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.builds(yaml.safe_dump, mutated_documents())))
+def test_any_text_loads_or_is_refused(text):
+    start = time.perf_counter()
+    try:
+        doc = scenario.load_document(text)
+    except ValidationError:
+        doc = None
+    assert time.perf_counter() - start < 1.0
+    if doc is not None:
+        _builds_or_refuses(doc)

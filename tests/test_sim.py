@@ -112,21 +112,21 @@ def test_switched_matches_rk_oracle(single):
 
 def test_averaged_reaches_lti_steady_state(single):
     network, schedule = single
-    ms = dynamics.assemble_modes(network, schedule)
-    avg = dynamics.average_system(network, ms)
+    a = dynamics.average_matrix(dynamics.assemble_modes(network, schedule))
     # single_road has no declared inflow: steady state is the origin.
     # slowest mode is the half-green release, time constant 400 s
     traj = sim.simulate_average(network, schedule, np.ones(network.n),
                                 12000.0, dt=50.0)
     assert np.linalg.norm(traj.states[-1]) < 1e-6
-    assert np.linalg.eigvals(avg.A).real.max() < 0
+    assert np.linalg.eigvals(a).real.max() < 0
 
 
 def test_steady_state_with_inflow(four_net):
     schedule = net_model.uniform_schedule(four_net)
+    # the averaged system is driven by the cycle-averaged inflow
     ms = dynamics.assemble_modes(four_net, schedule)
-    avg = dynamics.average_system(four_net, ms)
-    target = -np.linalg.solve(avg.A, avg.B @ avg.u)
+    target = -np.linalg.solve(dynamics.average_matrix(ms),
+                              ms.input_map @ four_net.average_inflow())
     traj = sim.simulate_average(four_net, schedule, np.zeros(four_net.n),
                                 30000.0, dt=50.0)
     np.testing.assert_allclose(traj.states[-1], target, atol=1e-7)
@@ -158,14 +158,6 @@ def test_grid_contains_switch_instants(single):
     present = set(np.round(traj.times, 9))
     assert expected <= present
     assert traj.times[0] == 0.0
-
-
-def test_outputs_are_last_cells(single):
-    network, schedule = single
-    traj = sim.simulate_switching(network, schedule, np.ones(network.n),
-                                  60.0, dt=1.0)
-    c = dynamics.output_map(network)
-    np.testing.assert_allclose(traj.outputs, traj.states @ c.T)
 
 
 def test_input_validation(single):
@@ -287,14 +279,14 @@ def _stepped_reference(network, schedule, x0, times, average=False):
     reference for the run-batched stepping of ``sim._propagate``.  Windows
     of one system and bitwise one length share their exponential."""
     ms = dynamics.assemble_modes(network, schedule)
-    avg = dynamics.average_system(network, ms)
+    avg = dynamics.average_matrix(ms), ms.input_map @ network.average_inflow()
     n = network.n
     states = [np.asarray(x0, dtype=float)]
     exponentials = {}
     for t0, t1 in zip(times[:-1], times[1:]):
         mid = 0.5 * (t0 + t1)
         if average:
-            a, b = avg.A, avg.B @ avg.u
+            a, b = avg
         else:
             a = ms.modes[_scalar_mode(schedule, mid)]
             b = ms.input_map @ _scalar_inflow(network, mid)
@@ -379,77 +371,71 @@ def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
 def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
     calls = _count_expm(monkeypatch)
     x0 = np.ones(four_net.n)
-    table = sim.ExponentialTable()
-    errors = []
-    for cycle in (32.0, 40.0):
-        schedule = net_model.uniform_schedule(four_net, cycle_time=cycle)
-        errors.append(sim.averaging_error(four_net, schedule, x0, 400.0,
-                                          table=table).error_percent)
+    schedules = [net_model.uniform_schedule(four_net, cycle_time=c) for c in (32.0, 40.0)]
+    errors = list(sim.averaging_sweep(four_net, schedules, x0, 400.0))
     # four modes and the averaged matrix, all at dt = 1
     assert len(calls) == 5
     calls.clear()
-    fresh = [sim.averaging_error(four_net, net_model.uniform_schedule(four_net, cycle_time=c),
-                                 x0, 400.0).error_percent for c in (32.0, 40.0)]
+    fresh = [sim.averaging_error(four_net, schedule, x0, 400.0).error_percent
+             for schedule in schedules]
     assert len(calls) == 10
     assert fresh == errors
 
 
-
-def _count_average_runs(monkeypatch):
-    """Wrap the averaged runs an ``ExponentialTable`` makes; the list gets
-    one entry per run."""
+def _count_runs(monkeypatch):
+    """Wrap the simulator's stepping; the list gets one entry per run.  A
+    sweep makes one switched run per cycle and one averaged run per
+    distinct averaged system and grid."""
     calls = []
-    averaged = sim.ExponentialTable.averaged
+    propagate = sim._propagate
 
-    def counting(self, key, run):
-        def counted():
-            calls.append(key)
-            return run()
-        return averaged(self, key, counted)
+    def counting(x0, plan, table):
+        calls.append(plan)
+        return propagate(x0, plan, table)
 
-    monkeypatch.setattr(sim.ExponentialTable, "averaged", counting)
+    monkeypatch.setattr(sim, "_propagate", counting)
     return calls
 
 
-def test_sweep_shares_one_read_only_averaged_run(four_net, monkeypatch):
+def test_sweep_shares_one_averaged_run(four_net, monkeypatch):
     # every switch of these uniform cycles falls on the 1 s grid, so all
     # cycles share one grid and the averaged run is made once
-    calls = _count_average_runs(monkeypatch)
+    calls = _count_runs(monkeypatch)
     x0 = np.ones(four_net.n)
-    table = sim.ExponentialTable()
-    reports = [sim.averaging_error(four_net, net_model.uniform_schedule(four_net, cycle_time=c),
-                                   x0, 600.0, table=table) for c in (40.0, 80.0, 96.0)]
-    assert len(calls) == 1
-    assert all(r.averaged is reports[0].averaged for r in reports)
-    for array in (reports[0].averaged.times, reports[0].averaged.states,
-                  reports[0].averaged.outputs):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    fresh = [sim.averaging_error(four_net, net_model.uniform_schedule(four_net, cycle_time=c),
-                                 x0, 600.0) for c in (40.0, 80.0, 96.0)]
-    assert len(calls) == 4
-    assert [r.error_percent for r in reports] == [r.error_percent for r in fresh]
-    for kept, new in zip(reports, fresh):
-        np.testing.assert_array_equal(kept.averaged.states, new.averaged.states)
+    schedules = [net_model.uniform_schedule(four_net, cycle_time=c) for c in (40.0, 80.0, 96.0)]
+    errors = list(sim.averaging_sweep(four_net, schedules, x0, 600.0))
+    assert len(calls) == 3 + 1
+    calls.clear()
+    fresh = [sim.averaging_error(four_net, schedule, x0, 600.0) for schedule in schedules]
+    assert len(calls) == 3 + 3
+    assert errors == [r.error_percent for r in fresh]
 
 
-def test_kept_averaged_run_is_keyed_on_state_and_grid(four_net, monkeypatch):
-    calls = _count_average_runs(monkeypatch)
-    table = sim.ExponentialTable()
-    rng = np.random.default_rng(9)
-    x0, x1 = rng.uniform(0.0, 1.0, (2, four_net.n))
-    schedule = net_model.uniform_schedule(four_net, cycle_time=40.0)
-    # another initial state, then another grid (switches at 7.5 s), then
-    # the first state again: each one runs the averaged system anew
-    cases = [(x0, schedule), (x1, schedule),
-             (x1, net_model.uniform_schedule(four_net, cycle_time=30.0)), (x0, schedule)]
-    shared = [sim.averaging_error(four_net, sched, x, 300.0, table=table)
-              for x, sched in cases]
-    assert len(calls) == 4
-    fresh = [sim.averaging_error(four_net, sched, x, 300.0) for x, sched in cases]
-    assert [r.error_percent for r in shared] == [r.error_percent for r in fresh]
-    assert shared[0].error_percent == shared[3].error_percent
+def test_kept_averaged_run_is_keyed_on_matrix_and_grid(four_net, four_schedule, monkeypatch):
+    calls = _count_runs(monkeypatch)
+    x0 = np.random.default_rng(9).uniform(0.0, 1.0, four_net.n)
+    uniform = net_model.uniform_schedule(four_net, cycle_time=40.0)
+    # another averaged matrix on the same 1 s grid, then another grid
+    # (switches at 7.5 s), then the first schedule again: each one runs the
+    # averaged system anew, and a repeat in a row runs it once
+    schedules = [uniform, four_schedule.with_durations([50.0, 0.0, 50.0, 0.0]),
+                 net_model.uniform_schedule(four_net, cycle_time=30.0), uniform, uniform]
+    errors = list(sim.averaging_sweep(four_net, schedules, x0, 300.0))
+    assert len(calls) == 5 + 4
+    fresh = [sim.averaging_error(four_net, schedule, x0, 300.0).error_percent
+             for schedule in schedules]
+    assert errors == fresh
+    assert errors[0] == errors[3] == errors[4]
+
+
+def test_sweep_checks_every_size_before_the_first_cycle(single, monkeypatch):
+    network, schedule = single
+    calls = _count_runs(monkeypatch)
+    tiny = net_model.uniform_schedule(network, cycle_time=1e-12)
+    sweep = sim.averaging_sweep(network, [schedule, tiny], np.ones(network.n), 300.0)
+    with pytest.raises(ValidationError, match="physical memory"):
+        next(sweep)
+    assert calls == []
 
 
 def test_sample_grid_ends_at_the_horizon():
@@ -520,6 +506,8 @@ def test_oversized_run_is_refused_before_building(single, horizon, dt):
         sim.simulate_average(network, schedule, np.ones(network.n), horizon, dt)
     with pytest.raises(ValidationError, match="physical memory"):
         sim.averaging_error(network, schedule, np.ones(network.n), horizon, dt)
+    with pytest.raises(ValidationError, match="physical memory"):
+        next(sim.averaging_sweep(network, [schedule], np.ones(network.n), horizon, dt))
 
 
 def _traced_peak(run):
@@ -569,12 +557,8 @@ def test_planned_bytes_cover_the_traced_peak(name, horizon, dt, caplog):
     schedules = [net_model.uniform_schedule(network, cycle_time=c)
                  for c in (30.0, 60.0, 100.0, 120.0)]
 
-    def sweep():
-        table = sim.ExponentialTable()
-        for schedule in schedules:
-            sim.averaging_error(network, schedule, x0, horizon, dt, table=table).error_percent
     caplog.clear()
-    peak = _traced_peak(sweep)
+    peak = _traced_peak(lambda: list(sim.averaging_sweep(network, schedules, x0, horizon, dt)))
     assert peak <= max(plan[5] for plan in _logged_plans(caplog))
 
 
@@ -632,8 +616,8 @@ intersections:
                    id=f"grid_4x4-{cycle}-{horizon}")
       for cycle, horizon in [(30.0, 1200.0), (37.0, 3000.0)]],
 ])
-def test_planned_table_covers_every_key(tmp_path, three_segment_net, caplog, name, period,
-                                        inflow, cycle, horizon, dt):
+def test_planned_table_covers_every_key(tmp_path, three_segment_net, caplog, monkeypatch,
+                                        name, period, inflow, cycle, horizon, dt):
     # the plan counts the exponentials a run adds to its table exactly,
     # and the bytes it plans cover the run's traced peak
     if name == "two":
@@ -644,36 +628,40 @@ def test_planned_table_covers_every_key(tmp_path, three_segment_net, caplog, nam
         network = three_segment_net if name == "three_segment" else scenario.load(name)
     schedule = net_model.uniform_schedule(network, cycle_time=cycle)
     caplog.set_level(logging.DEBUG, logger="greensplit.sim")
-    table = sim.ExponentialTable()
+    calls = _count_expm(monkeypatch)
     peak = _traced_peak(lambda: sim.simulate_switching(network, schedule, np.ones(network.n),
-                                                       horizon, dt, table=table))
+                                                       horizon, dt))
     [(_, _, new, held, _, planned)] = _logged_plans(caplog)
-    assert (new, held) == (len(table._entries), 0)
+    assert (new, held) == (len(calls), 0)
     assert peak <= planned
-    # a second run on the same table adds none and finds them all held
+    # a sweep of the schedule twice: the first cycle adds the switched and
+    # the averaged keys, and the second adds none and finds them all held
+    calls.clear()
     caplog.clear()
-    sim.simulate_switching(network, schedule, np.zeros(network.n), horizon, dt, table=table)
-    [(_, _, new, held, _, _)] = _logged_plans(caplog)
-    assert (new, held) == (0, len(table._entries))
+    list(sim.averaging_sweep(network, [schedule, schedule], np.ones(network.n), horizon, dt))
+    [(_, _, first, held, _, _), (_, _, second, again, _, _)] = _logged_plans(caplog)
+    assert (first, held) == (len(calls), 0)
+    assert first > new
+    assert (second, again) == (0, len(calls))
 
 
-def test_each_run_logs_its_plan(four_net, caplog):
+def test_each_run_logs_its_plan(four_net, caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="greensplit.sim")
+    calls = _count_expm(monkeypatch)
     x0 = np.ones(four_net.n)
-    table = sim.ExponentialTable()
     traj = sim.simulate_switching(four_net, net_model.uniform_schedule(four_net), x0, 400.0,
-                                  0.7, table=table)
+                                  0.7)
     [(samples, runs, new, held, powers, planned)] = _logged_plans(caplog)
     assert samples == traj.times.shape[0]
-    assert (new, held) == (len(table._entries), 0)
+    assert (new, held) == (len(calls), 0)
     assert new <= runs < samples
     assert planned >= traj.states.nbytes + new * 8 * (four_net.n + 1) ** 2
-    # one line for both runs of an averaging error: the modes' keys are
-    # held, and the averaged system's are new
+    # one line for both runs of an averaging error: the modes' keys and
+    # the averaged system's are new
+    calls.clear()
     caplog.clear()
-    sim.averaging_error(four_net, net_model.uniform_schedule(four_net), x0, 400.0, 0.7,
-                        table=table)
+    sim.averaging_error(four_net, net_model.uniform_schedule(four_net), x0, 400.0, 0.7)
     [(samples2, runs2, new2, held2, _, _)] = _logged_plans(caplog)
-    assert (samples2, held2) == (samples, new)
-    assert new2 == len(table._entries) - new > 0
+    assert (samples2, held2) == (samples, 0)
+    assert new2 == len(calls) > new
     assert runs2 > runs
