@@ -24,8 +24,8 @@ from .net_model import (InflowProfile, Intersection, Movement, NetworkSpec,
 from .optimizer import (OptimizationReport, optimize, project_tangent)
 from .scenario import (config_hash, dump, dumps, load, load_document,
                        to_document)
-from .sim import (AveragingReport, Trajectory, averaging_error,
-                  averaging_sweep, simulate_average, simulate_switching)
+from .sim import (Trajectory, averaging_error, averaging_sweep, simulate_average,
+                  simulate_switching)
 from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     # optimization
     "OptimizationReport", "optimize", "project_tangent",
     # simulation
-    "Trajectory", "AveragingReport", "simulate_switching",
+    "Trajectory", "simulate_switching",
     "simulate_average", "averaging_error", "averaging_sweep",
     # distributed solver
     "CommGraph", "Agent", "DistributedResult", "run_distributed",

@@ -75,7 +75,7 @@ from scipy import linalg  # noqa: F401
 
 from .errors import (DimensionError, InconsistentLocal, NotConverged,
                      SolveFailure, ValidationError, check_memory)
-from .lyapunov import solve_lyapunov
+from .lyapunov import _as_square, solve_lyapunov
 
 #: relative residual ``|b - G x| / |b|`` at which conjugate gradients stop
 CG_TOL = 1e-13
@@ -204,9 +204,7 @@ class CommGraph:
 
 def partition_rows(a: np.ndarray, assignment: np.ndarray, n_agents: int) -> list[np.ndarray]:
     """Split a matrix into per-agent row shares that sum back to it."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
+    a = _as_square(a)
     assignment = np.asarray(assignment, dtype=int).reshape(-1)
     if assignment.shape[0] != a.shape[0]:
         raise DimensionError("one owning agent is required per matrix row")
@@ -436,17 +434,16 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     (relative Frobenius) of the centralized solution; with a connected
     graph this happens after at most ``diameter`` rounds.  A disconnected
     graph cannot agree and ends in :class:`NotConverged`; a matrix that is
-    not Hurwitz fails the centralized solve with :class:`UnstableMatrix`.
-    A layout whose agents would hold more than half of physical memory
-    (:func:`planned_bytes`) is refused with :class:`ValidationError`
-    before any agent is built.
+    not Hurwitz fails the centralized solve with :class:`UnstableMatrix`,
+    and a ``D`` that is not finite and symmetric fails it with
+    :class:`ValidationError`.  A layout whose agents would hold more than
+    half of physical memory (:func:`planned_bytes`) is refused with
+    :class:`ValidationError` before any agent is built.
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_square(a)
     d = np.asarray(d, dtype=float)
-    if a.shape != d.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(
-            f"matrix {a.shape} and right-hand side {d.shape} must be equal square shapes"
-        )
+    if d.shape != a.shape:
+        raise DimensionError(f"right-hand side {d.shape} does not match matrix {a.shape}")
     if max_rounds is not None and not (isinstance(max_rounds, numbers.Integral)
                                        and max_rounds >= 0):
         raise ValidationError(

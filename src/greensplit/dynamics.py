@@ -105,8 +105,9 @@ def average_matrix(mode_set: ModeSet, durations: Iterable[float] | None = None) 
         raise DimensionError(
             f"expected {mode_set.n_modes} durations, got shape {d.shape}"
         )
-    if np.any(d < 0):
-        raise ValidationError("mode durations must be nonnegative")
+    if not np.all(np.isfinite(d) & (d >= 0)):
+        raise ValidationError(f"mode durations must be finite and nonnegative, "
+                              f"got {d.tolist()}")
     total = d.sum()
     if total <= 0:
         raise ValidationError("mode durations must have a positive sum")

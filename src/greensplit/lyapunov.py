@@ -56,21 +56,31 @@ def _as_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_state(x0: np.ndarray, n: int) -> np.ndarray:
+    """An initial state as a float vector: a wrong length is a
+    :class:`DimensionError`, a non-finite entry a :class:`ValidationError`."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != n:
+        raise DimensionError(f"initial state has length {x0.shape[0]}, system has {n} states")
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("the initial state must be finite")
+    return x0
+
+
 def validate_triple(a: np.ndarray, output: np.ndarray,
                     x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The system ``(A, C, x0)`` of a cost as float arrays: a square ``A``,
-    a finite two-dimensional ``(p, n)`` output map and a finite ``x0`` of
-    length ``n``.  Finiteness of ``A`` is left to the Schur factorization."""
+    a finite two-dimensional ``(p, n)`` output map and an initial state
+    that passes :func:`as_state`.  Finiteness of ``A`` is left to the Schur
+    factorization."""
     a = _as_square(a, "state matrix")
     n = a.shape[0]
     output = np.asarray(output, dtype=float)
     if output.ndim != 2 or output.shape[1] != n:
         raise DimensionError(f"output map of shape {output.shape} does not act on {n} states")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise DimensionError(f"initial state has length {x0.shape[0]}, matrix is {n}x{n}")
-    if not (np.all(np.isfinite(output)) and np.all(np.isfinite(x0))):
-        raise ValidationError("the output map and the initial state must be finite")
+    x0 = as_state(x0, n)
+    if not np.all(np.isfinite(output)):
+        raise ValidationError("the output map must be finite")
     return a, output, x0
 
 
@@ -217,6 +227,10 @@ class ShiftedLyapunov:
         # LAPACK standardizes each 2x2 block of T to equal diagonal entries,
         # the real part of its complex pair
         self._alpha = float(np.diag(self.t).max())
+        #: whether ``A`` is asymptotically stable: an abscissa within the
+        #: rounding bound ``n eps |A|_1`` of 0 may be a marginal eigenvalue
+        #: (a road that never drains) that the factorization put below it
+        self.stable = self._alpha < -n * np.finfo(float).eps * np.abs(a).sum(axis=0).max()
 
     @property
     def abscissa(self) -> float:
@@ -343,11 +357,16 @@ class ShiftedLyapunov:
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve ``A X + X A^T + D = 0`` for Hurwitz ``A``."""
+    """Solve ``A X + X A^T + D = 0`` for Hurwitz ``A`` and finite, symmetric ``D``."""
+    d = _as_square(d, "right-hand side")
+    # an asymmetric part of D would fail the residual check of the solve
+    if not (np.all(np.isfinite(d))
+            and np.linalg.norm(d - d.T) <= RESIDUAL_TOL * np.linalg.norm(d)):
+        raise ValidationError("the right-hand side must be finite and symmetric")
     solver = ShiftedLyapunov(a)
-    if solver.abscissa >= 0.0:
+    if not solver.stable:
         raise UnstableMatrix(
-            f"matrix has spectral abscissa {solver.abscissa:.6g} >= 0"
+            f"matrix has spectral abscissa {solver.abscissa:.6g}, not below 0 beyond rounding"
         )
     return solver.from_schur(solver.solve(solver.to_schur(d)))
 
@@ -355,14 +374,14 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 def congestion_cost(a: np.ndarray, output: np.ndarray, x0: np.ndarray) -> float:
     """Integrated squared stop-line occupancy from ``x0``.
 
-    Returns ``+inf`` when the system is not asymptotically stable, so the
-    value is always defined and comparisons just work.
+    Returns ``+inf`` unless :attr:`ShiftedLyapunov.stable`, so the value is
+    always defined and comparisons just work.
     """
     a, output, x0 = validate_triple(a, output, x0)
     # one Schur factorization serves the stability test and the solve, which
     # stays in Schur coordinates: W = U Y U^T, so trace(C W C^T) = <(CU) Y, CU>
     solver = ShiftedLyapunov(a)
-    if solver.abscissa >= 0.0:
+    if not solver.stable:
         return math.inf
     z = solver.u.T @ x0
     cu = output @ solver.u

@@ -24,6 +24,7 @@ nothing in the package depends on the particular choice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -197,6 +198,8 @@ class Schedule:
             raise ValidationError("schedule needs at least one mode window")
         if len(self.assignments) != len(self.switch_times) - 1:
             raise ValidationError("one phase assignment required per mode window")
+        if not all(map(math.isfinite, self.switch_times)):
+            raise ValidationError(f"switch times must be finite, got {self.switch_times}")
         if abs(self.switch_times[0]) > _TIME_TOL:
             raise ValidationError("schedule must start at time 0")
         diffs = np.diff(self.switch_times)
@@ -270,10 +273,11 @@ def _require_keys(section: str, data: Mapping[str, Any], allowed: set[str],
 
 
 def _as_number(section: str, key: str, value: Any) -> float:
-    """A finite float; ``bool`` is refused although it is an ``int``."""
+    """A finite float from a real number; ``bool`` is refused although it
+    is an ``int``, and so is a quoted number such as ``"100"``."""
     try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
+        v = float(value) if isinstance(value, numbers.Real) else None
+    except OverflowError:
         v = None
     if v is None or isinstance(value, bool):
         raise ValidationError(f"{section}: {key} must be a number, got {value!r}")

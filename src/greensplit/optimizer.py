@@ -41,10 +41,7 @@ from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 #: relative stationarity threshold on the projected direction
 KKT_TOL = 1e-6
 
-#: inner iteration budget per smoothing weight
-MAX_INNER = 5000
-
-#: inner iteration budget of one start, over all its smoothing weights
+#: inner iteration budget of one start, shared by its descents
 MAX_ITERATIONS = 20000
 
 #: simplex drift allowed on iterates, relative to the cycle time
@@ -88,7 +85,8 @@ class InnerResult:
     # ``durations``, or else a root at the start of the descent
     anchor: SmoothedAbscissa
     # "achieved": |alpha_s| reached its tolerance; "stationary": the projected
-    # direction vanished, or a step raised |alpha_s|; "budget": MAX_INNER ran out
+    # direction vanished, or a step raised |alpha_s|; "budget": the start's
+    # iteration budget ran out
     reason: str
     iterations: int
     searches: int         # root searches, one Schur factorization each
@@ -130,8 +128,10 @@ class OptimizationReport:
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    epsilon: float, start: np.ndarray,
                    rows: list[dict[str, float]], outer_index: int,
-                   best_cost: float, anchor: SmoothedAbscissa | None) -> InnerResult:
-    """Drive the smoothed abscissa at fixed weight toward zero.
+                   best_cost: float, anchor: SmoothedAbscissa | None,
+                   budget: int) -> InnerResult:
+    """Drive the smoothed abscissa at fixed weight toward zero, in at most
+    ``budget`` iterations.
 
     ``anchor`` is a certified root at ``start`` for another weight, or
     None.  With an anchor the first iterate takes no root search: its value
@@ -148,7 +148,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     searches = evaluations = 0
     last = np.inf    # |alpha_s| at the previous iterate
     root = None
-    for it in range(MAX_INNER):
+    for it in range(budget):
         if it == 0 and anchor is not None:
             res = anchor
             value = anchor.value + (epsilon - anchor.epsilon) * anchor.epsilon_slope()
@@ -198,7 +198,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         d_new *= total / d_new.sum()
         root = value + float(g @ (d_new - d))
         d = d_new
-    return InnerResult(d, anchor, "budget", MAX_INNER, searches, evaluations)
+    return InnerResult(d, anchor, "budget", budget, searches, evaluations)
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
@@ -226,10 +226,10 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         finite and nonnegative with a positive sum, and is rescaled to the
         cycle time.
 
-    Each inner descent runs at most ``MAX_INNER`` iterations, and a start
-    stops once its descents have run ``MAX_ITERATIONS`` in all; a start
-    that hits either budget is not converged, and neither is the report
-    when it is the best start.
+    The descents of a start share one budget of ``MAX_ITERATIONS`` inner
+    iterations, and each runs at most what is left of it.  A start that
+    spends it all is not converged, and neither is the report when it is
+    the best start.
     """
     if not 0.0 < xi < np.inf:
         raise ValidationError(f"xi must be finite and positive, got {xi}")
@@ -275,14 +275,14 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         xi_cur = xi * eps0
         iters = 0
         outer = 0
-        hit_cap = False
         growing = True    # until the first weight that cannot be achieved
         anchor = None     # a certified root at d, once one was searched
         reasons = {"achieved": 0, "stationary": 0, "budget": 0}
         searches = evaluations = 0
-        while xi_cur >= 1e-4 * eps0:
+        while xi_cur >= 1e-4 * eps0 and iters < MAX_ITERATIONS:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
-                                   rows, outer, 1.0 / eps_bar, anchor)
+                                   rows, outer, 1.0 / eps_bar, anchor,
+                                   MAX_ITERATIONS - iters)
             log.debug("outer %d: epsilon %.9g, %d inner iterations, "
                       "%d root-search evaluations, %s", outer,
                       eps_bar + xi_cur, inner.iterations, inner.evaluations,
@@ -301,11 +301,6 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
             else:
                 growing = False
                 xi_cur *= 0.5
-                if inner.reason == "budget":
-                    hit_cap = True
-            if iters >= MAX_ITERATIONS:
-                hit_cap = True
-                break
         log.debug("start %d: %d outer steps (%d achieved, %d stationary, "
                   "%d budget), %d inner iterations, %d root searches, "
                   "%d root-search evaluations", idx, outer, reasons["achieved"],
@@ -313,7 +308,7 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                   evaluations)
         candidate = {"d": d, "eps": eps_bar, "cost": 1.0 / eps_bar,
                      "rows": rows, "iters": iters, "start": idx,
-                     "converged": not hit_cap}
+                     "converged": iters < MAX_ITERATIONS}
         if best is None or candidate["cost"] < best["cost"]:
             best = candidate
 

@@ -34,7 +34,8 @@ import numpy as np
 from scipy import linalg
 
 from .dynamics import ModeSet, assemble_modes, average_matrix
-from .errors import DimensionError, ValidationError, check_memory
+from .errors import ValidationError, check_memory
+from .lyapunov import as_state
 from .net_model import NetworkSpec, Schedule
 
 log = logging.getLogger(__name__)
@@ -51,17 +52,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-
-
-@dataclass(frozen=True)
-class AveragingReport:
-    """One cycle time of a comparison of the switched and averaged runs."""
-
-    cycle_time: float
-    horizon: float
-    error_percent: float
-    switched: Trajectory
-    averaged: Trajectory
 
 
 def _exponential(table: dict[tuple, np.ndarray], key: tuple, a: np.ndarray,
@@ -370,15 +360,6 @@ def _inflows_at(network: NetworkSpec, t: np.ndarray) -> np.ndarray:
     return u
 
 
-def _check_x0(network: NetworkSpec, x0: np.ndarray) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != network.n:
-        raise DimensionError(
-            f"initial state has length {x0.shape[0]}, network has {network.n} cells"
-        )
-    return x0
-
-
 def _check_span(horizon: float, dt: float) -> None:
     """Refuse a span whose horizon or step is within the sampling tolerance."""
     tol = _grid_tol(horizon)
@@ -419,7 +400,7 @@ def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     :class:`ValidationError` before any state or exponential is built.
     """
     _check_size(network, schedule, horizon, dt)
-    x = _check_x0(network, x0)
+    x = as_state(x0, network.n)
     table: dict[tuple, np.ndarray] = {}
     grid, _, plan = _switching_plan(network, schedule, assemble_modes(network, schedule),
                                     horizon, dt)
@@ -431,7 +412,7 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
                      horizon: float, dt: float = 1.0) -> Trajectory:
     """Integrate the averaged surrogate on the same kind of grid."""
     _check_size(network, schedule, horizon, dt)
-    x = _check_x0(network, x0)
+    x = as_state(x0, network.n)
     table: dict[tuple, np.ndarray] = {}
     modes = assemble_modes(network, schedule)
     grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
@@ -442,13 +423,14 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
 
 def _compare(network: NetworkSpec, schedule: Schedule, x0: np.ndarray, horizon: float,
              dt: float, table: dict[tuple, np.ndarray],
-             kept: dict[tuple, Trajectory]) -> AveragingReport:
-    """Switched and averaged runs of one cycle time and the gap between them.
+             kept: dict[tuple, np.ndarray]) -> float:
+    """Averaging error percent of one cycle time.
 
-    Both runs take their exponentials from ``table`` and pass one memory
-    check.  ``kept`` holds at most one averaged run, keyed by its system's
-    table key and the grid's bytes; a run under the same key is reused, and
-    otherwise the kept run is let go before the new one is built.
+    Its switched and averaged runs take their exponentials from ``table``
+    and pass one memory check.  ``kept`` holds the states of at most one
+    averaged run, keyed by its system's table key and the grid's bytes; a
+    run under the same key is reused, and otherwise the kept run is let go
+    before the new one is built.
     """
     modes = assemble_modes(network, schedule)
     grid, steps, plan = _switching_plan(network, schedule, modes, horizon, dt)
@@ -459,37 +441,30 @@ def _compare(network: NetworkSpec, schedule: Schedule, x0: np.ndarray, horizon: 
     averaged = kept.get(key)
     if averaged is None:
         kept.clear()
-        averaged = kept[key] = Trajectory(grid, _propagate(x0, averaged_plan, table))
+        averaged = kept[key] = _propagate(x0, averaged_plan, table)
     # row norms a block of rows at a time, with no temporary of the
     # trajectories' size; each row sums as in one call on the whole array
     ref = np.empty(grid.shape[0])
     gap = np.empty_like(ref)
     for start in range(0, ref.shape[0], _NORM_ROWS):
         rows = slice(start, start + _NORM_ROWS)
-        ref[rows] = np.linalg.norm(averaged.states[rows], axis=1)
-        gap[rows] = np.linalg.norm(switched[rows] - averaged.states[rows], axis=1)
+        ref[rows] = np.linalg.norm(averaged[rows], axis=1)
+        gap[rows] = np.linalg.norm(switched[rows] - averaged[rows], axis=1)
     floor = _EXCLUDE_FLOOR * np.linalg.norm(x0)
     ratio = np.where(ref > floor, gap / np.where(ref > floor, ref, 1.0), 0.0)
-    error = np.trapezoid(ratio, grid) / horizon
-    return AveragingReport(
-        cycle_time=schedule.cycle_time,
-        horizon=horizon,
-        error_percent=100.0 * float(error),
-        switched=Trajectory(grid, switched),
-        averaged=averaged,
-    )
+    return 100.0 * float(np.trapezoid(ratio, grid) / horizon)
 
 
 def averaging_error(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
-                    horizon: float, dt: float = 1.0) -> AveragingReport:
+                    horizon: float, dt: float = 1.0) -> float:
     """Relative gap between switched and averaged trajectories.
 
     Returns the horizon-normalized integral of
     ``norm(x - x_av) / norm(x_av)`` as a percentage, excluding samples where
-    the averaged state has decayed below ``1e-6`` of the initial norm.
+    the averaged state has decayed below ``1e-6`` of the initial norm: the
+    value :func:`averaging_sweep` gives for ``[schedule]``.
     """
-    _check_size(network, schedule, horizon, dt, trajectories=2)
-    return _compare(network, schedule, _check_x0(network, x0), horizon, dt, {}, {})
+    return next(averaging_sweep(network, [schedule], x0, horizon, dt))
 
 
 def averaging_sweep(network: NetworkSpec, schedules: Sequence[Schedule], x0: np.ndarray,
@@ -504,8 +479,8 @@ def averaging_sweep(network: NetworkSpec, schedules: Sequence[Schedule], x0: np.
     """
     for schedule in schedules:
         _check_size(network, schedule, horizon, dt, trajectories=2)
-    x0 = _check_x0(network, x0)
+    x0 = as_state(x0, network.n)
     table: dict[tuple, np.ndarray] = {}
-    kept: dict[tuple, Trajectory] = {}
+    kept: dict[tuple, np.ndarray] = {}
     for schedule in schedules:
-        yield _compare(network, schedule, x0, horizon, dt, table, kept).error_percent
+        yield _compare(network, schedule, x0, horizon, dt, table, kept)

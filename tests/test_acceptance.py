@@ -185,7 +185,7 @@ def test_criterion_07_averaging_error(single_net):
     errors = {}
     for cycle in (120.0, 100.0, 60.0, 30.0):
         sched = uniform_schedule(single_net, cycle_time=cycle)
-        errors[cycle] = averaging_error(single_net, sched, x0, 1200.0).error_percent
+        errors[cycle] = averaging_error(single_net, sched, x0, 1200.0)
     decreasing = errors[120.0] > errors[60.0] > errors[30.0]
     ok = decreasing and errors[100.0] < 10.0
     _verdict(7, "averaging error vs cycle time", t0, 30.0, ok,

@@ -363,7 +363,7 @@ def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_pa
     for cycle, error in rows[1:]:
         schedule = net_model.uniform_schedule(network, cycle_time=float(cycle))
         fresh = sim.averaging_error(network, schedule, np.ones(network.n), horizon)
-        assert float(error) == fresh.error_percent
+        assert float(error) == fresh
 
 
 def _planned(caplog):
@@ -519,7 +519,7 @@ def test_optimize_rejects_negative_seed(tmp_path):
 
 def test_optimize_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
     from greensplit import optimizer
-    monkeypatch.setattr(optimizer, "MAX_INNER", 1)
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
     out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
     result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--out", str(out),
                                            "--plot-out", str(trace)])

@@ -239,6 +239,14 @@ def test_shape_mismatch_rejected():
         dist.run_distributed(-np.eye(3), np.eye(2), dist.CommGraph.path(2))
 
 
+@pytest.mark.parametrize("d", [[[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.0], [np.inf, 1.0]],
+                               [[1.0, 1.0], [0.0, 1.0]]],
+                         ids=["nan", "inf", "asymmetric"])
+def test_bad_rhs_rejected(d):
+    with pytest.raises(ValidationError, match="finite and symmetric"):
+        dist.run_distributed(-np.eye(2), np.array(d), dist.CommGraph.path(2))
+
+
 def test_overlapping_row_shares_are_refused(problem):
     # the stacked row blocks stand for the sum of the known shares only when
     # no row is in two of them

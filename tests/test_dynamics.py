@@ -81,6 +81,9 @@ def test_average_duration_validation(four_modes):
         dynamics.average_matrix(four_modes, np.array([-1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         dynamics.average_matrix(four_modes, np.zeros(4))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            dynamics.average_matrix(four_modes, np.array([value, 25.0, 25.0, 25.0]))
 
 
 def test_zero_duration_mode_drops_out(four_modes):

@@ -11,10 +11,11 @@ from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
 from greensplit import dynamics, net_model
-from greensplit.errors import (DimensionError, EigenFailure, SolveFailure, UnstableMatrix,
-                               ValidationError)
+from greensplit.errors import (DimensionError, EigenFailure, NoStableStart, SolveFailure,
+                               UnstableMatrix, ValidationError)
 from greensplit.lyapunov import (BASE, ShiftedLyapunov, _block_order, _strong_components,
                                  congestion_cost, solve_lyapunov, spectral_abscissa)
+from greensplit.optimizer import optimize
 from greensplit.scenario import load
 from greensplit.ssa import smoothed_abscissa
 
@@ -126,6 +127,63 @@ def test_cost_scalar_closed_form():
 def test_cost_infinite_when_unstable():
     cost = congestion_cost(np.array([[0.1]]), np.eye(1), np.ones(1))
     assert cost == np.inf
+
+
+def test_non_finite_or_asymmetric_rhs_is_refused():
+    a = np.diag([-1.0, -2.0])
+    for d in ([[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+              [[1.0, 1.0], [0.0, 1.0]]):
+        with pytest.raises(ValidationError, match="finite and symmetric"):
+            solve_lyapunov(a, np.array(d))
+    with pytest.raises(DimensionError):
+        solve_lyapunov(a, np.eye(3))
+
+
+def _sparse_splits(name):
+    """300 random splits of a bundled scenario, each leaving about half of
+    the modes out (seed 0), without the all-zero ones."""
+    net = load(name)
+    modes = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
+    rng = np.random.default_rng(0)
+    splits = []
+    for _ in range(300):
+        d = rng.uniform(0.0, 100.0, modes.n_modes) * (rng.random(modes.n_modes) < 0.5)
+        if d.sum() > 0:
+            splits.append(d)
+    return net, modes, splits
+
+
+@pytest.mark.parametrize("name", ["four_intersections", "grid_3x3"])
+def test_marginally_stable_splits_cost_infinity(name):
+    # a split that never greens some movement leaves a road that cannot
+    # drain, at abscissa 0; rounding may put the Schur diagonal at -1e-17,
+    # where trsyl breaks down, so such a split must count as unstable
+    net, modes, splits = _sparse_splits(name)
+    output, x0 = dynamics.output_map(net), np.ones(net.n)
+    eps = np.finfo(float).eps
+    flagged = []
+    for d in splits:
+        a = dynamics.average_matrix(modes, d)
+        solver = ShiftedLyapunov(a)
+        cost = congestion_cost(a, output, x0)
+        bound = a.shape[0] * eps * np.abs(a).sum(axis=0).max()
+        alpha = spectral_abscissa(a)
+        if abs(alpha) > 1e3 * bound:
+            # away from the bound the decision is the sign of the abscissa
+            assert solver.stable == (alpha < 0)
+        if solver.stable:
+            assert np.isfinite(cost)
+            # the nearest stable split is far from the bound
+            assert solver.abscissa < -1e6 * bound
+        else:
+            assert cost == np.inf
+            flagged.append(d)
+            with pytest.raises(UnstableMatrix):
+                solve_lyapunov(a, np.outer(x0, x0))
+    assert flagged
+    for d in flagged[:10]:
+        with pytest.raises(NoStableStart):
+            optimize(modes, output, x0, start=d)
 
 
 def test_cost_zero_state():

@@ -1,5 +1,6 @@
 """Network model construction and validation."""
 
+import copy
 import math
 
 import numpy as np
@@ -241,6 +242,34 @@ def test_malformed_values_are_validation_errors(doc):
         net_model.build_network(doc)
 
 
+def _numeric_leaves(node, path=()):
+    """Paths of the int and float leaves of a document, bools left out."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [p for key, child in items for p in _numeric_leaves(child, path + (key,))]
+
+
+@pytest.mark.parametrize("name", scenario.BUNDLED)
+def test_quoted_numbers_are_refused(name):
+    # every number of a bundled document, quoted as YAML's "100" is, makes
+    # the document invalid: a string is never read as a number
+    doc = scenario.load_document(scenario.resolve(name))
+    leaves = _numeric_leaves(doc)
+    assert leaves
+    for path in leaves:
+        quoted = copy.deepcopy(doc)
+        parent = quoted
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = str(parent[path[-1]])
+        with pytest.raises(ValidationError):
+            net_model.build_network(quoted)
+
+
 @pytest.mark.parametrize("doc, key", [
     (minimal_doc(allow_phase_overlap="false"), "allow_phase_overlap"),
     (_mutated(lambda d: d["roads"][0].update(source="no")), "source"),
@@ -368,6 +397,11 @@ def test_with_durations_keeps_assignments(four_net, four_schedule):
         four_schedule.with_durations([40, 10, 10])
     with pytest.raises(ValidationError):
         four_schedule.with_durations([-40, 60, 40, 40])
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            four_schedule.with_durations([value, 25.0, 25.0, 25.0])
+        with pytest.raises(ValidationError, match="finite"):
+            net_model.Schedule((0.0, value, 100.0), four_schedule.assignments[:2])
 
 
 def test_green_set_matches_phases(single_net):

@@ -85,11 +85,11 @@ def test_grid_block_loads(tmp_path):
 #: the bundled documents as parsed, before any building
 DOCUMENTS = {name: scenario.load_document(scenario.resolve(name)) for name in scenario.BUNDLED}
 
-#: values a mutation puts in place of a node: every YAML kind, and numbers
-#: at and past the edges of the float range
+#: values a mutation puts in place of a node: every YAML kind, numbers at
+#: and past the edges of the float range, and quoted numbers
 VALUES = st.sampled_from([None, True, False, "", "x", "a -> b", math.inf, -math.inf,
                           math.nan, 0, -1, 1e-320, 1e308, -1e308, 10**400, [], [1.0],
-                          [[1.0, 2.0]], {}, {"id": "x"}])
+                          [[1.0, 2.0]], {}, {"id": "x"}, "100", "0.5", "1e3", "nan"])
 
 
 @st.composite

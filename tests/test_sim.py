@@ -170,25 +170,43 @@ def test_input_validation(single):
         sim.simulate_switching(network, schedule, np.ones(3), 10.0)
 
 
+ENTRY_POINTS = {
+    "simulate_switching": sim.simulate_switching,
+    "simulate_average": sim.simulate_average,
+    "averaging_error": sim.averaging_error,
+    "averaging_sweep": lambda network, schedule, x0, horizon: next(
+        sim.averaging_sweep(network, [schedule], x0, horizon)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_every_entry_point_checks_the_state(single, entry):
+    network, schedule = single
+    for value in (np.nan, np.inf):
+        x0 = np.ones(network.n)
+        x0[1] = value
+        with pytest.raises(ValidationError, match="initial state must be finite"):
+            entry(network, schedule, x0, 10.0)
+    with pytest.raises(DimensionError):
+        entry(network, schedule, np.ones(network.n + 1), 10.0)
+
+
 def test_averaging_error_decreases_with_cycle(single_net):
     x0 = np.ones(single_net.n)
     errors = []
     for cycle in (120.0, 30.0):
         schedule = net_model.uniform_schedule(single_net, cycle_time=cycle)
-        report = sim.averaging_error(single_net, schedule, x0, 600.0, dt=1.0)
-        errors.append(report.error_percent)
+        errors.append(sim.averaging_error(single_net, schedule, x0, 600.0, dt=1.0))
     assert errors[1] < errors[0]
     assert all(e >= 0.0 for e in errors)
 
 
-def test_averaging_report_fields(single):
+def test_switched_and_averaged_runs_share_one_grid(single):
     network, schedule = single
-    report = sim.averaging_error(network, schedule, np.ones(network.n),
-                                 200.0, dt=1.0)
-    assert report.cycle_time == pytest.approx(100.0)
-    assert report.horizon == pytest.approx(200.0)
-    assert report.switched.states.shape == report.averaged.states.shape
-    np.testing.assert_array_equal(report.switched.times, report.averaged.times)
+    switched = sim.simulate_switching(network, schedule, np.ones(network.n), 200.0, dt=1.0)
+    averaged = sim.simulate_average(network, schedule, np.ones(network.n), 200.0, dt=1.0)
+    assert switched.states.shape == averaged.states.shape
+    np.testing.assert_array_equal(switched.times, averaged.times)
 
 
 def test_piecewise_inflow_enters_dynamics(pulse_net):
@@ -376,8 +394,7 @@ def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
     # four modes and the averaged matrix, all at dt = 1
     assert len(calls) == 5
     calls.clear()
-    fresh = [sim.averaging_error(four_net, schedule, x0, 400.0).error_percent
-             for schedule in schedules]
+    fresh = [sim.averaging_error(four_net, schedule, x0, 400.0) for schedule in schedules]
     assert len(calls) == 10
     assert fresh == errors
 
@@ -408,7 +425,7 @@ def test_sweep_shares_one_averaged_run(four_net, monkeypatch):
     calls.clear()
     fresh = [sim.averaging_error(four_net, schedule, x0, 600.0) for schedule in schedules]
     assert len(calls) == 3 + 3
-    assert errors == [r.error_percent for r in fresh]
+    assert errors == fresh
 
 
 def test_kept_averaged_run_is_keyed_on_matrix_and_grid(four_net, four_schedule, monkeypatch):
@@ -422,8 +439,7 @@ def test_kept_averaged_run_is_keyed_on_matrix_and_grid(four_net, four_schedule, 
                  net_model.uniform_schedule(four_net, cycle_time=30.0), uniform, uniform]
     errors = list(sim.averaging_sweep(four_net, schedules, x0, 300.0))
     assert len(calls) == 5 + 4
-    fresh = [sim.averaging_error(four_net, schedule, x0, 300.0).error_percent
-             for schedule in schedules]
+    fresh = [sim.averaging_error(four_net, schedule, x0, 300.0) for schedule in schedules]
     assert errors == fresh
     assert errors[0] == errors[3] == errors[4]
 
