@@ -5,20 +5,28 @@ package version, the seed, and the scenario's config hash.  No timestamps
 are written anywhere, so rerunning a command with the same inputs produces
 byte-identical files.
 
+Artifacts are written to temporary files beside their targets and moved
+into place together once the command's last artifact is complete, so a
+command that fails leaves none of them behind.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical failure,
 4 agreement/iteration limit reached.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import sys
-from collections.abc import Iterable
-from typing import Any
+import warnings
+from collections.abc import Callable, Iterable, Iterator
+from typing import IO, Any
 
 import click
 import numpy as np
+import orjson
 
 from . import __version__, dynamics, net_model, scenario, sim
 from . import distributed as dist
@@ -54,7 +62,10 @@ def load_state(source: str, network: net_model.NetworkSpec) -> np.ndarray:
     if source == "ones":
         return np.ones(network.n)
     try:
-        values = np.loadtxt(source, comments="#", ndmin=1, dtype=float)
+        with warnings.catch_warnings():
+            # an empty file is the DimensionError below, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(source, comments="#", ndmin=1, dtype=float)
     except OSError as exc:
         raise ValidationError(f"cannot read state file {source!r}: {exc}")
     except ValueError as exc:
@@ -76,14 +87,61 @@ def _header_lines(digest: str, seed: int) -> list[str]:
     return [f"greensplit {__version__}", f"seed: {seed}", f"config: {digest}"]
 
 
-def _write_csv(path: str, headers: list[str], columns: list[str],
+@contextlib.contextmanager
+def _artifacts() -> Iterator[Callable[[str], IO[str]]]:
+    """Stage a command's artifacts and move them into place together.
+
+    The yielded function opens a temporary file beside the target path it
+    is given.  When the block ends without an error, each staged file is
+    renamed onto its target and ``wrote PATH`` is printed.  An ``OSError``
+    while opening, writing or renaming becomes one :class:`ValidationError`
+    naming the target, and after any error no staged file is left, neither
+    a temporary nor one already renamed.  A target that is a symbolic link
+    or exists but is no regular file (``/dev/stdout``, a pipe) is written
+    in place, as ``open`` writes it.
+    """
+    targets: list[str] = []
+    staged: list[tuple[str, str]] = []
+    placed: list[str] = []
+    target = ""
+
+    def stage(path: str) -> IO[str]:
+        nonlocal target
+        target = path
+        if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+            fh = open(path, "w", newline="")
+        else:
+            temporary = f"{path}.{os.getpid()}.{len(staged)}.tmp"
+            fh = open(temporary, "x", newline="")
+            staged.append((temporary, path))
+        targets.append(path)
+        return fh
+
+    try:
+        yield stage
+        for temporary, target in staged:
+            os.replace(temporary, target)
+            placed.append(target)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
+    finally:
+        if len(placed) < len(staged):
+            for path in placed + [temporary for temporary, _ in staged]:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+    for path in targets:
+        click.echo(f"wrote {path}")
+
+
+def _write_csv(fh: IO[str], headers: list[str], columns: list[str],
                blocks: Iterable[tuple]) -> None:
     """Write ``#`` header lines, the column names, then each block's rows.
 
     A block holds one entry per column: a list of cells from
     :func:`_cells`, or a string that fills the whole column.  Blocks are
     written as they come, so a generator streams them.  The bytes are those
-    of ``csv.writer``: header lines end in ``\n``, rows in ``\r\n``.
+    of ``csv.writer``: header lines end in ``\n``, rows in ``\r\n``, so
+    ``fh`` is opened with ``newline=""``.
 
     A block is one ``str.join`` over pieces that slice assignment places a
     column at a time.  A column at an odd position carries the commas on
@@ -93,29 +151,43 @@ def _write_csv(path: str, headers: list[str], columns: list[str],
     """
     width = len(columns) + 1
     glued: dict[int, tuple[list[str], list[str]]] = {}
-    with open(path, "w", newline="") as fh:
-        for line in headers:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(map(_quote, columns)) + "\r\n")
-        for block in blocks:
-            rows = next(len(c) for c in block if not isinstance(c, str))
-            pieces = ["\r\n"] * (rows * width)
-            for j, col in enumerate(block):
-                glue = (",{}," if j + 1 < len(block) else ",{}") if j % 2 else "{}"
-                if isinstance(col, str):
-                    pieces[j::width] = [glue.format(_quote(col))] * rows
-                elif j % 2 == 0:
-                    pieces[j::width] = col
-                else:
-                    if j not in glued or glued[j][0] is not col:
-                        glued[j] = (col, list(map(glue.format, col)))
-                    pieces[j::width] = glued[j][1]
-            fh.write("".join(pieces))
+    for line in headers:
+        fh.write(f"# {line}\n")
+    fh.write(",".join(map(_quote, columns)) + "\r\n")
+    for block in blocks:
+        rows = next(len(c) for c in block if not isinstance(c, str))
+        pieces = ["\r\n"] * (rows * width)
+        for j, col in enumerate(block):
+            glue = (",{}," if j + 1 < len(block) else ",{}") if j % 2 else "{}"
+            if isinstance(col, str):
+                pieces[j::width] = [glue.format(_quote(col))] * rows
+            elif j % 2 == 0:
+                pieces[j::width] = col
+            else:
+                if j not in glued or glued[j][0] is not col:
+                    glued[j] = (col, list(map(glue.format, col)))
+                pieces[j::width] = glued[j][1]
+        fh.write("".join(pieces))
 
 
 def _cells(values: Any) -> list[str]:
-    """Numbers as csv cells: ``repr`` of each int or float."""
-    return list(map(repr, np.asarray(values).tolist()))
+    """Numbers of a 1-D sequence as csv cells: ``repr`` of each int or float.
+
+    A float column is formatted by one ``orjson.dumps`` call, whose text is
+    ``repr``'s for zeros and magnitudes in [1e-4, 1e16).  The other cells
+    are written again with ``repr``: orjson writes ``1e-05`` as ``0.00001``,
+    ``1e+16`` as ``1e16`` and ``nan`` as ``null``.
+    """
+    array = np.asarray(values)
+    if array.dtype != np.float64 or not array.size:
+        return list(map(repr, array.tolist()))
+    cells = orjson.dumps(np.ascontiguousarray(array),
+                         option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(array)
+    rest = np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (size == 0)))
+    for i, value in zip(rest.tolist(), array[rest].tolist()):
+        cells[i] = repr(value)
+    return cells
 
 
 def _quote(field: str) -> str:
@@ -152,11 +224,10 @@ def build(scenario_ref: str, validate: bool, out: str | None) -> None:
         click.echo(f"cycle time:    {network.cycle_time}")
         click.echo(f"config:        {digest}")
     if out is not None:
-        with open(out, "w") as fh:
+        with _artifacts() as stage, stage(out) as fh:
             for line in _header_lines(digest, 0):
                 fh.write(f"# {line}\n")
             fh.write(scenario.dumps(network))
-        click.echo(f"wrote {out}")
 
 
 @main.command()
@@ -179,9 +250,9 @@ def modes(scenario_ref: str, out: str | None) -> None:
         for k, a in enumerate(mode_set.modes):
             i, j = np.nonzero(a)
             blocks.append((str(k), _cells(i), _cells(j), _cells(a[i, j])))
-        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
-                   ["mode", "row", "col", "value"], blocks)
-        click.echo(f"wrote {out}")
+        with _artifacts() as stage, stage(out) as fh:
+            _write_csv(fh, _header_lines(scenario.config_hash(network), 0),
+                       ["mode", "row", "col", "value"], blocks)
 
 
 @main.command()
@@ -217,9 +288,9 @@ def simulate(scenario_ref: str, which: str, x0: str, horizon: float | None,
         times = _cells(traj.times)
         series = ((label, times, _cells(traj.states[:, j]))
                   for j, label in enumerate(network.state_labels))
-        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
-                   ["series", "t", "value"], series)
-        click.echo(f"wrote {out}")
+        with _artifacts() as stage, stage(out) as fh:
+            _write_csv(fh, _header_lines(scenario.config_hash(network), 0),
+                       ["series", "t", "value"], series)
 
 
 @main.command("compare-averaging")
@@ -257,10 +328,10 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
         errors.append(error)
         click.echo(f"T={cycle:g}: error {error:.4f}%")
     if out is not None:
-        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
-                   ["cycle_time", "error_percent"],
-                   [(_cells(cycle_list), _cells(errors))])
-        click.echo(f"wrote {out}")
+        with _artifacts() as stage, stage(out) as fh:
+            _write_csv(fh, _header_lines(scenario.config_hash(network), 0),
+                       ["cycle_time", "error_percent"],
+                       [(_cells(cycle_list), _cells(errors))])
 
 
 @main.command("optimize")
@@ -302,25 +373,25 @@ def optimize_cmd(scenario_ref: str, x0: str, xi: float,
     # one digest serves both artifacts: hashing dumps the whole network
     digest = (scenario.config_hash(network)
               if out is not None or plot_out is not None else None)
-    if out is not None:
-        payload = {
-            "version": __version__,
-            "seed": seed,
-            "config": digest,
-            "report": report.to_dict(),
-        }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        click.echo(f"wrote {out}")
-    if plot_out is not None:
-        trace = report.trajectory
-        block = (_cells(range(len(trace))),
-                 *(_cells([row[key] for row in trace])
-                   for key in ("alpha_smooth", "kkt_norm", "cost")))
-        _write_csv(plot_out, _header_lines(digest, seed),
-                   ["iter", "alpha_tilde", "kkt_norm", "cost"], [block])
-        click.echo(f"wrote {plot_out}")
+    with _artifacts() as stage:
+        if out is not None:
+            payload = {
+                "version": __version__,
+                "seed": seed,
+                "config": digest,
+                "report": report.to_dict(),
+            }
+            with stage(out) as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        if plot_out is not None:
+            trace = report.trajectory
+            block = (_cells(range(len(trace))),
+                     *(_cells([row[key] for row in trace])
+                       for key in ("alpha_smooth", "kkt_norm", "cost")))
+            with stage(plot_out) as fh:
+                _write_csv(fh, _header_lines(digest, seed),
+                           ["iter", "alpha_tilde", "kkt_norm", "cost"], [block])
 
 
 def _parse_layout(layout: str, n: int) -> dist.CommGraph:
@@ -370,9 +441,9 @@ def distributed_cmd(scenario_ref: str, agents: str, rounds: int | None,
         agent_ids = _cells(range(result.errors.shape[1]))
         blocks = [(str(r), agent_ids, _cells(errors))
                   for r, errors in enumerate(result.errors)]
-        _write_csv(out, _header_lines(scenario.config_hash(network), 0),
-                   ["round", "agent", "frobenius_error"], blocks)
-        click.echo(f"wrote {out}")
+        with _artifacts() as stage, stage(out) as fh:
+            _write_csv(fh, _header_lines(scenario.config_hash(network), 0),
+                       ["round", "agent", "frobenius_error"], blocks)
 
 
 if __name__ == "__main__":

@@ -28,13 +28,15 @@ its positive minimum, and further iterates would only oscillate around it.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .dynamics import ModeSet, average_matrix
-from .errors import DimensionError, NoStableStart, ValidationError, ZeroTrace
+from .errors import (DimensionError, NoStableStart, ValidationError, ZeroTrace,
+                     check_memory)
 from .lyapunov import congestion_cost
 from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 
@@ -238,6 +240,9 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     m = mode_set.n_modes
+    # the initial splits are listed, one array of m durations each, before
+    # the first start runs
+    check_memory(starts * (8 + sys.getsizeof(np.empty(m))), f"{starts} initial splits")
     if start is not None:
         start = np.asarray(start, dtype=float).reshape(-1)
         if start.shape != (m,):

@@ -1,9 +1,11 @@
 """Command-line behavior: artifacts, headers, exit codes, determinism."""
 
 import csv
+import errno
 import io
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +14,8 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greensplit import cli
 from greensplit.errors import SolveFailure
@@ -198,6 +202,37 @@ def test_simulate_csv_matches_csv_writer(runner, tmp_path, mode):
     np.testing.assert_array_equal(values, traj.states.T)
 
 
+# the floats at which orjson's text and repr's part ways, their neighbours
+# and the values at the ends of the float64 range
+EDGES = [v for p in (1e-4, 1e16)
+         for q in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))
+         for v in (float(q), -float(q))]
+EDGES += [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+          float("nan"), float("inf"), float("-inf")]
+
+BIT_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+FLOAT_ARRAYS = st.lists(st.one_of(BIT_FLOATS, st.sampled_from(EDGES)), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.float64))
+INT_ARRAYS = st.lists(st.integers(-2**63, 2**63 - 1), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.int64))
+# a column of a two-column array: stride 16 bytes, not C contiguous
+STRIDED = FLOAT_ARRAYS.map(lambda x: np.column_stack([-x, x])[:, 1])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(FLOAT_ARRAYS, INT_ARRAYS, STRIDED))
+@example(np.array([]))
+@example(np.array([], dtype=np.int64))
+@example(np.array([1e-05]))
+@example(np.array([0.25]))
+@example(np.array([7]))
+def test_cells_are_repr_of_each_number(values):
+    expected = list(map(repr, values.tolist()))
+    assert cli._cells(values) == expected
+    assert cli._cells(values.tolist()) == expected
+
+
 def test_simulate_average_mode(runner, tmp_path):
     out = tmp_path / "avg.csv"
     result = invoke(runner, "simulate", "single_road", "--mode", "average",
@@ -272,6 +307,17 @@ def test_simulate_state_file(runner, tmp_path):
     result = invoke(runner, "simulate", "single_road", "--x0", str(x0),
                     "--horizon", "10")
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("text", ["", "# no densities\n# at all\n"])
+def test_empty_state_file_is_one_dimension_line(tmp_path, recwarn, text):
+    # numpy warns that the file holds no data; only the typed line may show
+    x0 = tmp_path / "x0.txt"
+    x0.write_text(text)
+    result = CliRunner().invoke(cli.main, ["simulate", "single_road", "--x0", str(x0)])
+    assert result.exit_code == 2
+    assert result.stderr == "DimensionError: state file has 0 entries, network has 4 cells\n"
+    assert not recwarn.list
 
 
 def test_compare_averaging_monotone_column(runner, tmp_path):
@@ -766,4 +812,96 @@ def test_network_whose_state_cannot_fit_is_one_validation_line(tmp_path, command
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("ValidationError: an initial state of 400000000000 cells")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "single_road", "--horizon", "10"],
+                                     ["compare-averaging", "single_road", "--cycles", "30"],
+                                     ["modes", "single_road"],
+                                     ["build", "single_road"],
+                                     ["distributed", "single_road"]])
+def test_artifact_in_a_missing_directory_is_one_validation_line(tmp_path, command):
+    out = tmp_path / "missing" / "x.csv"
+    result = CliRunner().invoke(cli.main, [*command, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == f"ValidationError: cannot write {out}: No such file or directory\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_optimize_unwritable_trace_leaves_no_report(tmp_path):
+    report, trace = tmp_path / "r.json", tmp_path / "missing" / "t.csv"
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--out", str(report),
+                                           "--plot-out", str(trace)])
+    assert result.exit_code == 2
+    assert result.stderr == f"ValidationError: cannot write {trace}: No such file or directory\n"
+    assert "wrote" not in result.stdout
+    assert not list(tmp_path.iterdir())
+
+
+class FullDisk:
+    """A text file on a disk that fills up after a csv file's header lines."""
+
+    def __init__(self, path, mode="r", **kwargs):
+        self.fh = open(path, mode, **kwargs)
+        self.csv = ".csv" in str(path)
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.csv and self.writes > 4:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "single_road", "--horizon", "10", "--out"],
+    ["optimize", "single_road", "--out", "r.json", "--plot-out"],
+])
+def test_artifact_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch, command):
+    # the report is complete before the trace fails, and goes with it
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(cli.main, [*command, "x.csv"])
+    assert result.exit_code == 2
+    assert result.stderr == "ValidationError: cannot write x.csv: No space left on device\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_artifact_through_a_symlink_is_written_in_place(tmp_path):
+    # a link (/dev/stdout is one) keeps pointing where it did
+    direct, link = tmp_path / "direct.csv", tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "real.csv")
+    for out in (direct, link):
+        result = CliRunner().invoke(cli.main, ["simulate", "single_road", "--horizon", "10",
+                                               "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.stdout.endswith(f"wrote {out}\n")
+    assert link.is_symlink()
+    assert (tmp_path / "real.csv").read_bytes() == direct.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.csv", "link.csv", "real.csv"]
+
+
+def test_optimize_huge_starts_is_one_validation_line(tmp_path, monkeypatch):
+    # refused before the baseline cost, so no start runs and no split is drawn
+    from greensplit import optimizer
+
+    def no_cost(*args, **kwargs):
+        raise AssertionError("a cost was evaluated before the starts were checked")
+
+    monkeypatch.setattr(optimizer, "congestion_cost", no_cost)
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--starts",
+                                           "100000000000000000000", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: 100000000000000000000 initial splits ")
+    assert "physical memory" in result.stderr
     assert not out.exists()
