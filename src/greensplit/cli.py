@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -395,23 +396,28 @@ def optimize_cmd(scenario_ref: str, x0: str, xi: float,
 
 
 def _parse_layout(layout: str, n: int) -> dist.CommGraph:
-    """Agent layouts: 'RxC' grid, 'path:K', 'complete:K'."""
+    """Agent layouts: 'RxC' grid, 'path:K', 'complete:K'.  The agent count
+    comes from the text, so a layout whose solve on ``n`` states would not
+    fit in memory (:func:`~greensplit.distributed.planned_bytes`) is refused
+    before any edge is listed."""
     token = layout.strip().lower()
     try:
         if "x" in token and ":" not in token:
             r, c = token.split("x")
-            return dist.CommGraph.grid(int(r), int(c))
-        kind, _, count = token.partition(":")
-        k = int(count)
-        if kind == "path":
-            return dist.CommGraph.path(k)
-        if kind == "complete":
-            return dist.CommGraph.complete(k)
-    except ValueError:
-        pass
-    raise ValidationError(
-        f"cannot parse agent layout {layout!r}; use RxC, path:K, or complete:K"
-    )
+            build, dims = dist.CommGraph.grid, (int(r), int(c))
+        else:
+            kind, _, count = token.partition(":")
+            build = {"path": dist.CommGraph.path, "complete": dist.CommGraph.complete}[kind]
+            dims = (int(count),)
+    except (ValueError, KeyError):
+        raise ValidationError(
+            f"cannot parse agent layout {layout!r}; use RxC, path:K, or complete:K"
+        ) from None
+    agents = math.prod(dims)
+    # the plan reads only the shape, so a zero-stride view stands in for A
+    check_memory(dist.planned_bytes(np.broadcast_to(0.0, (n, n)), agents),
+                 f"{agents} agents on a {n}-state system")
+    return build(*dims)
 
 
 @main.command("distributed")

@@ -134,13 +134,19 @@ class CommGraph:
 
     n_agents: int
     edges: tuple[tuple[int, int], ...]
+    #: each agent's neighbours in increasing order, built once from ``edges``
+    _links: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_agents < 1:
             raise ValidationError("a communication graph needs at least one agent")
+        links: list[list[int]] = [[] for _ in range(self.n_agents)]
         for i, j in self.edges:
             if not (0 <= i < self.n_agents and 0 <= j < self.n_agents) or i == j:
                 raise ValidationError(f"edge ({i}, {j}) is not between distinct agents")
+            links[i].append(j)
+            links[j].append(i)
+        object.__setattr__(self, "_links", tuple(tuple(sorted(set(k))) for k in links))
 
     @classmethod
     def from_edges(cls, n_agents: int, edges) -> "CommGraph":
@@ -171,18 +177,12 @@ class CommGraph:
         return cls.from_edges(rows * cols, edges)
 
     def neighbors(self, agent: int) -> tuple[int, ...]:
-        touching = {j for i, j in self.edges if i == agent}
-        touching.update(i for i, j in self.edges if j == agent)
-        return tuple(sorted(touching))
+        return self._links[agent]
 
     @property
     def diameter(self) -> int | None:
         """Longest shortest hop count; ``None`` when the graph is disconnected.
         One breadth-first search from every agent."""
-        links: list[list[int]] = [[] for _ in range(self.n_agents)]
-        for i, j in self.edges:
-            links[i].append(j)
-            links[j].append(i)
         widest = 0
         for start in range(self.n_agents):
             hops = [-1] * self.n_agents
@@ -191,7 +191,7 @@ class CommGraph:
             while frontier:
                 reached = []
                 for i in frontier:
-                    for j in links[i]:
+                    for j in self._links[i]:
                         if hops[j] < 0:
                             hops[j] = hops[i] + 1
                             reached.append(j)

@@ -72,11 +72,7 @@ def assemble_modes(network: NetworkSpec, schedule: Schedule) -> ModeSet:
     for k in range(schedule.n_modes):
         a = base.copy()
         for key in schedule.green_set(network, k):
-            if key not in network.movement_index:
-                raise ValidationError(
-                    f"schedule references unknown movement {key!r}"
-                )
-            _, mv = network.movement_index[key]
+            mv = network.movement_index[key]
             src = network.downstream_index(mv.from_road)
             dst = network.upstream_index(mv.to_road)
             a[dst, src] += mv.rate

@@ -152,18 +152,9 @@ class NetworkSpec:
         return tuple(r.id for r in self.roads if r.is_destination)
 
     @cached_property
-    def movement_index(self) -> dict[tuple[str, str], tuple[str, Movement]]:
-        """Map movement key to (intersection id, Movement)."""
-        out: dict[tuple[str, str], tuple[str, Movement]] = {}
-        for x in self.intersections:
-            for mv in x.movements:
-                out[mv.key] = (x.id, mv)
-        return out
-
-    def all_movements(self) -> Iterable[tuple[str, Movement]]:
-        for x in self.intersections:
-            for mv in x.movements:
-                yield x.id, mv
+    def movement_index(self) -> dict[tuple[str, str], Movement]:
+        """Map movement key to its Movement, in declaration order."""
+        return {mv.key: mv for x in self.intersections for mv in x.movements}
 
     # -- inflows -----------------------------------------------------------
 
@@ -322,26 +313,25 @@ def movement_label(key: tuple[str, str]) -> str:
 
 
 def _parse_inflow(road_id: str, raw: Any, cycle_time: float) -> InflowProfile:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        v = float(raw)
-        if not math.isfinite(v) or v < 0:
-            raise ValidationError(f"road {road_id!r}: inflow must be nonnegative")
-        return ((cycle_time, v),)
-    if not isinstance(raw, list) or not raw:
+    """A rate held over the whole cycle, or [duration, rate] segments that
+    cover it; every rate is a nonnegative number."""
+    if not isinstance(raw, list):
+        segments = [(cycle_time, _as_number(f"road {road_id!r}", "inflow", raw))]
+    elif not raw:
         raise ValidationError(
             f"road {road_id!r}: inflow must be a number or a list of [duration, rate] pairs"
         )
-    segments = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ValidationError(
-                f"road {road_id!r}: inflow segments must be [duration, rate] pairs"
-            )
-        dur = _as_positive(f"road {road_id!r} inflow", "duration", item[0])
-        val = _as_number(f"road {road_id!r} inflow", "rate", item[1])
-        if val < 0:
-            raise ValidationError(f"road {road_id!r}: inflow rate must be nonnegative")
-        segments.append((dur, val))
+    else:
+        segments = []
+        for item in raw:
+            if not isinstance(item, list) or len(item) != 2:
+                raise ValidationError(
+                    f"road {road_id!r}: inflow segments must be [duration, rate] pairs"
+                )
+            segments.append((_as_positive(f"road {road_id!r} inflow", "duration", item[0]),
+                             _as_number(f"road {road_id!r} inflow", "rate", item[1])))
+    if any(val < 0 for _, val in segments):
+        raise ValidationError(f"road {road_id!r}: inflow rate must be nonnegative")
     total = sum(dur for dur, _ in segments)
     if abs(total - cycle_time) > 1e-6 * cycle_time:
         raise ValidationError(
@@ -357,12 +347,6 @@ def _validate_network(spec: NetworkSpec) -> NetworkSpec:
         if r.id in seen_roads:
             raise ValidationError(f"duplicate road id {r.id!r}")
         seen_roads.add(r.id)
-        if r.length <= 0 or r.free_flow_speed <= 0:
-            raise ValidationError(f"road {r.id!r}: length and free_flow_speed must be positive")
-        if r.cell_count != _cells_for(r.length, spec.h):
-            raise ValidationError(
-                f"road {r.id!r}: cell_count {r.cell_count} inconsistent with length/h"
-            )
         if not 0.0 <= r.exit_rate <= 1.0:
             raise ValidationError(f"road {r.id!r}: exit_rate must lie in [0, 1]")
         if r.exit_rate > 0 and not r.is_destination:
@@ -373,8 +357,6 @@ def _validate_network(spec: NetworkSpec) -> NetworkSpec:
             raise ValidationError(f"road {r.id!r}: a road cannot be both source and destination")
 
     for road_id in spec.inflows:
-        if road_id not in seen_roads:
-            raise ValidationError(f"inflow declared for unknown road {road_id!r}")
         if not spec.road(road_id).is_source:
             raise ValidationError(f"road {road_id!r}: inflow declared on a non-source road")
 
@@ -386,8 +368,6 @@ def _validate_network(spec: NetworkSpec) -> NetworkSpec:
         if x.id in seen_x:
             raise ValidationError(f"duplicate intersection id {x.id!r}")
         seen_x.add(x.id)
-        if not x.movements:
-            raise ValidationError(f"intersection {x.id!r} declares no movements")
         local_keys: set[tuple[str, str]] = set()
         for mv in x.movements:
             for rid in mv.key:
@@ -456,7 +436,7 @@ def _validate_network(spec: NetworkSpec) -> NetworkSpec:
 
     if spec.enforce_turn_conservation:
         outgoing: dict[str, float] = {}
-        for _, mv in spec.all_movements():
+        for mv in spec.movement_index.values():
             outgoing[mv.from_road] = outgoing.get(mv.from_road, 0.0) + mv.routing_ratio
         for rid, total in sorted(outgoing.items()):
             if abs(total - 1.0) > 1e-9:

@@ -46,9 +46,6 @@ KKT_TOL = 1e-6
 #: inner iteration budget of one start, shared by its descents
 MAX_ITERATIONS = 20000
 
-#: simplex drift allowed on iterates, relative to the cycle time
-SIMPLEX_TOL = 1e-9
-
 log = logging.getLogger(__name__)
 
 

@@ -17,7 +17,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greensplit import cli
+from greensplit import cli, scenario
+from greensplit import distributed as dist
 from greensplit.errors import SolveFailure
 
 
@@ -100,6 +101,22 @@ def test_non_numeric_value_is_one_validation_line(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("ValidationError: ")
     assert "inflow" in proc.stderr
+
+
+def test_inflow_past_the_float_range_is_one_validation_line(tmp_path):
+    # a YAML integer of 401 digits reaches the number reader as an int that
+    # float() cannot convert
+    text = scenario.resolve("four_intersections")
+    line = "{id: r1, length: 300.0, free_flow_speed: 14.0, source: true, inflow: 0.02}"
+    assert line in text
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(text.replace(line, line.replace("0.02", "1" + "0" * 400)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "greensplit.cli", "build", str(bad)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("ValidationError: road 'r1': inflow must be a number, got 1000")
 
 
 def test_cli_import_does_not_load_networkx():
@@ -724,6 +741,28 @@ def test_distributed_memory_preflight_is_one_validation_line(tmp_path):
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("ValidationError: ")
+    assert "physical memory" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", ["path:100000000", "complete:1000000", "100000x100000"])
+def test_oversized_layout_is_refused_before_its_graph(tmp_path, monkeypatch, layout):
+    # the agent count is read from the text and checked against the same
+    # plan as the run's; listing the edges of path:400000 alone took 1.8 s
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a communication graph was built")
+
+    for build in ("path", "complete", "grid"):
+        monkeypatch.setattr(dist.CommGraph, build, no_graph)
+    out = tmp_path / "rounds.csv"
+    start = time.perf_counter()
+    result = CliRunner().invoke(cli.main, ["distributed", "single_road", "--agents", layout,
+                                           "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert re.match(r"ValidationError: \d+ agents on a 4-state system would hold about ",
+                    result.stderr)
     assert "physical memory" in result.stderr
     assert not out.exists()
 

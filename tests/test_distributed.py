@@ -52,6 +52,15 @@ def test_graph_validation():
         dist.CommGraph(2, ((0, 5),))
 
 
+def test_neighbors_are_sorted_and_distinct_for_any_edge_order():
+    # the adjacency is built once from the edges as given: unsorted, with
+    # both orientations of one edge and a repeat
+    g = dist.CommGraph(4, ((2, 1), (1, 0), (0, 1), (3, 1), (1, 2)))
+    assert [g.neighbors(k) for k in range(4)] == [(1,), (0, 2, 3), (1,), (1,)]
+    assert g == dist.CommGraph(4, g.edges)
+    assert g.diameter == 2
+
+
 def test_disconnected_graph_reports_no_diameter():
     g = dist.CommGraph.from_edges(3, [(0, 1)])
     assert g.diameter is None

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,18 +257,73 @@ def _numeric_leaves(node, path=()):
 @pytest.mark.parametrize("name", scenario.BUNDLED)
 def test_quoted_numbers_are_refused(name):
     # every number of a bundled document, quoted as YAML's "100" is, makes
-    # the document invalid: a string is never read as a number
+    # the document invalid: a string is never read as a number.  So does
+    # an integer past the float range, which float() cannot convert
     doc = scenario.load_document(scenario.resolve(name))
     leaves = _numeric_leaves(doc)
     assert leaves
     for path in leaves:
-        quoted = copy.deepcopy(doc)
-        parent = quoted
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = str(parent[path[-1]])
-        with pytest.raises(ValidationError):
-            net_model.build_network(quoted)
+        for replace in (str, lambda value: 10**400):
+            quoted = copy.deepcopy(doc)
+            parent = quoted
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = replace(parent[path[-1]])
+            with pytest.raises(ValidationError):
+                net_model.build_network(quoted)
+
+
+def _corridor_pair(x_to, y_from, y_to, **roads):
+    """Roads a, b and the roads of a second movement ``y_from -> y_to`` at
+    intersection y, beside ``a -> x_to`` at intersection x."""
+    return minimal_doc(
+        roads=[_road("a", source=True), _road("b", destination=True, exit_rate=1.0),
+               *(_road(rid, **flags) for rid, flags in roads.items())],
+        movements=[_move("x", "a", x_to), _move("y", y_from, y_to)],
+        intersections=[{"id": "x", "phases": [[f"a -> {x_to}"]]},
+                       {"id": "y", "phases": [[f"{y_from} -> {y_to}"]]}],
+    )
+
+
+_DEST = {"destination": True, "exit_rate": 1.0}
+
+
+@pytest.mark.parametrize("case, fragment", [
+    (lambda: net_model.build_network(minimal_doc()).road("zz"), "unknown road id 'zz'"),
+    (lambda: net_model.Schedule((0.0,), ()), "at least one mode window"),
+    (lambda: net_model.Schedule((0.0, 60.0), ()), "one phase assignment required"),
+    (lambda: net_model.Schedule((1.0, 60.0), ((),)), "must start at time 0"),
+    (lambda: net_model.Schedule((0.0, 40.0, 20.0), ((), ())), "must be nondecreasing"),
+    (_mutated(lambda d: d["roads"][0].update(inflow=-0.01)), "inflow rate must be nonnegative"),
+    (_mutated(lambda d: d["roads"][0].update(inflow=[[60]])), "must be [duration, rate] pairs"),
+    (_mutated(lambda d: d["roads"][0].update(inflow=[[30, 0.01], [30, -0.01]])),
+     "inflow rate must be nonnegative"),
+    (_mutated(lambda d: d["intersections"].append({"id": "x", "phases": [["a -> b"]]})),
+     "duplicate intersection id 'x'"),
+    (_mutated(lambda d: d["movements"].append(_move("x", "a", "a"))), "loops onto itself"),
+    (_mutated(lambda d: d["movements"].append(_move("x", "a", "b"))),
+     "'a -> b' declared at both 'x' and 'x'"),
+    (_corridor_pair("b", "a", "c", c=_DEST), "road 'a' discharges at two intersections"),
+    (_corridor_pair("b", "c", "b", c={"source": True}), "road 'b' is fed by two intersections"),
+    (_mutated(lambda d: d["intersections"][0].update(phases=[])), "declares no phases"),
+    (_corridor_pair("b", "c", "d", c={"source": True}, d=_DEST)
+     | {"intersections": [{"id": "x", "phases": [["a -> b", "c -> d"]]},
+                          {"id": "y", "phases": [["c -> d"]]}]},
+     "'c -> d' is not a movement of this intersection"),
+    ([1, 2], "scenario document must be a mapping"),
+    (_mutated(lambda d: d["intersections"][0].update(phases="a -> b")), "phases must be a list"),
+    (_grid_doc(inflow=-0.01), "grid: inflow must be nonnegative"),
+    (lambda: net_model.uniform_schedule(net_model.build_network(minimal_doc()), 0.0),
+     "cycle time must be positive"),
+], ids=["road_unknown", "schedule_no_window", "schedule_assignments", "schedule_start",
+        "schedule_decreasing", "inflow_negative", "inflow_segment_not_pair",
+        "inflow_segment_negative", "intersection_duplicate", "movement_loop",
+        "movement_twice", "road_discharges_twice", "road_fed_twice", "no_phases",
+        "phase_names_other_movement", "document_not_mapping", "phases_not_list",
+        "grid_inflow_negative", "uniform_cycle_zero"])
+def test_each_network_rule_has_its_message(case, fragment):
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        case() if callable(case) else net_model.build_network(case)
 
 
 @pytest.mark.parametrize("doc, key", [

@@ -28,6 +28,31 @@ def test_round_trip_is_identity():
         assert build_network(doc) == net
 
 
+def test_flags_away_from_their_defaults_round_trip():
+    net = net_model.build_network({
+        "schema_version": 1, "name": "flags", "h": 100, "cycle_time": 60,
+        "allow_phase_overlap": True, "enforce_turn_conservation": False,
+        "roads": [
+            {"id": "a", "length": 200, "free_flow_speed": 14, "source": True, "inflow": 0.01},
+            {"id": "b", "length": 100, "free_flow_speed": 14, "destination": True,
+             "exit_rate": 1.0},
+            {"id": "c", "length": 100, "free_flow_speed": 14, "destination": True,
+             "exit_rate": 1.0},
+        ],
+        "movements": [
+            {"intersection": "x", "from": "a", "to": "b", "routing_ratio": 0.5,
+             "saturation_speed": 0.05},
+            {"intersection": "x", "from": "a", "to": "c", "routing_ratio": 0.4,
+             "saturation_speed": 0.05},
+        ],
+        "intersections": [{"id": "x", "phases": [["a -> b", "a -> c"], ["a -> b"]]}],
+    })
+    doc = scenario.load_document(scenario.dumps(net))
+    assert doc["allow_phase_overlap"] is True
+    assert doc["enforce_turn_conservation"] is False
+    assert net_model.build_network(doc) == net
+
+
 def test_dumps_is_deterministic(four_net):
     assert scenario.dumps(four_net) == scenario.dumps(four_net)
 
