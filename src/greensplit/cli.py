@@ -340,8 +340,8 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
 @click.option("--x0", default="ones", show_default=True)
 @click.option("--xi", type=float, default=0.05, show_default=True,
               help="First weight increment relative to the starting weight; it "
-                   "doubles after each achieved weight until one fails, then "
-                   "halves after each failure.")
+                   "doubles after each achieved weight until one fails, and a "
+                   "Newton polish on the cost finishes from there.")
 @click.option("--starts", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -413,6 +413,8 @@ def _parse_layout(layout: str, n: int) -> dist.CommGraph:
         raise ValidationError(
             f"cannot parse agent layout {layout!r}; use RxC, path:K, or complete:K"
         ) from None
+    if min(dims) < 1:
+        raise ValidationError(f"agent layout {layout!r} needs positive sizes")
     agents = math.prod(dims)
     # the plan reads only the shape, so a zero-stride view stands in for A
     check_memory(dist.planned_bytes(np.broadcast_to(0.0, (n, n)), agents),

@@ -166,6 +166,8 @@ class CommGraph:
 
     @classmethod
     def grid(cls, rows: int, cols: int) -> "CommGraph":
+        if rows < 1 or cols < 1:
+            raise ValidationError(f"a grid of agents needs positive sizes, got {rows}x{cols}")
         edges = []
         for i in range(rows):
             for j in range(cols):

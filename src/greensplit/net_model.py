@@ -263,6 +263,14 @@ def _require_keys(section: str, data: Mapping[str, Any], allowed: set[str],
         raise ValidationError(f"{section}: missing required key(s) {sorted(missing)}")
 
 
+def _digit_count(value: int) -> int:
+    """Decimal digits of an integer, without the string conversion that
+    Python refuses beyond 4300 digits."""
+    a = abs(value)
+    k = int(a.bit_length() * math.log10(2.0))    # the count less one, or the count
+    return k + 1 if a >= 10 ** k else k
+
+
 def _as_number(section: str, key: str, value: Any) -> float:
     """A finite float from a real number; ``bool`` is refused although it
     is an ``int``, and so is a quoted number such as ``"100"``."""
@@ -271,7 +279,10 @@ def _as_number(section: str, key: str, value: Any) -> float:
     except OverflowError:
         v = None
     if v is None or isinstance(value, bool):
-        raise ValidationError(f"{section}: {key} must be a number, got {value!r}")
+        # an integer past the float range may be too long for Python to print
+        shown = (f"an integer of {_digit_count(value)} digits"
+                 if isinstance(value, int) and v is None else repr(value))
+        raise ValidationError(f"{section}: {key} must be a number, got {shown}")
     if not math.isfinite(v):
         raise ValidationError(f"{section}: {key} must be finite, got {value!r}")
     return v

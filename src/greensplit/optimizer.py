@@ -4,14 +4,23 @@ The cost ``J(d) = trace(C W(A(d)) C^T)`` is attacked through its reciprocal:
 a smoothing weight ``eps_bar`` is feasible when the smoothed abscissa at
 that weight can be driven to zero over the duration simplex, which happens
 exactly when some split achieves ``J(d) <= 1 / eps_bar``.  The outer loop
-pushes ``eps_bar`` upward: the increment doubles after each achieved weight
-until the first weight that cannot be achieved, and from then on is halved
-after each such weight, so every weight tried lies on the dyadic grid of the
-first increment.  The inner loop is a projected descent on the smoothed
-abscissa at fixed weight.  A new weight starts from the certified root of
-the outer iterate: its first step moves that root's value along
-``d(alpha_s)/d(epsilon)`` and takes the gradient from its ``P`` and ``Q``,
-with no new root search.
+pushes ``eps_bar`` upward: the increment doubles after each achieved weight,
+and the continuation stops at the first weight that cannot be achieved.
+The inner loop is a projected descent on the smoothed abscissa at fixed
+weight.  A new weight starts from the certified root of the outer iterate:
+its first step moves that root's value along ``d(alpha_s)/d(epsilon)`` and
+takes the gradient from its ``P`` and ``Q``, with no new root search.
+
+From the last achieved weight's split a projected Newton method on ``J``
+itself finishes (Bertsekas, "Projected Newton methods for optimization
+problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
+It takes the exact gradient ``dJ/dd_k = 2 <Q P, A_k> / T`` from one
+factorization per iterate, and stops where the projected gradient
+vanishes.  One root search at ``epsilon = 1/J(d)``, where the smoothing
+root is 0, certifies the result, so the reported ``1/epsilon`` is the cost
+at the returned split.  A polish that finds no other split below the last
+achieved weight's cost leaves the continuation's split and certificate in
+place.
 
 The inner step follows the projected gradient of ``alpha_s * d(alpha_s)``
 (the signed scaling keeps zero an attractor from both sides) and is the
@@ -28,6 +37,7 @@ its positive minimum, and further iterates would only oscillate around it.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -37,7 +47,7 @@ import numpy as np
 from .dynamics import ModeSet, average_matrix
 from .errors import (DimensionError, NoStableStart, ValidationError, ZeroTrace,
                      check_memory)
-from .lyapunov import congestion_cost
+from .lyapunov import ShiftedLyapunov, congestion_cost
 from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 
 #: relative stationarity threshold on the projected direction
@@ -90,6 +100,20 @@ class InnerResult:
     iterations: int
     searches: int         # root searches, one Schur factorization each
     evaluations: int      # root-search evaluations over all iterates
+
+
+@dataclass
+class PolishResult:
+    durations: np.ndarray
+    cost: float           # J at ``durations``
+    iterations: int       # Newton steps tried, one factorization each
+    factorizations: int   # the steps', the start's and the curvature probe's
+
+
+def _achieved(res: SmoothedAbscissa) -> bool:
+    """Whether a searched root certifies its weight: ``alpha_s`` is zero
+    to the tolerance of the search."""
+    return abs(res.value) <= 1e-8 * (1.0 + abs(res.abscissa))
 
 
 @dataclass
@@ -159,7 +183,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
             value = res.value
             if anchor is None:
                 anchor = res
-            if abs(value) <= 1e-8 * (1.0 + abs(res.abscissa)):
+            if _achieved(res):
                 return InnerResult(d, res, "achieved", it, searches, evaluations)
         if abs(value) > last:
             # the last step overshot a positive minimum of |alpha_s|
@@ -200,6 +224,83 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     return InnerResult(d, anchor, "budget", budget, searches, evaluations)
 
 
+def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
+                   d: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """``J(d)`` and its duration gradient ``dJ/dd_k = 2 <Q P, A_k> / T``.
+
+    One factorization of the averaged matrix serves both: ``P`` is the
+    Gramian driven by ``x0 x0^T`` and ``Q`` the adjoint solution driven by
+    ``C^T C``, each one solve at shift 0.  Where the average is not stable
+    the cost is ``inf`` and there is no gradient.
+    """
+    solver = ShiftedLyapunov(average_matrix(mode_set, d))
+    if not solver.stable:
+        return math.inf, None
+    z = solver.u.T @ x0
+    cu = output @ solver.u
+    yp = solver.solve(-np.outer(z, z))
+    yq = solver.solve(-(cu.T @ cu), adjoint=True)
+    cost = max(float(np.vdot(cu @ yp, cu)), 0.0)
+    qp = solver.u @ (yq @ yp) @ solver.u.T
+    grad = np.array([np.vdot(qp, a) for a in mode_set.modes])
+    return cost, grad * (2.0 / d.sum())
+
+
+def _polish(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
+            start: np.ndarray, budget: int) -> PolishResult:
+    """Projected Newton descent on ``J`` from ``start``, in at most
+    ``budget`` steps.
+
+    Durations below 1% of ``T/m`` are dropped first and the rest rescaled
+    to the cycle.  Each step moves along the projected gradient ``v`` by
+    ``(g . v) / (v^T H v)``, stopped on the simplex boundary, with the
+    curvature ``v^T H v`` from one more gradient a short way along ``v``.
+    A coordinate on the boundary stays there only while
+    :func:`project_tangent` clamps it, so a dropped phase can come back.
+    Only a step that lowers ``J`` is taken; a step that does not is halved
+    until it moves no coordinate by more than :data:`KKT_TOL` of the cycle.
+    The descent ends when the projected gradient is within :data:`KKT_TOL`.
+    """
+    total = start.sum()
+    d = np.where(start < 0.01 * total / start.size, 0.0, start)
+    d *= total / d.sum()
+    cost, g = _cost_gradient(mode_set, output, x0, d)
+    factorizations = 1
+    iterations = 0
+    while iterations < budget and g is not None:
+        v = project_tangent(g, d)
+        vmax = float(np.abs(v).max())
+        if vmax <= KKT_TOL * (1.0 + float(np.abs(g).max())):
+            break
+        shrinking = v > 0
+        limit = float(np.min(d[shrinking] / v[shrinking]))
+        h = min(1e-3 * total / d.size / vmax, 0.5 * limit)
+        _, g_probe = _cost_gradient(mode_set, output, x0, d - h * v)
+        factorizations += 1
+        if g_probe is None:
+            break
+        curvature = float((g - g_probe) @ v) / h
+        step = float(g @ v) / curvature if curvature > 0.0 else 0.1 * total / vmax
+        step = min(step, limit)
+        while True:
+            d_new = d - step * v
+            # what project_tangent counts as on the boundary is put on it
+            d_new[d_new <= 1e-12 * total] = 0.0
+            d_new *= total / d_new.sum()
+            iterations += 1
+            cost_new, g_new = _cost_gradient(mode_set, output, x0, d_new)
+            factorizations += 1
+            if cost_new < cost or iterations >= budget:
+                break
+            step *= 0.5
+            if step * vmax <= KKT_TOL * total:
+                break
+        if not cost_new < cost:
+            break
+        d, cost, g = d_new, cost_new, g_new
+    return PolishResult(d, cost, iterations, factorizations)
+
+
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
              xi: float = 0.05, starts: int = 1,
              seed: int | None = 0, start: np.ndarray | None = None) -> OptimizationReport:
@@ -213,9 +314,8 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         Output map and initial state defining the congestion cost.
     xi : float
         First weight increment as a fraction of the starting weight.  It
-        doubles after each achieved weight until the first weight that
-        cannot be achieved; from then on it is halved after each such
-        weight, until it falls below ``1e-4`` of the starting weight.
+        doubles after each achieved weight, and the continuation stops at
+        the first weight that cannot be achieved.
     starts : int
         Number of initial splits: the baseline plus ``starts - 1`` random
         simplex points drawn with ``seed``, a nonnegative integer or None.
@@ -225,10 +325,10 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         finite and nonnegative with a positive sum, and is rescaled to the
         cycle time.
 
-    The descents of a start share one budget of ``MAX_ITERATIONS`` inner
-    iterations, and each runs at most what is left of it.  A start that
-    spends it all is not converged, and neither is the report when it is
-    the best start.
+    The descents and the polish of a start share one budget of
+    ``MAX_ITERATIONS`` iterations, and each runs at most what is left of
+    it.  A start that spends it all is not converged, and neither is the
+    report when it is the best start.
     """
     if not 0.0 < xi < np.inf:
         raise ValidationError(f"xi must be finite and positive, got {xi}")
@@ -277,11 +377,10 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
         xi_cur = xi * eps0
         iters = 0
         outer = 0
-        growing = True    # until the first weight that cannot be achieved
         anchor = None     # a certified root at d, once one was searched
         reasons = {"achieved": 0, "stationary": 0, "budget": 0}
         searches = evaluations = 0
-        while xi_cur >= 1e-4 * eps0 and iters < MAX_ITERATIONS:
+        while iters < MAX_ITERATIONS:
             inner = _inner_descent(mode_set, output, x0, eps_bar + xi_cur, d,
                                    rows, outer, 1.0 / eps_bar, anchor,
                                    MAX_ITERATIONS - iters)
@@ -295,20 +394,32 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
             searches += inner.searches
             evaluations += inner.evaluations
             anchor = inner.anchor
-            if inner.reason == "achieved":
-                eps_bar += xi_cur
-                d = inner.durations
-                if growing:
-                    xi_cur *= 2.0
-            else:
-                growing = False
-                xi_cur *= 0.5
+            if inner.reason != "achieved":
+                break
+            eps_bar += xi_cur
+            d = inner.durations
+            xi_cur *= 2.0
+        cost = 1.0 / eps_bar
+        if iters < MAX_ITERATIONS:
+            polish = _polish(mode_set, output, x0, d, MAX_ITERATIONS - iters)
+            iters += polish.iterations
+            log.debug("start %d polish: %d iterations, %d factorizations, "
+                      "cost %.12g -> %.12g", idx, polish.iterations,
+                      polish.factorizations, cost, polish.cost)
+            if polish.cost < cost and not np.array_equal(polish.durations, d):
+                # at epsilon = 1/J(d) the smoothing root is 0 exactly
+                cert = smoothed_abscissa(average_matrix(mode_set, polish.durations),
+                                         output, x0, 1.0 / polish.cost, warm_start=0.0)
+                searches += 1
+                evaluations += cert.evaluations
+                if _achieved(cert):
+                    d, eps_bar, cost = polish.durations, cert.epsilon, polish.cost
         log.debug("start %d: %d outer steps (%d achieved, %d stationary, "
                   "%d budget), %d inner iterations, %d root searches, "
                   "%d root-search evaluations", idx, outer, reasons["achieved"],
                   reasons["stationary"], reasons["budget"], iters, searches,
                   evaluations)
-        candidate = {"d": d, "eps": eps_bar, "cost": 1.0 / eps_bar,
+        candidate = {"d": d, "eps": eps_bar, "cost": cost,
                      "rows": rows, "iters": iters, "start": idx,
                      "converged": iters < MAX_ITERATIONS}
         if best is None or candidate["cost"] < best["cost"]:

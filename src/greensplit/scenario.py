@@ -31,6 +31,10 @@ def load_document(text: str) -> Mapping[str, Any]:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario is not valid YAML: {exc}") from exc
+    except ValueError as exc:
+        # a value YAML parses but Python cannot build, such as an integer
+        # of more than 4300 digits
+        raise ValidationError(f"scenario holds a value that cannot be read: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise ValidationError("scenario must be a YAML mapping")
     return doc

@@ -116,7 +116,9 @@ def test_inflow_past_the_float_range_is_one_validation_line(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("ValidationError: road 'r1': inflow must be a number, got 1000")
+    # an integer past the float range is named by its digit count
+    assert proc.stderr == ("ValidationError: road 'r1': inflow must be a number, "
+                           "got an integer of 401 digits\n")
 
 
 def test_cli_import_does_not_load_networkx():
@@ -728,6 +730,32 @@ def test_distributed_negative_round_budget_is_one_validation_line(tmp_path, roun
     assert result.stderr == (
         f"ValidationError: the round budget must be a nonnegative integer, got {rounds}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", ["-2x-3", "2x-3", "0x3", "path:0", "path:-3"])
+def test_distributed_layout_of_no_agents_is_one_validation_line(tmp_path, layout):
+    # -2x-3 once built 6 agents with no links, which never agreed (exit 4)
+    out = tmp_path / "rounds.csv"
+    result = CliRunner().invoke(cli.main, ["distributed", "single_road", "--agents", layout,
+                                           "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"ValidationError: agent layout {layout!r} needs positive sizes\n")
+    assert not out.exists()
+
+
+def test_integer_too_long_to_read_is_one_validation_line(tmp_path):
+    # PyYAML reads an integer with int(), which Python refuses beyond 4300
+    # digits; the ValueError once escaped as a traceback with exit 1
+    path = tmp_path / "huge.yaml"
+    path.write_text(scenario.resolve("single_road").replace(
+        "\nh: 100.0\n", "\nh: 1" + "0" * 5000 + "\n"))
+    result = CliRunner().invoke(cli.main, ["build", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("ValidationError: scenario holds a value that cannot "
+                                    "be read: ")
+    assert "5001 digits" in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 def test_distributed_memory_preflight_is_one_validation_line(tmp_path):

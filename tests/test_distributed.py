@@ -43,6 +43,13 @@ def test_graph_constructors():
     assert lone.diameter == 0
 
 
+@pytest.mark.parametrize("rows, cols", [(-2, -3), (2, -3), (0, 3), (3, 0)])
+def test_grid_of_a_non_positive_size_is_refused(rows, cols):
+    # two negative sizes once multiplied to 6 agents with no links
+    with pytest.raises(ValidationError, match="positive sizes"):
+        dist.CommGraph.grid(rows, cols)
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError):
         dist.CommGraph(0, ())

@@ -273,6 +273,16 @@ def test_quoted_numbers_are_refused(name):
                 net_model.build_network(quoted)
 
 
+@pytest.mark.parametrize("value, digits", [(10**5000, 5001), (-10**5000 + 1, 5000),
+                                           (10**400, 401)],
+                         ids=["10**5000", "1-10**5000", "10**400"])
+def test_integer_past_the_float_range_is_named_by_its_digit_count(value, digits):
+    # repr() of an integer of more than 4300 digits raises ValueError
+    with pytest.raises(ValidationError, match=fr"^grid: h must be a number, got an "
+                                              fr"integer of {digits} digits$"):
+        net_model._as_number("grid", "h", value)
+
+
 def _corridor_pair(x_to, y_from, y_to, **roads):
     """Roads a, b and the roads of a second movement ``y_from -> y_to`` at
     intersection y, beside ``a -> x_to`` at intersection x."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from greensplit import dynamics, net_model, optimizer, scenario
 from greensplit.dynamics import ModeSet
@@ -179,68 +180,155 @@ def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
     # each search starts at the first-order prediction of its root, a
     # descent ends at its first step that raises |alpha_s|, each inner
     # iterate takes the whole Newton step, the weight increment doubles
-    # until the first unachieved weight, and a new weight takes its first
-    # step from the outer iterate's certified root without a search: 160
-    # evaluations and 65 iterations on this run, against 270 and 85 with a
-    # fixed increment and a search at every first iterate, 793 and 475 with
-    # the step halved as well, and 1,708 evaluations when every search
-    # started at the previous root and every descent ran to stationarity;
-    # the cost certificate does not move
+    # until the first unachieved weight, where the continuation stops, a
+    # new weight takes its first step from the outer iterate's certified
+    # root without a search, and a projected Newton polish on J finishes:
+    # 40 evaluations and 18 iterations on this run, against 160 and 65 with
+    # a halving tail after the first unachieved weight, 270 and 85 with a
+    # fixed increment and a search at every first iterate as well, and 793
+    # and 475 with the step halved too
     counts = _count_evaluations(monkeypatch)
     report = optimize(four_modes, four_output, np.ones(four_modes.n))
-    assert sum(counts) <= 175
-    assert report.iterations <= 70
-    assert report.cost == pytest.approx(1179.1073053020937, rel=1e-12)
+    assert sum(counts) <= 45
+    assert report.iterations <= 20
+    assert report.cost == pytest.approx(1179.044677957715, rel=1e-12)
 
 
 def test_overall_budget_ends_a_start_unconverged(four_modes, four_output, monkeypatch):
-    # the run takes 65 iterations over 24 weights, at most 4 in one descent
-    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 30)
+    # the continuation takes 14 iterations over 5 weights, at most 4 in one
+    # descent, and the polish 4 more
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 10)
     report = optimize(four_modes, four_output, np.ones(four_modes.n))
     assert not report.converged
-    assert report.iterations == 30
+    assert report.iterations == 10
     assert report.cost < report.baseline_cost
     # a second start that also runs out leaves the report unconverged
     report = optimize(four_modes, four_output, np.ones(four_modes.n), starts=2, seed=0)
     assert not report.converged
 
 
+def test_polish_steps_count_against_the_budget(four_modes, four_output, monkeypatch,
+                                               caplog):
+    caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
+    report = optimize(four_modes, four_output, np.ones(four_modes.n))
+    _, polishes, _ = _logged_steps(caplog)
+    steps = int(polishes[0][2])
+    assert steps >= 2 and report.converged
+    # one step short: the polish stops there and the start is not converged
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", report.iterations - 1)
+    short = optimize(four_modes, four_output, np.ones(four_modes.n))
+    assert short.iterations == report.iterations - 1
+    assert not short.converged
+    assert report.cost <= short.cost < report.baseline_cost
+
+
 @pytest.mark.parametrize("name, cost, max_iterations", [
-    ("four_intersections", 1179.1073053020937, 70),
-    ("grid_3x3", 7945.66198478998, 36),
+    pytest.param("single_road", 861.2881594429031, 12, id="single_road"),
+    pytest.param("four_intersections", 1179.044677957715, 20, id="four_intersections"),
+    pytest.param("grid_3x3", 7945.556207088405, 12, id="grid_3x3"),
+    pytest.param("grid_4x4", 18902.7548601272, 12, id="grid_4x4"),
 ])
 def test_certificate_matches_the_cost_at_the_split(name, cost, max_iterations):
-    # the Newton step drives alpha_s to its tolerance, so the certified
-    # 1/epsilon is the true cost at the returned split: 2.2e-9 and 1.6e-9
-    # relative here, against 4.3e-7 and 8.3e-7 with the step halved.  The
-    # runs take 65 and 32 iterations (85 and 49 with a fixed weight
-    # increment); the bounds leave about 10% for rounding on other BLAS builds
+    # the reported weight is 1/J at the polished split, certified by one
+    # root search there, so 1/epsilon is the true cost at the returned
+    # split; with a halving tail it missed it by 3.7e-7, 2.2e-9, 1.6e-9
+    # and 6.1e-9 relative.  The runs take 11, 18, 11 and 11 iterations
+    # (31, 65, 32 and 33 with the tail); the bounds leave about 10% for
+    # rounding on other BLAS builds
     net = scenario.load(name)
     ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
     c = dynamics.output_map(net)
     x0 = np.ones(net.n)
     report = optimize(ms, c, x0)
     true_cost = congestion_cost(dynamics.average_matrix(ms, report.durations), c, x0)
-    assert 1.0 / report.epsilon == pytest.approx(true_cost, rel=1e-7)
+    assert 1.0 / report.epsilon == pytest.approx(true_cost, rel=1e-12)
     assert report.cost == pytest.approx(cost, rel=1e-12)
     assert report.converged
     assert report.iterations <= max_iterations
 
 
+@pytest.mark.parametrize("name", ["four_intersections", "grid_3x3"])
+def test_polish_reaches_the_face_optimum(name):
+    # the face of the returned split is one segment of the simplex, so a
+    # bounded scalar search over it finds the minimum of J there
+    net = scenario.load(name)
+    ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
+    c = dynamics.output_map(net)
+    x0 = np.ones(net.n)
+    report = optimize(ms, c, x0)
+    face = np.flatnonzero(report.durations > 0)
+    assert face.size == 2
+    total = ms.cycle_time
+
+    def on_face(t):
+        d = np.zeros(ms.n_modes)
+        d[face] = t, total - t
+        return congestion_cost(dynamics.average_matrix(ms, d), c, x0)
+
+    best = minimize_scalar(on_face, bounds=(0.0, total), method="bounded",
+                           options={"xatol": 1e-8 * total})
+    assert report.cost == pytest.approx(best.fun, rel=1e-9)
+    # the projected gradient of J vanishes there
+    cost, grad = optimizer._cost_gradient(ms, c, x0, report.durations)
+    assert cost == report.cost
+    v = project_tangent(grad, report.durations)
+    assert np.abs(v).max() <= optimizer.KKT_TOL * (1.0 + np.abs(grad).max())
+
+
+def test_cost_gradient_matches_central_differences(four_modes, four_output):
+    # the gradient holds the cycle time fixed, so the probe perturbs the
+    # averaged matrix by a multiple of one mode matrix
+    x0 = np.ones(four_modes.n)
+    d = np.array([30.0, 20.0, 15.0, 35.0])
+    total = d.sum()
+    a = dynamics.average_matrix(four_modes, d)
+    cost, grad = optimizer._cost_gradient(four_modes, four_output, x0, d)
+    assert cost == pytest.approx(congestion_cost(a, four_output, x0), rel=1e-12)
+    step = 1e-5 * total
+    fd = np.empty_like(grad)
+    for k, mode in enumerate(four_modes.modes):
+        delta = (step / total) * mode
+        fd[k] = (congestion_cost(a + delta, four_output, x0)
+                 - congestion_cost(a - delta, four_output, x0)) / (2.0 * step)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5)
+
+
+def test_polish_keeps_the_continuation_when_it_finds_nothing_lower(four_modes, four_output,
+                                                                  monkeypatch):
+    # a polish that ends above the last achieved weight's cost changes
+    # nothing: the continuation's split and certificate are reported
+    polish = optimizer._polish
+
+    def no_better(*args):
+        res = polish(*args)
+        res.cost = np.inf
+        return res
+
+    monkeypatch.setattr(optimizer, "_polish", no_better)
+    report = optimize(four_modes, four_output, np.ones(four_modes.n))
+    assert report.cost == 1.0 / report.epsilon
+    assert report.cost < report.baseline_cost
+    true_cost = congestion_cost(dynamics.average_matrix(four_modes, report.durations),
+                                four_output, np.ones(four_modes.n))
+    assert true_cost == pytest.approx(report.cost, rel=1e-6)
+
+
 _OUTER_LINE = re.compile(r"outer \d+: epsilon (\S+), (\d+) inner iterations, "
                          r"(\d+) root-search evaluations, (achieved|stationary|budget)$")
+_POLISH_LINE = re.compile(r"start (\d+) polish: (\d+) iterations, (\d+) factorizations, "
+                          r"cost (\S+) -> (\S+)$")
 _START_LINE = re.compile(r"start (\d+): (\d+) outer steps \((\d+) achieved, "
                          r"(\d+) stationary, (\d+) budget\), (\d+) inner iterations, "
                          r"(\d+) root searches, (\d+) root-search evaluations$")
 
 
 def _logged_steps(caplog):
-    """The optimizer's DEBUG lines as (outer-step matches, start matches)."""
+    """The optimizer's DEBUG lines as (outer-step, polish, start matches)."""
     messages = [r.getMessage() for r in caplog.records if r.name == "greensplit.optimizer"]
-    outer = [m for m in map(_OUTER_LINE.match, messages) if m]
-    starts = [m for m in map(_START_LINE.match, messages) if m]
-    assert len(outer) + len(starts) == len(messages)
-    return outer, starts
+    found = [[m for m in map(line.match, messages) if m]
+             for line in (_OUTER_LINE, _POLISH_LINE, _START_LINE)]
+    assert sum(map(len, found)) == len(messages)
+    return found
 
 
 def test_outer_steps_are_logged(single_net, monkeypatch, caplog):
@@ -248,12 +336,19 @@ def test_outer_steps_are_logged(single_net, monkeypatch, caplog):
     counts = _count_evaluations(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
     report = optimize(ms, dynamics.output_map(single_net), np.ones(single_net.n))
-    lines, starts = _logged_steps(caplog)
+    lines, polishes, starts = _logged_steps(caplog)
     assert lines
-    assert sum(int(m[3]) for m in lines) == sum(counts)
-    assert sum(max(int(m[2]), 1) for m in lines) == report.iterations
-    # one summary line closes the start
-    assert len(starts) == 1
+    # the root searches and evaluations of the start include the polish's
+    # certificate search
+    assert sum(int(m[3]) for m in lines) == sum(counts) - counts[-1]
+    assert counts[-1] == 1
+    assert (sum(max(int(m[2]), 1) for m in lines) + int(polishes[0][2])
+            == report.iterations)
+    # one polish line and one summary line close the start
+    assert len(polishes) == len(starts) == 1
+    assert int(polishes[0][3]) >= int(polishes[0][2]) + 1
+    assert float(polishes[0][5]) == pytest.approx(report.cost, rel=1e-11)
+    assert float(polishes[0][5]) < float(polishes[0][4])
     reasons = [m[4] for m in lines]
     assert [int(x) for x in starts[0].groups()] == [
         0, len(lines), reasons.count("achieved"), reasons.count("stationary"),
@@ -264,7 +359,7 @@ def test_increment_doubles_until_the_first_unachieved_weight(four_modes, four_ou
                                                              caplog):
     caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
     report = optimize(four_modes, four_output, np.ones(four_modes.n))
-    lines, _ = _logged_steps(caplog)
+    lines, _, _ = _logged_steps(caplog)
     eps_bar = 1.0 / report.baseline_cost
     steps = []    # (increment, reason) of each outer step
     for m in lines:
@@ -273,26 +368,26 @@ def test_increment_doubles_until_the_first_unachieved_weight(four_modes, four_ou
             eps_bar = float(m[1])
     # the log carries 9 digits, a few millionths of the smallest increment
     assert steps[0][0] == pytest.approx(0.05 / report.baseline_cost, rel=1e-4)
-    first_failure = next(i for i, (_, reason) in enumerate(steps) if reason != "achieved")
-    assert first_failure >= 3
-    for i, ((inc, reason), (nxt, _)) in enumerate(zip(steps, steps[1:])):
-        if reason != "achieved":
-            factor = 0.5
-        else:
-            factor = 2.0 if i < first_failure else 1.0
-        assert nxt == pytest.approx(factor * inc, rel=1e-4)
-    assert 1.0 / report.epsilon == pytest.approx(1179.1073053020937, rel=1e-12)
+    # every weight but the last is achieved, and the increment doubles
+    assert [reason for _, reason in steps] == ["achieved"] * (len(steps) - 1) + ["stationary"]
+    assert len(steps) >= 4
+    for (inc, _), (nxt, _) in zip(steps, steps[1:]):
+        assert nxt == pytest.approx(2.0 * inc, rel=1e-4)
+    # the polish goes past the last achieved weight, to the face optimum
+    assert 1.0 / report.epsilon < 1.0 / eps_bar
+    assert 1.0 / report.epsilon == pytest.approx(1179.044677957715, rel=1e-12)
 
 
-@pytest.mark.parametrize("warm, max_searches", [(False, 70), (True, 12)])
+@pytest.mark.parametrize("warm, max_searches", [(False, 16), (True, 1)],
+                         ids=["cold", "warm"])
 def test_new_weight_starts_without_searching_the_outer_iterate(four_modes, four_output,
                                                                four_report, monkeypatch,
                                                                warm, max_searches):
     # the outer iterate's root was certified by the search that achieved
     # the previous weight, or by the first search at it; its first step at
     # the next weight is predicted from that root, so no search of a
-    # descent repeats it.  A warm start at the optimum achieves no weight:
-    # every descent after the first starts from that first search
+    # descent repeats it.  A warm start at the optimum achieves no weight,
+    # and its polish finds nothing to lower
     searched = []
     search = optimizer.smoothed_abscissa
 
@@ -322,15 +417,38 @@ def test_new_weight_starts_without_searching_the_outer_iterate(four_modes, four_
     assert all(anchored for _, anchored, _ in descents[1:])
     for key, anchored, keys in descents[1:]:
         assert key not in keys[:1]
-    # 66 and 10 searches here, against 123 and 19 with a fixed increment
-    # and a search at every first iterate
+    # 16 and 1 searches here, against 66 and 10 with a halving tail and 123
+    # and 19 with a fixed increment and a search at every first iterate too
     assert len(searched) <= max_searches
+
+
+def test_no_start_searches_a_matrix_twice(four_modes, four_output, monkeypatch):
+    # a descent that followed a failed one, in the halving tail, could
+    # search a matrix an earlier descent had searched: 66 searches on 62
+    # distinct matrices on this run.  Only the first search of a start is
+    # cold, so a search without a warm start opens the next start
+    starts: list[list[bytes]] = []
+    search = optimizer.smoothed_abscissa
+
+    def keyed(a, *args, warm_start=None, **kwargs):
+        if warm_start is None:
+            starts.append([])
+        starts[-1].append(np.ascontiguousarray(a).tobytes())
+        return search(a, *args, warm_start=warm_start, **kwargs)
+
+    monkeypatch.setattr(optimizer, "smoothed_abscissa", keyed)
+    optimize(four_modes, four_output, np.ones(four_modes.n), starts=3, seed=0)
+    assert len(starts) == 3
+    for keys in starts:
+        assert len(set(keys)) == len(keys)
 
 
 def test_three_starts_keep_their_cost_in_fewer_iterations(four_modes, four_output):
     # the same as `greensplit optimize four_intersections --starts 3 --seed 0`;
-    # 3,454 iterations with a fixed weight increment and 779 with it doubling
+    # 3,454 iterations with a fixed weight increment, 779 with it doubling
+    # and a halving tail that stopped at 1,179.052, and 26 with the polish
     report = optimize(four_modes, four_output, np.ones(four_modes.n), starts=3, seed=0)
     assert report.converged
-    assert report.cost == pytest.approx(1179.052032060237, rel=1e-12)
-    assert report.iterations <= 850
+    assert report.cost == pytest.approx(1179.0446779577082, rel=1e-12)
+    np.testing.assert_allclose(report.durations, [50.0, 0.0, 0.0, 50.0], atol=1e-4)
+    assert report.iterations <= 30
