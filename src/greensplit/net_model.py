@@ -512,9 +512,8 @@ def build_network(document: Mapping[str, Any]) -> NetworkSpec:
             raise ValidationError("grid: must be a mapping")
         _require_keys("grid", grid, _GRID_KEYS, {"rows", "cols"})
         params = dict(grid)
-        rows, cols = params.pop("rows"), params.pop("cols")
-        name = document.get("name", f"grid_{rows}x{cols}")
-        return generate_grid(rows, cols, name=str(name), **params)
+        name = str(document["name"]) if "name" in document else None
+        return generate_grid(params.pop("rows"), params.pop("cols"), name=name, **params)
 
     _require_keys("scenario", document, _TOP_KEYS, {"schema_version", "h",
                                                     "cycle_time", "roads"})
@@ -647,7 +646,11 @@ def generate_grid(rows: int, cols: int, *, h: float = 100.0,
     turn_ratio = (1.0 - through_ratio) / 2.0
     cells = _cells_for(block_length, h)
     n = cells * (2 * rows * (cols + 1) + 2 * cols * (rows + 1))
-    check_memory(8 * n * n, f"one {n}x{n} matrix of a {rows}x{cols} grid")
+    # Python refuses to print an integer of more than 4300 digits, so a
+    # long order is named by its digit count; rows and cols are below n
+    digits = _digit_count(n)
+    check_memory(8 * n * n, f"one {n}x{n} matrix of a {rows}x{cols} grid" if digits <= 100
+                 else f"one matrix of a grid whose order has {digits} digits")
 
     roads: list[Road] = []
     inflows: dict[str, InflowProfile] = {}

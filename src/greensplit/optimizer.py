@@ -7,20 +7,22 @@ exactly when some split achieves ``J(d) <= 1 / eps_bar``.  The outer loop
 pushes ``eps_bar`` upward: the increment doubles after each achieved weight,
 and the continuation stops at the first weight that cannot be achieved.
 The inner loop is a projected descent on the smoothed abscissa at fixed
-weight.  A new weight starts from the certified root of the outer iterate:
+weight.  Each descent starts from a certified root at its first split:
 its first step moves that root's value along ``d(alpha_s)/d(epsilon)`` and
-takes the gradient from its ``P`` and ``Q``, with no new root search.
+takes the gradient from its ``P`` and ``Q``, with no root search.  As
+``g(0) = trace(C P(0) C^T) = J(d)``, the root at ``epsilon = 1/J(d)`` is 0,
+with the ``P`` and ``Q`` of the solves that give ``J``: a start's cost
+solve gives its first root, and each later weight takes the outer iterate's.
 
 From the last achieved weight's split a projected Newton method on ``J``
 itself finishes (Bertsekas, "Projected Newton methods for optimization
 problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
 It takes the exact gradient ``dJ/dd_k = 2 <Q P, A_k> / T`` from one
 factorization per iterate, and stops where the projected gradient
-vanishes.  One root search at ``epsilon = 1/J(d)``, where the smoothing
-root is 0, certifies the result, so the reported ``1/epsilon`` is the cost
-at the returned split.  A polish that finds no other split below the last
-achieved weight's cost leaves the continuation's split and certificate in
-place.
+vanishes.  The root at ``epsilon = 1/J`` of its last accepted split is the
+certificate, so the reported ``1/epsilon`` is the cost at the returned
+split.  A polish that finds no other split below the last achieved
+weight's cost leaves the continuation's split and certificate in place.
 
 The inner step follows the projected gradient of ``alpha_s * d(alpha_s)``
 (the signed scaling keeps zero an attractor from both sides) and is the
@@ -47,7 +49,7 @@ import numpy as np
 from .dynamics import ModeSet, average_matrix
 from .errors import (DimensionError, NoStableStart, ValidationError, ZeroTrace,
                      check_memory)
-from .lyapunov import ShiftedLyapunov, congestion_cost
+from .lyapunov import ShiftedLyapunov, congestion_cost, validate_triple
 from .ssa import SmoothedAbscissa, duration_gradient, smoothed_abscissa
 
 #: relative stationarity threshold on the projected direction
@@ -106,14 +108,9 @@ class InnerResult:
 class PolishResult:
     durations: np.ndarray
     cost: float           # J at ``durations``
+    root: SmoothedAbscissa | None    # the root at epsilon = 1/J there
     iterations: int       # Newton steps tried, one factorization each
     factorizations: int   # the steps', the start's and the curvature probe's
-
-
-def _achieved(res: SmoothedAbscissa) -> bool:
-    """Whether a searched root certifies its weight: ``alpha_s`` is zero
-    to the tolerance of the search."""
-    return abs(res.value) <= 1e-8 * (1.0 + abs(res.abscissa))
 
 
 @dataclass
@@ -151,17 +148,17 @@ class OptimizationReport:
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    epsilon: float, start: np.ndarray,
                    rows: list[dict[str, float]], outer_index: int,
-                   best_cost: float, anchor: SmoothedAbscissa | None,
+                   best_cost: float, anchor: SmoothedAbscissa,
                    budget: int) -> InnerResult:
     """Drive the smoothed abscissa at fixed weight toward zero, in at most
     ``budget`` iterations.
 
-    ``anchor`` is a certified root at ``start`` for another weight, or
-    None.  With an anchor the first iterate takes no root search: its value
-    is the anchor's moved to ``epsilon`` along
+    ``anchor`` is a certified root at ``start`` for another weight: the
+    root at ``1/J(start)`` from the cost's own solve, or the root that
+    achieved the previous weight.  The first iterate takes no root search:
+    its value is the anchor's moved to ``epsilon`` along
     :meth:`SmoothedAbscissa.epsilon_slope`, and its gradient comes from the
-    anchor's ``P`` and ``Q``.  Without one the first search starts cold,
-    and its root becomes the anchor.
+    anchor's ``P`` and ``Q``.
     Every later search starts from the first-order prediction
     ``value + g . (d_new - d)`` of its root, with ``g`` the duration
     gradient the step was built from.  Only a searched root is achieved.
@@ -172,7 +169,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     last = np.inf    # |alpha_s| at the previous iterate
     root = None
     for it in range(budget):
-        if it == 0 and anchor is not None:
+        if it == 0:
             res = anchor
             value = anchor.value + (epsilon - anchor.epsilon) * anchor.epsilon_slope()
         else:
@@ -181,9 +178,8 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
             searches += 1
             evaluations += res.evaluations
             value = res.value
-            if anchor is None:
-                anchor = res
-            if _achieved(res):
+            # alpha_s is zero to the tolerance of the search
+            if abs(value) <= 1e-8 * (1.0 + abs(res.abscissa)):
                 return InnerResult(d, res, "achieved", it, searches, evaluations)
         if abs(value) > last:
             # the last step overshot a positive minimum of |alpha_s|
@@ -224,26 +220,32 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     return InnerResult(d, anchor, "budget", budget, searches, evaluations)
 
 
-def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
-                   d: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """``J(d)`` and its duration gradient ``dJ/dd_k = 2 <Q P, A_k> / T``.
+def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, d: np.ndarray
+                   ) -> tuple[float, np.ndarray | None, SmoothedAbscissa | None]:
+    """``J(d)``, its duration gradient ``dJ/dd_k = 2 <Q P, A_k> / T`` and
+    the smoothing root at ``epsilon = 1/J(d)``.
 
-    One factorization of the averaged matrix serves both: ``P`` is the
+    One factorization of the averaged matrix serves all three: ``P`` is the
     Gramian driven by ``x0 x0^T`` and ``Q`` the adjoint solution driven by
-    ``C^T C``, each one solve at shift 0.  Where the average is not stable
-    the cost is ``inf`` and there is no gradient.
+    ``C^T C``, each one solve at shift 0, where ``g(0) = J``.  ``J`` is the
+    value :func:`congestion_cost` gives.  Where the average is not stable
+    the cost is ``inf`` and there is neither gradient nor root.
     """
     solver = ShiftedLyapunov(average_matrix(mode_set, d))
     if not solver.stable:
-        return math.inf, None
+        return math.inf, None, None
     z = solver.u.T @ x0
     cu = output @ solver.u
     yp = solver.solve(-np.outer(z, z))
     yq = solver.solve(-(cu.T @ cu), adjoint=True)
     cost = max(float(np.vdot(cu @ yp, cu)), 0.0)
-    qp = solver.u @ (yq @ yp) @ solver.u.T
+    root = SmoothedAbscissa(value=0.0, abscissa=solver.abscissa,
+                            epsilon=1.0 / cost if cost > 0.0 else math.inf,
+                            P=solver.from_schur(yp), Q=solver.from_schur(yq),
+                            trace_value=cost, evaluations=1)
+    qp = root.Q @ root.P
     grad = np.array([np.vdot(qp, a) for a in mode_set.modes])
-    return cost, grad * (2.0 / d.sum())
+    return cost, grad * (2.0 / d.sum()), root
 
 
 def _polish(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
@@ -264,7 +266,7 @@ def _polish(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     total = start.sum()
     d = np.where(start < 0.01 * total / start.size, 0.0, start)
     d *= total / d.sum()
-    cost, g = _cost_gradient(mode_set, output, x0, d)
+    cost, g, root = _cost_gradient(mode_set, output, x0, d)
     factorizations = 1
     iterations = 0
     while iterations < budget and g is not None:
@@ -275,7 +277,7 @@ def _polish(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         shrinking = v > 0
         limit = float(np.min(d[shrinking] / v[shrinking]))
         h = min(1e-3 * total / d.size / vmax, 0.5 * limit)
-        _, g_probe = _cost_gradient(mode_set, output, x0, d - h * v)
+        _, g_probe, _ = _cost_gradient(mode_set, output, x0, d - h * v)
         factorizations += 1
         if g_probe is None:
             break
@@ -288,7 +290,7 @@ def _polish(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
             d_new[d_new <= 1e-12 * total] = 0.0
             d_new *= total / d_new.sum()
             iterations += 1
-            cost_new, g_new = _cost_gradient(mode_set, output, x0, d_new)
+            cost_new, g_new, root_new = _cost_gradient(mode_set, output, x0, d_new)
             factorizations += 1
             if cost_new < cost or iterations >= budget:
                 break
@@ -297,8 +299,8 @@ def _polish(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                 break
         if not cost_new < cost:
             break
-        d, cost, g = d_new, cost_new, g_new
-    return PolishResult(d, cost, iterations, factorizations)
+        d, cost, g, root = d_new, cost_new, g_new, root_new
+    return PolishResult(d, cost, root, iterations, factorizations)
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
@@ -349,7 +351,9 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                                   f"sum, got {start.tolist()}")
     total = mode_set.cycle_time
     baseline = mode_set.durations.astype(float)
-    baseline_cost = congestion_cost(average_matrix(mode_set, baseline), output, x0)
+    a, output, x0 = validate_triple(average_matrix(mode_set, baseline), output, x0)
+    # without a warm start the first start's cost is the baseline's
+    baseline_cost = None if start is None else congestion_cost(a, output, x0)
 
     initial = [baseline if start is None else start]
     rng = np.random.default_rng(seed)
@@ -359,25 +363,24 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     best: dict[str, Any] | None = None
     for idx, d0 in enumerate(initial):
         d0 = d0 * (total / d0.sum())
-        # the baseline sums to the cycle time, so there d0 is the baseline
-        cost0 = (baseline_cost if idx == 0 and start is None
-                 else congestion_cost(average_matrix(mode_set, d0), output, x0))
+        # the root at 1/cost0 anchors the first descent
+        cost0, _, anchor = _cost_gradient(mode_set, output, x0, d0)
+        if baseline_cost is None:
+            # the baseline sums to the cycle time, so there d0 is the baseline
+            baseline_cost = cost0
         if not np.isfinite(cost0):
             continue
-        eps0 = 1.0 / cost0 if cost0 > 0 else None
-        if eps0 is None:
+        if cost0 == 0.0:
             # zero cost cannot be improved
-            candidate = {"d": d0, "eps": np.inf, "cost": 0.0, "rows": [],
-                         "iters": 0, "start": idx, "converged": True}
-            best = candidate
+            best = {"d": d0, "eps": np.inf, "cost": 0.0, "rows": [],
+                    "iters": 0, "start": idx, "converged": True}
             break
         rows: list[dict[str, float]] = []
         d = d0.copy()
-        eps_bar = eps0
-        xi_cur = xi * eps0
+        eps_bar = anchor.epsilon
+        xi_cur = xi * eps_bar
         iters = 0
         outer = 0
-        anchor = None     # a certified root at d, once one was searched
         reasons = {"achieved": 0, "stationary": 0, "budget": 0}
         searches = evaluations = 0
         while iters < MAX_ITERATIONS:
@@ -407,14 +410,9 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
                       "cost %.12g -> %.12g", idx, polish.iterations,
                       polish.factorizations, cost, polish.cost)
             if polish.cost < cost and not np.array_equal(polish.durations, d):
-                # at epsilon = 1/J(d) the smoothing root is 0 exactly
-                cert = smoothed_abscissa(average_matrix(mode_set, polish.durations),
-                                         output, x0, 1.0 / polish.cost, warm_start=0.0)
-                searches += 1
-                evaluations += cert.evaluations
-                if _achieved(cert):
-                    d, eps_bar, cost = polish.durations, cert.epsilon, polish.cost
-        log.debug("start %d: %d outer steps (%d achieved, %d stationary, "
+                d, eps_bar, cost = polish.durations, polish.root.epsilon, polish.cost
+        log.debug("start %d: first anchor from the cost solve, without a root "
+                  "search; %d outer steps (%d achieved, %d stationary, "
                   "%d budget), %d inner iterations, %d root searches, "
                   "%d root-search evaluations", idx, outer, reasons["achieved"],
                   reasons["stationary"], reasons["budget"], iters, searches,

@@ -440,6 +440,37 @@ def test_grid_scenarios_bundled_match_generator():
     assert bundled == direct
 
 
+@pytest.mark.parametrize("entry", ["build_network", "generate_grid"])
+@pytest.mark.parametrize("name", [None, "big"], ids=["default_name", "named"])
+@pytest.mark.parametrize("rows, cols", [(10**5000, 1), (1, 10**5000)],
+                         ids=["rows", "cols"])
+def test_grid_size_too_long_to_print_is_one_validation_line(entry, name, rows, cols):
+    # Python refuses to print an integer of more than 4300 digits, which the
+    # default name and the memory message would both do
+    doc = _grid_doc(rows=rows, cols=cols)
+    if name is not None:
+        doc["name"] = name
+    with pytest.raises(ValidationError) as info:
+        if entry == "build_network":
+            net_model.build_network(doc)
+        else:
+            net_model.generate_grid(rows, cols, name=name)
+    assert str(info.value).startswith("one matrix of a grid whose order has 5002 digits "
+                                      "would hold about inf GiB, over half of the ")
+
+
+def test_grid_order_of_100_digits_is_printed():
+    # a rows x 1 grid of 3 cells a road has order 18 rows + 6
+    rows = 10**98
+    order = 18 * rows + 6
+    with pytest.raises(ValidationError, match=fr"^one {order}x{order} matrix of a "
+                                              fr"{rows}x1 grid would hold"):
+        net_model.generate_grid(rows, 1)
+    with pytest.raises(ValidationError, match=r"^one matrix of a grid whose order has "
+                                              r"101 digits would hold"):
+        net_model.generate_grid(10 * rows, 1)
+
+
 # schedules ------------------------------------------------------------------
 
 def test_uniform_schedule_equal_windows(four_net):

@@ -12,9 +12,10 @@ from scipy.optimize import minimize_scalar
 
 from greensplit import dynamics, net_model, optimizer, scenario
 from greensplit.dynamics import ModeSet
-from greensplit.errors import NoStableStart, ValidationError
-from greensplit.lyapunov import congestion_cost
+from greensplit.errors import DimensionError, NoStableStart, ValidationError
+from greensplit.lyapunov import ShiftedLyapunov, congestion_cost
 from greensplit.optimizer import optimize, project_tangent
+from greensplit.ssa import smoothed_abscissa
 
 
 # project_tangent ------------------------------------------------------------
@@ -129,6 +130,7 @@ def test_optimize_parameter_validation(four_modes, four_output, monkeypatch):
         raise AssertionError("a cost was solved before the parameters were checked")
 
     monkeypatch.setattr(optimizer, "congestion_cost", no_solve)
+    monkeypatch.setattr(optimizer, "ShiftedLyapunov", no_solve)
     x0 = np.ones(four_modes.n)
     bad = [{"xi": -0.1}, {"starts": 0}, {"starts": 1.5}, {"seed": -1},
            {"start": np.zeros(4)}, {"start": [np.nan, 50.0, 50.0, 0.0]},
@@ -136,6 +138,12 @@ def test_optimize_parameter_validation(four_modes, four_output, monkeypatch):
     for kwargs in bad:
         with pytest.raises(ValidationError):
             optimize(four_modes, four_output, x0, **kwargs)
+    with pytest.raises(DimensionError):
+        optimize(four_modes, four_output, x0[:-1])
+    idle = ModeSet(modes=four_modes.modes, durations=np.zeros(4),
+                   input_map=four_modes.input_map)
+    with pytest.raises(ValidationError, match="^mode durations must have a positive sum$"):
+        optimize(idle, four_output, x0)
 
 
 def test_no_stable_start():
@@ -182,8 +190,11 @@ def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
     # iterate takes the whole Newton step, the weight increment doubles
     # until the first unachieved weight, where the continuation stops, a
     # new weight takes its first step from the outer iterate's certified
-    # root without a search, and a projected Newton polish on J finishes:
-    # 40 evaluations and 18 iterations on this run, against 160 and 65 with
+    # root without a search, the first weight starts from the root at
+    # 1/J(d0) that the baseline's cost solve gives, and a projected Newton
+    # polish on J finishes: 35 evaluations and 18 iterations on this run
+    # (40 with a cold first search and a certificate search), against 160
+    # and 65 with
     # a halving tail after the first unachieved weight, 270 and 85 with a
     # fixed increment and a search at every first iterate as well, and 793
     # and 475 with the step halved too
@@ -229,12 +240,12 @@ def test_polish_steps_count_against_the_budget(four_modes, four_output, monkeypa
     pytest.param("grid_4x4", 18902.7548601272, 12, id="grid_4x4"),
 ])
 def test_certificate_matches_the_cost_at_the_split(name, cost, max_iterations):
-    # the reported weight is 1/J at the polished split, certified by one
-    # root search there, so 1/epsilon is the true cost at the returned
-    # split; with a halving tail it missed it by 3.7e-7, 2.2e-9, 1.6e-9
-    # and 6.1e-9 relative.  The runs take 11, 18, 11 and 11 iterations
-    # (31, 65, 32 and 33 with the tail); the bounds leave about 10% for
-    # rounding on other BLAS builds
+    # the reported weight is 1/J at the polished split, the weight at which
+    # the root of its cost solve is 0, so 1/epsilon is the true cost at the
+    # returned split; with a halving tail it missed it by 3.7e-7, 2.2e-9,
+    # 1.6e-9 and 6.1e-9 relative.  The runs take 12, 18, 11 and 11
+    # iterations (11 on single_road with a cold first search; 31, 65, 32
+    # and 33 with the tail)
     net = scenario.load(name)
     ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
     c = dynamics.output_map(net)
@@ -269,7 +280,7 @@ def test_polish_reaches_the_face_optimum(name):
                            options={"xatol": 1e-8 * total})
     assert report.cost == pytest.approx(best.fun, rel=1e-9)
     # the projected gradient of J vanishes there
-    cost, grad = optimizer._cost_gradient(ms, c, x0, report.durations)
+    cost, grad, _ = optimizer._cost_gradient(ms, c, x0, report.durations)
     assert cost == report.cost
     v = project_tangent(grad, report.durations)
     assert np.abs(v).max() <= optimizer.KKT_TOL * (1.0 + np.abs(grad).max())
@@ -282,7 +293,7 @@ def test_cost_gradient_matches_central_differences(four_modes, four_output):
     d = np.array([30.0, 20.0, 15.0, 35.0])
     total = d.sum()
     a = dynamics.average_matrix(four_modes, d)
-    cost, grad = optimizer._cost_gradient(four_modes, four_output, x0, d)
+    cost, grad, _ = optimizer._cost_gradient(four_modes, four_output, x0, d)
     assert cost == pytest.approx(congestion_cost(a, four_output, x0), rel=1e-12)
     step = 1e-5 * total
     fd = np.empty_like(grad)
@@ -317,7 +328,8 @@ _OUTER_LINE = re.compile(r"outer \d+: epsilon (\S+), (\d+) inner iterations, "
                          r"(\d+) root-search evaluations, (achieved|stationary|budget)$")
 _POLISH_LINE = re.compile(r"start (\d+) polish: (\d+) iterations, (\d+) factorizations, "
                           r"cost (\S+) -> (\S+)$")
-_START_LINE = re.compile(r"start (\d+): (\d+) outer steps \((\d+) achieved, "
+_START_LINE = re.compile(r"start (\d+): first anchor from the cost solve, without a "
+                         r"root search; (\d+) outer steps \((\d+) achieved, "
                          r"(\d+) stationary, (\d+) budget\), (\d+) inner iterations, "
                          r"(\d+) root searches, (\d+) root-search evaluations$")
 
@@ -338,10 +350,9 @@ def test_outer_steps_are_logged(single_net, monkeypatch, caplog):
     report = optimize(ms, dynamics.output_map(single_net), np.ones(single_net.n))
     lines, polishes, starts = _logged_steps(caplog)
     assert lines
-    # the root searches and evaluations of the start include the polish's
-    # certificate search
-    assert sum(int(m[3]) for m in lines) == sum(counts) - counts[-1]
-    assert counts[-1] == 1
+    # the root searches and evaluations are the descents': the first anchor
+    # and the certificate come from cost solves, which search nothing
+    assert sum(int(m[3]) for m in lines) == sum(counts)
     assert (sum(max(int(m[2]), 1) for m in lines) + int(polishes[0][2])
             == report.iterations)
     # one polish line and one summary line close the start
@@ -378,24 +389,12 @@ def test_increment_doubles_until_the_first_unachieved_weight(four_modes, four_ou
     assert 1.0 / report.epsilon == pytest.approx(1179.044677957715, rel=1e-12)
 
 
-@pytest.mark.parametrize("warm, max_searches", [(False, 16), (True, 1)],
-                         ids=["cold", "warm"])
-def test_new_weight_starts_without_searching_the_outer_iterate(four_modes, four_output,
-                                                               four_report, monkeypatch,
-                                                               warm, max_searches):
-    # the outer iterate's root was certified by the search that achieved
-    # the previous weight, or by the first search at it; its first step at
-    # the next weight is predicted from that root, so no search of a
-    # descent repeats it.  A warm start at the optimum achieves no weight,
-    # and its polish finds nothing to lower
-    searched = []
-    search = optimizer.smoothed_abscissa
-
-    def keyed(a, *args, **kwargs):
-        searched.append(np.ascontiguousarray(a).tobytes())
-        return search(a, *args, **kwargs)
-
-    descents = []    # (outer iterate's key, anchor given, its searches)
+def _record_descents(monkeypatch, searched):
+    """Wrap the optimizer's descents; the list holds a dict for each: its
+    outer step, its first split's averaged matrix as bytes, its anchor, its
+    result, and the keys of the matrices it searched, which ``searched``
+    collects."""
+    descents = []
     descend = optimizer._inner_descent
     signature = inspect.signature(descend)
 
@@ -404,43 +403,131 @@ def test_new_weight_starts_without_searching_the_outer_iterate(four_modes, four_
         key = dynamics.average_matrix(bound["mode_set"], bound["start"]).tobytes()
         first = len(searched)
         inner = descend(*args, **kwargs)
-        descents.append((key, bound["anchor"] is not None, searched[first:]))
+        descents.append({"outer": bound["outer_index"], "key": key,
+                         "anchor": bound["anchor"], "inner": inner,
+                         "searched": searched[first:]})
         return inner
 
-    monkeypatch.setattr(optimizer, "smoothed_abscissa", keyed)
     monkeypatch.setattr(optimizer, "_inner_descent", recorded)
-    report = optimize(four_modes, four_output, np.ones(four_modes.n),
-                      start=four_report.durations if warm else None)
+    return descents
+
+
+def _key_warm_searches(monkeypatch, searched):
+    """Wrap the optimizer's root search: each call appends its matrix as
+    bytes to ``searched``, and a call without a warm start fails."""
+    search = optimizer.smoothed_abscissa
+
+    def keyed(a, *args, warm_start=None, **kwargs):
+        assert warm_start is not None, "a root search started cold"
+        searched.append(np.ascontiguousarray(a).tobytes())
+        return search(a, *args, warm_start=warm_start, **kwargs)
+
+    monkeypatch.setattr(optimizer, "smoothed_abscissa", keyed)
+
+
+@pytest.mark.parametrize("warm, max_searches", [(False, 14), (True, 0)],
+                         ids=["cold", "warm"])
+def test_new_weight_starts_without_searching_the_outer_iterate(four_modes, four_output,
+                                                               four_report, monkeypatch,
+                                                               warm, max_searches):
+    # every descent is anchored on a certified root at its first split: the
+    # first on the root at 1/J(d0), which is 0 with the P and Q of the
+    # start's cost solve, each later one on the root that achieved the
+    # previous weight.  So no descent searches its first split and no
+    # search starts cold.  A warm start at the optimum achieves no weight,
+    # and its polish finds nothing to lower
+    searched: list[bytes] = []
+    _key_warm_searches(monkeypatch, searched)
+    descents = _record_descents(monkeypatch, searched)
+    x0 = np.ones(four_modes.n)
+    d0 = four_report.durations if warm else four_modes.durations
+    report = optimize(four_modes, four_output, x0, start=d0 if warm else None)
+    d0 = d0 * (four_modes.cycle_time / d0.sum())
     assert report.cost <= four_report.cost * (1.0 + 1e-6)
-    # only the first descent searches cold
-    assert descents[0][1] is False
-    assert all(anchored for _, anchored, _ in descents[1:])
-    for key, anchored, keys in descents[1:]:
-        assert key not in keys[:1]
-    # 16 and 1 searches here, against 66 and 10 with a halving tail and 123
-    # and 19 with a fixed increment and a search at every first iterate too
+    first = descents[0]["anchor"]
+    cost0 = congestion_cost(dynamics.average_matrix(four_modes, d0), four_output, x0)
+    assert (first.value, first.evaluations) == (0.0, 1)
+    assert first.trace_value == cost0 and first.epsilon == 1.0 / cost0
+    if not warm:
+        assert report.baseline_cost == cost0
+    for prev, nxt in zip(descents, descents[1:]):
+        assert nxt["anchor"] is prev["inner"].anchor
+    for descent in descents:
+        assert descent["key"] not in descent["searched"]
+    # 14 and 0 searches here, against 16 and 1 with a cold first search
+    # and a certificate search, 66 and 10 with a halving tail, and 123 and
+    # 19 with a fixed increment and a search at every first iterate too
     assert len(searched) <= max_searches
 
 
 def test_no_start_searches_a_matrix_twice(four_modes, four_output, monkeypatch):
     # a descent that followed a failed one, in the halving tail, could
     # search a matrix an earlier descent had searched: 66 searches on 62
-    # distinct matrices on this run.  Only the first search of a start is
-    # cold, so a search without a warm start opens the next start
-    starts: list[list[bytes]] = []
-    search = optimizer.smoothed_abscissa
-
-    def keyed(a, *args, warm_start=None, **kwargs):
-        if warm_start is None:
-            starts.append([])
-        starts[-1].append(np.ascontiguousarray(a).tobytes())
-        return search(a, *args, warm_start=warm_start, **kwargs)
-
-    monkeypatch.setattr(optimizer, "smoothed_abscissa", keyed)
+    # distinct matrices on this run.  Every search is warm, and a start's
+    # cost solve gives its first anchor, so its first split is not
+    # searched either
+    searched: list[bytes] = []
+    _key_warm_searches(monkeypatch, searched)
+    descents = _record_descents(monkeypatch, searched)
     optimize(four_modes, four_output, np.ones(four_modes.n), starts=3, seed=0)
+    starts = []    # (first split's key, the keys the start searched)
+    for descent in descents:
+        if descent["outer"] == 0:
+            starts.append((descent["key"], []))
+        starts[-1][1].extend(descent["searched"])
     assert len(starts) == 3
-    for keys in starts:
+    assert sum(len(keys) for _, keys in starts) == len(searched)
+    for first, keys in starts:
+        assert first not in keys
         assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name", ["single_road", "four_intersections", "grid_3x3",
+                                  "grid_4x4"])
+def test_cost_solve_gives_the_root_at_the_inverse_cost(name):
+    # g(0) = trace(C P(0) C^T) = J, so a cold search at epsilon = 1/J lands
+    # on 0, with the P and Q of the cost solve
+    net = scenario.load(name)
+    ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
+    c = dynamics.output_map(net)
+    x0 = np.ones(net.n)
+    a = dynamics.average_matrix(ms, ms.durations)
+    cost, _, root = optimizer._cost_gradient(ms, c, x0, ms.durations)
+    assert cost == congestion_cost(a, c, x0)
+    assert (root.value, root.trace_value, root.epsilon) == (0.0, cost, 1.0 / cost)
+    searched = smoothed_abscissa(a, c, x0, root.epsilon)
+    assert searched.abscissa == root.abscissa
+    assert abs(searched.value) <= 1e-8 * (1.0 + abs(searched.abscissa))
+    for mine, theirs in ((root.P, searched.P), (root.Q, searched.Q)):
+        assert np.linalg.norm(mine - theirs) <= 1e-8 * np.linalg.norm(theirs)
+    # the search stops up to 5e-12 from 0, which moves the trace by up to
+    # 2.2e-9 relative; moved there along g'(0) = -2 trace(Q P), the cost
+    # solve's trace agrees to rounding
+    moved = root.trace_value - 2.0 * np.vdot(root.Q, root.P) * searched.value
+    assert moved == pytest.approx(searched.trace_value, rel=1e-12)
+
+
+def test_factorizations_and_solves_of_a_run(four_modes, four_output, monkeypatch):
+    # one factorization at the baseline gives its cost and the first
+    # anchor, and the polish's last accepted split gives the certificate:
+    # 24 factorizations and 90 shifted solves on this run, against 26 and
+    # 99 with a cold first search and a certificate search
+    counts = {"factor": 0, "solve": 0}
+    factor, solve = ShiftedLyapunov.__init__, ShiftedLyapunov.solve
+
+    def counted_factor(self, *args, **kwargs):
+        counts["factor"] += 1
+        factor(self, *args, **kwargs)
+
+    def counted_solve(self, *args, **kwargs):
+        counts["solve"] += 1
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedLyapunov, "__init__", counted_factor)
+    monkeypatch.setattr(ShiftedLyapunov, "solve", counted_solve)
+    optimize(four_modes, four_output, np.ones(four_modes.n))
+    assert counts["factor"] <= 24
+    assert counts["solve"] <= 90
 
 
 def test_three_starts_keep_their_cost_in_fewer_iterations(four_modes, four_output):
