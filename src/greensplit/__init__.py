@@ -4,7 +4,7 @@ The package models urban traffic as a positive switched linear system:
 cells of vehicle density per road, one dynamics matrix per signal mode,
 and a time-averaged surrogate whose quality improves as cycles shrink.
 On top of that sit a congestion cost, a smoothed spectral abscissa with
-an analytic duration gradient, a projected descent optimizer for green
+an analytic duration gradient, a projected Newton optimizer for green
 splits, exact trajectory simulation, and a distributed Lyapunov solver.
 """
 

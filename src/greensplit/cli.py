@@ -338,27 +338,23 @@ def compare_averaging(scenario_ref: str, cycles: str, x0: str,
 @main.command("optimize")
 @click.argument("scenario_ref")
 @click.option("--x0", default="ones", show_default=True)
-@click.option("--xi", type=float, default=0.05, show_default=True,
-              help="First weight increment relative to the starting weight; it "
-                   "doubles after each achieved weight until one fails, and a "
-                   "Newton polish on the cost finishes from there.")
 @click.option("--starts", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the full report as JSON.")
 @click.option("--plot-out", type=click.Path(dir_okay=False), default=None,
-              help="Write the iteration trace as tidy CSV.")
+              help="Write the best start's descent as CSV (iter, cost, "
+                   "kkt_norm), one row per accepted split.")
 @_wrap
-def optimize_cmd(scenario_ref: str, x0: str, xi: float,
-                 starts: int, seed: int, out: str | None,
-                 plot_out: str | None) -> None:
+def optimize_cmd(scenario_ref: str, x0: str, starts: int, seed: int,
+                 out: str | None, plot_out: str | None) -> None:
     """Optimize the green splits of a scenario's schedule."""
     network = scenario.load(scenario_ref)
     schedule = net_model.uniform_schedule(network)
     mode_set = dynamics.assemble_modes(network, schedule)
     output = dynamics.output_map(network)
     state0 = load_state(x0, network)
-    report = optimize(mode_set, output, state0, xi=xi, starts=starts, seed=seed)
+    report = optimize(mode_set, output, state0, starts=starts, seed=seed)
     if not report.converged:
         raise NotConverged(
             f"optimize hit its iteration budget after {report.iterations} "
@@ -389,10 +385,10 @@ def optimize_cmd(scenario_ref: str, x0: str, xi: float,
             trace = report.trajectory
             block = (_cells(range(len(trace))),
                      *(_cells([row[key] for row in trace])
-                       for key in ("alpha_smooth", "kkt_norm", "cost")))
+                       for key in ("cost", "kkt_norm")))
             with stage(plot_out) as fh:
                 _write_csv(fh, _header_lines(digest, seed),
-                           ["iter", "alpha_tilde", "kkt_norm", "cost"], [block])
+                           ["iter", "cost", "kkt_norm"], [block])
 
 
 def _parse_layout(layout: str, n: int) -> dist.CommGraph:

@@ -1,9 +1,8 @@
 """Smoothed stability margin of the averaged system and its sensitivity.
 
 The spectral abscissa itself is a nonsmooth function of the mode durations.
-Instead of descending on it directly, the optimizer works with the smoothed
-abscissa: for a smoothing weight ``epsilon > 0``, the value ``alpha_s`` is
-the unique root of
+The smoothed abscissa is a smooth stand-in for it: for a smoothing weight
+``epsilon > 0``, the value ``alpha_s`` is the unique root of
 
     g(s) = trace(C P(s) C^T) = 1 / epsilon,
 
@@ -17,6 +16,9 @@ method on ``1/g(s) - epsilon``, safeguarded by a bracket: a step that
 leaves the bracket, or stalls, is replaced by bisection (or by doubling
 while the bracket is unbounded above).  The root always lies strictly
 above the true abscissa and tends to it as ``epsilon`` goes to zero.
+As ``g(0)`` is the congestion cost ``J``, the root at ``epsilon = 1/J`` of
+a stable matrix is 0: :mod:`greensplit.optimizer` certifies its result
+with that root, taken from the solves that give ``J``, with no search.
 Every iterate is one ``P`` and one ``Q`` solve on a single Schur
 factorization of ``A``; the search runs in Schur coordinates and
 transforms back only the ``P`` and ``Q`` it returns.
@@ -62,21 +64,9 @@ class SmoothedAbscissa:
     trace_value: float    # g(value); equals 1/epsilon up to the root tolerance
     evaluations: int      # iterates: a P solve each, and a Q solve where P succeeds
 
-    def epsilon_slope(self) -> float:
-        """Derivative of the root with respect to the smoothing weight.
-
-        Differentiating ``g(value) = 1/epsilon`` with ``g' = -2 trace(Q P)``
-        gives ``g(value)^2 / (2 trace(Q P))``.  It is zero where
-        ``trace(Q P)`` is not positive, so a prediction made with it stays
-        at the root.
-        """
-        tr = float(np.vdot(self.Q, self.P))    # trace(Q P): Q is symmetric
-        return self.trace_value ** 2 / (2.0 * tr) if tr > 0.0 else 0.0
-
 
 def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
-                      epsilon: float, tol: float = ROOT_TOL,
-                      warm_start: float | None = None) -> SmoothedAbscissa:
+                      epsilon: float, tol: float = ROOT_TOL) -> SmoothedAbscissa:
     """Solve the smoothing equation for the given weight.
 
     Parameters
@@ -94,14 +84,6 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
     tol : float
         Relative size of the Newton step (or of the bracket) at which the
         root is accepted.
-    warm_start : float, optional
-        First iterate, typically the root for a nearby matrix.  Ignored
-        unless it is finite and above the abscissa ledge; it changes the
-        work done, not the root.  The optimizer passes the first-order
-        prediction of the root: the previous root moved along the duration
-        gradient or, for a new weight, by :meth:`SmoothedAbscissa.epsilon_slope`.
-        A start within the Newton tolerance of the root is accepted after
-        one evaluation.
     """
     a, output, x0 = validate_triple(a, output, x0)
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -119,11 +101,7 @@ def smoothed_abscissa(a: np.ndarray, output: np.ndarray, x0: np.ndarray,
     weight = cu.T @ cu
     neg_weight = -weight
     target = 1.0 / epsilon
-    ledge = alpha + _LEDGE * (1.0 + abs(alpha))
-    if warm_start is not None and math.isfinite(warm_start) and warm_start > ledge:
-        s = float(warm_start)
-    else:
-        s = ledge
+    s = alpha + _LEDGE * (1.0 + abs(alpha))
 
     def certified(found: tuple, evaluations: int) -> SmoothedAbscissa:
         value, yp, yq, g = found

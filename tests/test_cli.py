@@ -537,33 +537,21 @@ def test_oversized_simulation_is_one_validation_line(tmp_path, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "0.05"])
 def test_optimize_rejects_bad_xi(tmp_path, value):
+    # --xi set the first increment of a weight continuation that a projected
+    # Newton descent on the cost replaced; every value is now a usage error
+    assert "--xi" not in CliRunner().invoke(cli.main, ["optimize", "--help"]).stdout
     out = tmp_path / "report.json"
     result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--xi", value,
                                            "--out", str(out)])
     assert result.exit_code == 2
-    assert result.stderr.count("\n") == 1
-    assert result.stderr.startswith("ValidationError: xi must be finite and positive")
-    assert not out.exists()
-
-
-def test_optimize_overflowing_xi_is_one_line(tmp_path):
-    # the root search overflows at this increment; no numpy warning may
-    # precede the typed error line
-    out = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "greensplit.cli", "optimize", "single_road",
-         "--xi", "1e300", "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == 3
-    assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("NoConvergence: ")
+    assert "No such option" in result.stderr and "--xi" in result.stderr
     assert not out.exists()
 
 
 def test_optimize_has_no_mu_option(tmp_path):
-    # each inner iterate takes the whole Newton step; no option scales it
+    # a Newton step that lowers the cost is taken whole; no option scales it
     assert "--mu" not in CliRunner().invoke(cli.main, ["optimize", "--help"]).stdout
     out = tmp_path / "report.json"
     result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--mu", "1.0",
@@ -597,7 +585,8 @@ def test_optimize_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
 
 def test_optimize_overall_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
     from greensplit import optimizer
-    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 10)
+    # the descent takes 6 Newton steps here
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
     result = CliRunner().invoke(cli.main, ["optimize", "four_intersections", "--out", str(out),
                                            "--plot-out", str(trace)])
@@ -659,7 +648,7 @@ def test_optimize_plot_columns(runner, tmp_path):
                     "--plot-out", str(trace))
     assert result.exit_code == 0
     _, rows = read_artifact(trace)
-    assert rows[0] == ["iter", "alpha_tilde", "kkt_norm", "cost"]
+    assert rows[0] == ["iter", "cost", "kkt_norm"]
     assert len(rows) > 1
     iters = [int(r[0]) for r in rows[1:]]
     assert iters == list(range(len(iters)))
@@ -671,7 +660,7 @@ def test_optimize_empty_trajectory_header_only(runner, tmp_path):
                     "--plot-out", str(trace))
     assert result.exit_code == 0
     _, rows = read_artifact(trace)
-    assert rows == [["iter", "alpha_tilde", "kkt_norm", "cost"]]
+    assert rows == [["iter", "cost", "kkt_norm"]]
 
 
 def test_numerical_failure_maps_to_exit_3(runner, monkeypatch):

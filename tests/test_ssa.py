@@ -221,22 +221,6 @@ def test_root_matches_brentq_oracle():
         assert abs(res.value - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
-def test_warm_start_does_not_move_root():
-    rng = np.random.default_rng(32)
-    for _ in range(6):
-        a = make_hurwitz(rng, 6)
-        c = rng.standard_normal((2, 6))
-        x0 = rng.standard_normal(6)
-        cold = smoothed_abscissa(a, c, x0, 1.0)
-        starts = (cold.abscissa - 1.0, cold.abscissa, cold.value + 1e3,
-                  np.nan, np.inf, -np.inf, cold.value)
-        for start in starts:
-            warm = smoothed_abscissa(a, c, x0, 1.0, warm_start=start)
-            assert abs(warm.value - cold.value) <= 1e-10 * (1.0 + abs(cold.value))
-        # starting on the root accepts it after a single evaluation
-        assert smoothed_abscissa(a, c, x0, 1.0, warm_start=cold.value).evaluations == 1
-
-
 def test_pinched_root_stays_above_abscissa():
     # with a tiny weight the root sits closer to the abscissa than the
     # tolerance (for a = -1 it is -1 + eps/2, which rounds to -1)
@@ -286,29 +270,21 @@ def test_adjoint_failure_near_pinched_root_is_reported(monkeypatch):
 
 
 def test_newton_search_evaluation_budget(four_modes, four_output):
-    # measured on this fixture: 5-6 evaluations from a cold start and 3
-    # from the root of a nearby split; bisection to the same tolerance
-    # needs over 30
+    # measured on this fixture: 5-6 evaluations; bisection to the same
+    # tolerance needs over 30
     x0 = np.ones(four_modes.n)
-    d = four_modes.durations.astype(float)
-    a = dynamics.average_matrix(four_modes, d)
-    nearby = dynamics.average_matrix(four_modes, d + np.array([1.0, -1.0, 0.5, -0.5]))
+    a = dynamics.average_matrix(four_modes, four_modes.durations.astype(float))
     cost = congestion_cost(a, four_output, x0)
     for factor in (0.3, 0.9, 1.0, 1.5, 3.0):
-        eps = factor / cost
-        cold = smoothed_abscissa(a, four_output, x0, eps)
-        assert cold.evaluations <= 8
-        warm = smoothed_abscissa(nearby, four_output, x0, eps, warm_start=cold.value)
-        assert warm.evaluations <= 4
+        assert smoothed_abscissa(a, four_output, x0, factor / cost).evaluations <= 8
 
 
 @pytest.mark.parametrize("split", [None, [40.0, 20.0, 25.0, 15.0]],
                          ids=["uniform", "interior"])
 def test_root_tangents_match_finite_differences(four_modes, four_output, split):
-    # the optimizer warm-starts each search at the first-order prediction
-    # of its root: along a duration step through the duration gradient, and
-    # along a weight step through epsilon_slope; halving the step must cut
-    # the prediction error about fourfold, which a wrong slope would not
+    # the first-order prediction of the root along a duration step, through
+    # the duration gradient: halving the step must cut the prediction error
+    # about fourfold, which a wrong gradient would not
     x0 = np.ones(four_modes.n)
     d = four_modes.durations.astype(float) if split is None else np.array(split)
     a = dynamics.average_matrix(four_modes, d)
@@ -317,15 +293,9 @@ def test_root_tangents_match_finite_differences(four_modes, four_output, split):
     grad = duration_gradient(four_modes, res, d)
     v = np.array([1.0, -1.0, 0.5, -0.5])    # tangent to the simplex
 
-    def duration_error(h):
+    def error(h):
         moved = dynamics.average_matrix(four_modes, d + h * v)
         root = smoothed_abscissa(moved, four_output, x0, eps, tol=1e-14).value
         return abs(root - (res.value + h * float(grad @ v)))
 
-    def weight_error(h):
-        step = h * 1e-2 * eps
-        root = smoothed_abscissa(a, four_output, x0, eps + step, tol=1e-14).value
-        return abs(root - (res.value + step * res.epsilon_slope()))
-
-    for error in (duration_error, weight_error):
-        assert error(2.0) >= 3.0 * error(1.0)
+    assert error(2.0) >= 3.0 * error(1.0)
