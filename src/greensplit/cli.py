@@ -379,7 +379,7 @@ def optimize_cmd(scenario_ref: str, x0: str, starts: int, seed: int,
                 "report": report.to_dict(),
             }
             with stage(out) as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
         if plot_out is not None:
             trace = report.trajectory

@@ -90,12 +90,10 @@ def assemble_modes(network: NetworkSpec, schedule: Schedule) -> ModeSet:
     )
 
 
-def average_matrix(mode_set: ModeSet, durations: Iterable[float] | None = None) -> np.ndarray:
-    """Duration-weighted mean of the mode matrices.
-
-    Normalizing by the sum of the durations makes the result invariant
-    under positive rescaling of the whole duration vector.
-    """
+def as_durations(mode_set: ModeSet, durations: Iterable[float] | None = None) -> np.ndarray:
+    """Mode durations (``mode_set``'s own for ``None``) as floats: a wrong
+    length is a :class:`DimensionError`, a non-finite or negative entry or
+    a sum that is not positive a :class:`ValidationError`."""
     d = mode_set.durations if durations is None else np.asarray(list(durations), dtype=float)
     if d.shape != (mode_set.n_modes,):
         raise DimensionError(
@@ -104,13 +102,22 @@ def average_matrix(mode_set: ModeSet, durations: Iterable[float] | None = None) 
     if not np.all(np.isfinite(d) & (d >= 0)):
         raise ValidationError(f"mode durations must be finite and nonnegative, "
                               f"got {d.tolist()}")
-    total = d.sum()
-    if total <= 0:
+    if d.sum() <= 0:
         raise ValidationError("mode durations must have a positive sum")
+    return d
+
+
+def average_matrix(mode_set: ModeSet, durations: Iterable[float] | None = None) -> np.ndarray:
+    """Duration-weighted mean of the mode matrices.
+
+    Normalizing by the sum of the durations makes the result invariant
+    under positive rescaling of the whole duration vector.
+    """
+    d = as_durations(mode_set, durations)
     avg = np.zeros_like(mode_set.modes[0])
-    for weight, a in zip(d, mode_set.modes):
+    for weight, a in zip(d / d.sum(), mode_set.modes):
         if weight > 0:
-            avg += (weight / total) * a
+            avg += weight * a
     return avg
 
 

@@ -5,16 +5,13 @@ averaged system started at ``x0``, with ``A(d)`` averaged over the split
 ``d``.  Each start runs one projected Newton descent on ``J`` over the
 duration simplex (Bertsekas, "Projected Newton methods for optimization
 problems with simple constraints", SIAM J. Control Optim. 20(2), 1982).
-One Schur factorization per iterate gives ``J`` and its exact gradient
+One Schur factorization per iterate gives ``J``, its exact gradient
 ``dJ/dd_k = 2 <Q P, A_k> / T``, with ``P`` the Gramian driven by
-``x0 x0^T`` and ``Q`` the adjoint solution driven by ``C^T C``; the
+``x0 x0^T`` and ``Q`` the adjoint solution driven by ``C^T C``, and its
+exact curvature along the Newton direction, from one more solve on the
+same factor (the second-order adjoint; Pearlmutter, "Fast exact
+multiplication by the Hessian", Neural Computation 6(1), 1994).  The
 descent stops where the projected gradient vanishes.
-
-The same solves certify the result through the smoothed abscissa of
-:mod:`greensplit.ssa`: as ``g(0) = trace(C P(0) C^T) = J(d)``, the
-smoothing root at ``epsilon = 1/J(d)`` is 0, with that ``P`` and ``Q``.
-The root of the last accepted split is the report's certificate, so the
-reported ``1/epsilon`` is the cost at the returned split.
 """
 
 from __future__ import annotations
@@ -22,15 +19,15 @@ from __future__ import annotations
 import logging
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from .dynamics import ModeSet, average_matrix
+from .dynamics import ModeSet, as_durations, average_matrix
 from .errors import DimensionError, NoStableStart, ValidationError, check_memory
 from .lyapunov import ShiftedLyapunov, congestion_cost, validate_triple
-from .ssa import SmoothedAbscissa
 
 #: relative stationarity threshold on the projected gradient
 KKT_TOL = 1e-6
@@ -74,7 +71,6 @@ class OptimizationReport:
     """Outcome of one optimization run, serializable for artifacts."""
 
     durations: np.ndarray
-    epsilon: float
     cost: float
     baseline_cost: float
     converged: bool
@@ -84,31 +80,49 @@ class OptimizationReport:
     seed: int | None
     trajectory: list[dict[str, float]] = field(default_factory=list)
 
+    @property
+    def epsilon(self) -> float:
+        """``1/J``, the weight at which the smoothed abscissa is 0 (``inf`` at zero cost)."""
+        return 1.0 / self.cost if self.cost > 0.0 else math.inf
+
     def to_dict(self) -> dict[str, Any]:
+        """JSON values, with ``None`` for a non-finite float (RFC 8259 has none)."""
         return {
-            "durations": [float(x) for x in self.durations],
-            "epsilon": float(self.epsilon),
-            "cost": float(self.cost),
-            "baseline_cost": float(self.baseline_cost),
+            "durations": [_json_float(x) for x in self.durations],
+            "epsilon": _json_float(self.epsilon),
+            "cost": _json_float(self.cost),
+            "baseline_cost": _json_float(self.baseline_cost),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "n_starts": int(self.n_starts),
             "best_start": int(self.best_start),
             "seed": self.seed,
-            "trajectory": self.trajectory,
+            "trajectory": [{key: _json_float(x) for key, x in row.items()}
+                           for row in self.trajectory],
         }
 
 
-def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, d: np.ndarray
-                   ) -> tuple[float, np.ndarray | None, SmoothedAbscissa | None]:
-    """``J(d)``, its duration gradient ``dJ/dd_k = 2 <Q P, A_k> / T`` and
-    the smoothing root at ``epsilon = 1/J(d)``.
+def _json_float(x: float) -> float | None:
+    x = float(x)
+    return x if math.isfinite(x) else None
 
-    One factorization of the averaged matrix serves all three: ``P`` is the
-    Gramian driven by ``x0 x0^T`` and ``Q`` the adjoint solution driven by
-    ``C^T C``, each one solve at shift 0, where ``g(0) = J``.  ``J`` is the
-    value :func:`congestion_cost` gives.  Where the average is not stable
-    the cost is ``inf`` and there is neither gradient nor root.
+
+Curvature = Callable[[np.ndarray], float]    # v -> v^T H v along a tangent v
+
+
+def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, d: np.ndarray
+                   ) -> tuple[float, np.ndarray | None, Curvature | None]:
+    """``J(d)``, its duration gradient ``dJ/dd_k = 2 <Q P, A_k> / T`` and
+    its curvature along a tangent ``v`` of the simplex.
+
+    One factorization ``A = U T U^T`` of the averaged matrix serves all
+    three.  ``Y_p = U^T P U`` (driven by ``x0 x0^T``) and ``Y_q = U^T Q U``
+    (adjoint, driven by ``C^T C``) take one solve each, and
+    ``Q P = U Y_q Y_p U^T``; ``J`` is the value :func:`congestion_cost`
+    gives.  With ``B = U^T A_v U``, ``A_v = sum_k v_k A_k / T``, the
+    curvature is ``4 <Y_q Y', B>``, one more solve for
+    ``T Y' + Y' T^T = -(B Y_p + Y_p B^T)``.  An unstable average has cost
+    ``inf`` and neither gradient nor curvature.
     """
     solver = ShiftedLyapunov(average_matrix(mode_set, d))
     if not solver.stable:
@@ -118,20 +132,24 @@ def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, d: np.
     yp = solver.solve(-np.outer(z, z))
     yq = solver.solve(-(cu.T @ cu), adjoint=True)
     cost = max(float(np.vdot(cu @ yp, cu)), 0.0)
-    root = SmoothedAbscissa(value=0.0, abscissa=solver.abscissa,
-                            epsilon=1.0 / cost if cost > 0.0 else math.inf,
-                            P=solver.from_schur(yp), Q=solver.from_schur(yq),
-                            trace_value=cost, evaluations=1)
-    qp = root.Q @ root.P
-    grad = np.array([np.vdot(qp, a) for a in mode_set.modes])
-    return cost, grad * (2.0 / d.sum()), root
+    qp = solver.u @ (yq @ yp) @ solver.u.T
+    scale = 1.0 / d.sum()
+    grad = np.array([np.vdot(qp, a) for a in mode_set.modes]) * (2.0 * scale)
+
+    def curvature(v: np.ndarray) -> float:
+        b = solver.u.T @ sum(vk * a for vk, a in zip(v, mode_set.modes)) @ solver.u * scale
+        by = b @ yp
+        dyp = solver.solve(-(by + by.T))
+        return 4.0 * float(np.vdot(yq @ dyp, b))
+
+    return cost, grad, curvature
 
 
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    start: np.ndarray,
-                   first: tuple[float, np.ndarray | None, SmoothedAbscissa | None],
+                   first: tuple[float, np.ndarray | None, Curvature | None],
                    rows: list[dict[str, float]], budget: int
-                   ) -> tuple[np.ndarray, float, SmoothedAbscissa, int, int, str]:
+                   ) -> tuple[np.ndarray, float, int, int, str]:
     """Projected Newton descent on ``J`` from ``start``, in at most
     ``budget`` steps.
 
@@ -141,16 +159,16 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     the only one that drains a road), the descent starts from ``start``
     itself.  Each step moves along the projected gradient ``v`` by
     ``(g . v) / (v^T H v)``, stopped on the simplex boundary, with the
-    curvature ``v^T H v`` from one more gradient a short way along ``v``.
+    curvature ``v^T H v`` from the split's own factorization.
     A coordinate on the boundary stays there only while
     :func:`project_tangent` clamps it, so a dropped phase can come back.
     Only a step that lowers ``J`` is taken; a step that does not is halved
     until it moves no coordinate by more than :data:`KKT_TOL` of the cycle.
     Each accepted split, the first included, appends one row to ``rows``.
 
-    Returns the last accepted split, its cost, its root at
-    ``epsilon = 1/J``, the Newton steps tried, the factorizations (the
-    start's cost solve included) and why the descent stopped:
+    Returns the last accepted split, its cost, the Newton steps tried, the
+    factorizations (the start's cost solve included) and why the descent
+    stopped:
     ``"stationary"`` where the projected gradient is within
     :data:`KKT_TOL`, ``"no descent"`` where no step lowers ``J``, and
     ``"budget"`` where the steps ran out first.
@@ -160,7 +178,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     descends, as ``optimizer.outer_iters``.
     """
     total = start.sum()
-    cost, g, root = first
+    cost, g, curvature = first
     factorizations = 1
     d = np.where(start < 0.01 * total / start.size, 0.0, start)
     if not np.array_equal(d, start):
@@ -170,7 +188,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         if dropped[1] is None:
             d = start
         else:
-            cost, g, root = dropped
+            cost, g, curvature = dropped
     iterations = 0
     while True:
         v = project_tangent(g, d)
@@ -185,14 +203,8 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
             break
         shrinking = v > 0
         limit = float(np.min(d[shrinking] / v[shrinking]))
-        h = min(1e-3 * total / d.size / vmax, 0.5 * limit)
-        _, g_probe, _ = _cost_gradient(mode_set, output, x0, d - h * v)
-        factorizations += 1
-        if g_probe is None:
-            reason = "no descent"
-            break
-        curvature = float((g - g_probe) @ v) / h
-        step = float(g @ v) / curvature if curvature > 0.0 else 0.1 * total / vmax
+        vhv = curvature(v)
+        step = float(g @ v) / vhv if vhv > 0.0 else 0.1 * total / vmax
         step = min(step, limit)
         while True:
             d_new = d - step * v
@@ -200,7 +212,7 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
             d_new[d_new <= 1e-12 * total] = 0.0
             d_new *= total / d_new.sum()
             iterations += 1
-            cost_new, g_new, root_new = _cost_gradient(mode_set, output, x0, d_new)
+            cost_new, g_new, curvature_new = _cost_gradient(mode_set, output, x0, d_new)
             factorizations += 1
             if cost_new < cost or iterations >= budget:
                 break
@@ -210,8 +222,8 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         if not cost_new < cost:
             reason = "budget" if iterations >= budget else "no descent"
             break
-        d, cost, g, root = d_new, cost_new, g_new, root_new
-    return d, cost, root, iterations, factorizations, reason
+        d, cost, g, curvature = d_new, cost_new, g_new, curvature_new
+    return d, cost, iterations, factorizations, reason
 
 
 def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
@@ -247,12 +259,7 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     # the first start runs
     check_memory(starts * (8 + sys.getsizeof(np.empty(m))), f"{starts} initial splits")
     if start is not None:
-        start = np.asarray(start, dtype=float).reshape(-1)
-        if start.shape != (m,):
-            raise DimensionError(f"start must have {m} durations")
-        if not (np.all(np.isfinite(start)) and np.all(start >= 0) and start.sum() > 0):
-            raise ValidationError(f"start must be finite and nonnegative with a positive "
-                                  f"sum, got {start.tolist()}")
+        start = as_durations(mode_set, np.asarray(start, dtype=float).reshape(-1))
     total = mode_set.cycle_time
     baseline = mode_set.durations.astype(float)
     a, output, x0 = validate_triple(average_matrix(mode_set, baseline), output, x0)
@@ -276,32 +283,22 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
             continue
         if cost0 == 0.0:
             # zero cost cannot be improved
-            best = {"d": d0, "eps": np.inf, "cost": 0.0, "rows": [],
-                    "iters": 0, "start": idx, "converged": True}
+            best = {"durations": d0, "cost": 0.0, "converged": True, "iterations": 0,
+                    "best_start": idx, "trajectory": []}
             break
         rows: list[dict[str, float]] = []
-        d, cost, root, steps, factorizations, reason = _inner_descent(
+        d, cost, steps, factorizations, reason = _inner_descent(
             mode_set, output, x0, d0, first, rows, MAX_ITERATIONS)
         log.debug("start %d: %d Newton steps, %d factorizations, cost %.12g -> %.12g, %s",
                   idx, steps, factorizations, cost0, cost, reason)
         if best is None or cost < best["cost"]:
-            best = {"d": d, "eps": root.epsilon, "cost": cost, "rows": rows,
-                    "iters": steps, "start": idx, "converged": reason != "budget"}
+            best = {"durations": d, "cost": cost, "converged": reason != "budget",
+                    "iterations": steps, "best_start": idx, "trajectory": rows}
 
     if best is None:
         raise NoStableStart(
             f"none of the {len(initial)} initial splits gives a stable average"
         )
 
-    return OptimizationReport(
-        durations=best["d"],
-        epsilon=float(best["eps"]),
-        cost=float(best["cost"]),
-        baseline_cost=float(baseline_cost),
-        converged=bool(best["converged"]),
-        iterations=int(best["iters"]),
-        n_starts=len(initial),
-        best_start=int(best["start"]),
-        seed=seed,
-        trajectory=best["rows"],
-    )
+    return OptimizationReport(baseline_cost=float(baseline_cost), n_starts=len(initial),
+                              seed=seed, **best)

@@ -17,11 +17,9 @@ leaves the bracket, or stalls, is replaced by bisection (or by doubling
 while the bracket is unbounded above).  The root always lies strictly
 above the true abscissa and tends to it as ``epsilon`` goes to zero.
 As ``g(0)`` is the congestion cost ``J``, the root at ``epsilon = 1/J`` of
-a stable matrix is 0: :mod:`greensplit.optimizer` certifies its result
-with that root, taken from the solves that give ``J``, with no search.
-Every iterate is one ``P`` and one ``Q`` solve on a single Schur
-factorization of ``A``; the search runs in Schur coordinates and
-transforms back only the ``P`` and ``Q`` it returns.
+a stable matrix is 0.  Every iterate is one ``P`` and one ``Q`` solve on a
+single Schur factorization of ``A``; the search runs in Schur coordinates
+and transforms back only the ``P`` and ``Q`` it returns.
 
 The sensitivity of the root with respect to the mode durations follows
 from the adjoint pair: with ``Q`` solving the transposed equation driven
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModeSet
+from .dynamics import ModeSet, as_durations
 from .errors import (DegenerateSystem, NoConvergence, SolveFailure,
                      ValidationError, ZeroTrace)
 from .lyapunov import ShiftedLyapunov, validate_triple
@@ -176,12 +174,10 @@ def duration_gradient(mode_set: ModeSet, result: SmoothedAbscissa,
     The averaged matrix is the duration-weighted mean of the modes with the
     cycle time held fixed at the schedule's value, so each component is the
     elementwise product of one mode matrix with the normalized sensitivity
-    ``Q P / trace(Q P)``, divided by the cycle time.
+    ``Q P / trace(Q P)``, divided by the cycle time.  ``durations``, the
+    schedule's by default, pass :func:`~greensplit.dynamics.as_durations`.
     """
-    d = mode_set.durations if durations is None else np.asarray(durations, dtype=float)
-    total = float(d.sum())
-    if total <= 0:
-        raise ValidationError("mode durations must have a positive sum")
+    total = float(as_durations(mode_set, durations).sum())
     qp = result.Q @ result.P
     tr = float(np.trace(qp))
     norm_scale = float(np.linalg.norm(result.P) * np.linalg.norm(result.Q))
@@ -190,7 +186,4 @@ def duration_gradient(mode_set: ModeSet, result: SmoothedAbscissa,
             "trace(Q P) vanished; the smoothing sensitivity is undefined here"
         )
     sens = qp / tr
-    grad = np.empty(mode_set.n_modes)
-    for i, mode in enumerate(mode_set.modes):
-        grad[i] = np.vdot(sens, mode) / total
-    return grad
+    return np.array([np.vdot(sens, mode) for mode in mode_set.modes]) / total

@@ -663,6 +663,21 @@ def test_optimize_empty_trajectory_header_only(runner, tmp_path):
     assert rows == [["iter", "cost", "kkt_norm"]]
 
 
+def test_optimize_zero_state_report_is_strict_json(runner, tmp_path):
+    # at zero cost epsilon = 1/J is infinite; JSON (RFC 8259) has no
+    # Infinity, so the report writes null
+    out = tmp_path / "report.json"
+    result = invoke(runner, "optimize", "single_road", "--x0", "zeros", "--out", str(out))
+    assert result.exit_code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)["report"]
+    assert report["cost"] == report["baseline_cost"] == 0.0
+    assert report["epsilon"] is None
+
+
 def test_numerical_failure_maps_to_exit_3(runner, monkeypatch):
     def boom(*args, **kwargs):
         raise SolveFailure("synthetic failure")

@@ -1,19 +1,22 @@
 """Projected descent on the duration simplex."""
 
+import dataclasses
 import logging
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.optimize import minimize_scalar
 
 from greensplit import dynamics, net_model, optimizer, scenario
 from greensplit.dynamics import ModeSet
 from greensplit.errors import DimensionError, NoStableStart, ValidationError
-from greensplit.lyapunov import ShiftedLyapunov, congestion_cost
-from greensplit.optimizer import optimize, project_tangent
+from greensplit.lyapunov import ShiftedLyapunov, congestion_cost, solve_lyapunov
+from greensplit.optimizer import OptimizationReport, optimize, project_tangent
 from greensplit.ssa import smoothed_abscissa
 
 
@@ -121,6 +124,9 @@ def test_optimize_zero_state_short_circuits(four_modes, four_output):
     assert report.cost == 0.0
     assert report.converged
     np.testing.assert_allclose(report.durations, four_modes.durations)
+    # epsilon = 1/J is infinite here, which JSON cannot hold
+    assert report.epsilon == math.inf
+    assert report.to_dict()["epsilon"] is None
 
 
 def test_optimize_parameter_validation(four_modes, four_output, monkeypatch):
@@ -158,6 +164,12 @@ def test_no_stable_start():
 
 def test_epsilon_cost_consistency(four_report):
     assert 1.0 / four_report.epsilon == pytest.approx(four_report.cost, rel=1e-4)
+    # epsilon is read off the cost, not stored beside it
+    assert "epsilon" not in {f.name for f in dataclasses.fields(OptimizationReport)}
+    assert four_report.epsilon == 1.0 / four_report.cost
+    assert four_report.to_dict()["epsilon"] == four_report.epsilon
+    with pytest.raises(AttributeError):
+        four_report.epsilon = 1.0
 
 
 def test_single_road_pushes_to_all_green(single_net):
@@ -171,8 +183,8 @@ def test_single_road_pushes_to_all_green(single_net):
 
 
 def test_root_search_evaluation_budget(four_modes, four_output, monkeypatch):
-    # optimize searches no smoothing root: J, its gradient and the
-    # certificate come from shift-0 solves on one factorization per split.
+    # optimize searches no smoothing root: J, its gradient and its
+    # curvature come from shift-0 solves on one factorization per split.
     # The weight continuation that the Newton descent replaced took 35
     # root-search evaluations and 18 iterations on this run; the descent
     # takes 6 Newton steps
@@ -227,7 +239,7 @@ def test_polish_steps_count_against_the_budget(four_modes, four_output, monkeypa
 ])
 def test_certificate_matches_the_cost_at_the_split(name, cost, max_iterations):
     # the reported weight is 1/J at the returned split, the weight at which
-    # the root of its cost solve is 0, so 1/epsilon is the true cost at the
+    # the smoothing root is 0, so 1/epsilon is the true cost at the
     # returned split; with a halving tail it missed it by 3.7e-7, 2.2e-9,
     # 1.6e-9 and 6.1e-9 relative.  The Newton descent takes 2, 6, 2 and 2
     # steps (12, 18, 11 and 11 iterations with the weight continuation
@@ -290,6 +302,57 @@ def test_cost_gradient_matches_central_differences(four_modes, four_output):
     np.testing.assert_allclose(grad, fd, rtol=1e-5)
 
 
+def _interior_splits(name, count, rng):
+    """``count`` random splits of a bundled scenario that keep every phase
+    above half its share, each with a tangent ``v`` of largest entry
+    ``T/m``."""
+    net = scenario.load(name)
+    ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
+    total, m = ms.cycle_time, ms.n_modes
+    for _ in range(count):
+        d = total * (0.5 / m + 0.5 * rng.dirichlet(np.ones(m)))
+        w = rng.standard_normal(m)
+        v = w - w.mean()
+        yield ms, dynamics.output_map(net), np.ones(net.n), d, v * (total / m / np.abs(v).max())
+
+
+@pytest.mark.parametrize("name", ["single_road", "four_intersections", "grid_3x3",
+                                  "grid_4x4"])
+def test_curvature_matches_central_differences_of_the_gradient(name):
+    # the gradient is exact, so its central differences along v approach
+    # v^T H v as h^2: each tenth of h cuts the gap about a hundredfold
+    # (from 1e-4 to 1e-8 relative here); a first-order error would cut it
+    # tenfold
+    for ms, c, x0, d, v in _interior_splits(name, 3, np.random.default_rng(0)):
+        _, _, curvature = optimizer._cost_gradient(ms, c, x0, d)
+        vhv = curvature(v)
+        gaps = []
+        for h in (1e-2, 1e-3, 1e-4):
+            g_up = optimizer._cost_gradient(ms, c, x0, d + h * v)[1]
+            g_down = optimizer._cost_gradient(ms, c, x0, d - h * v)[1]
+            gaps.append(abs(float((g_up - g_down) @ v) / (2.0 * h) - vhv) / abs(vhv))
+        assert gaps[0] <= 1e-3
+        assert gaps[1] <= gaps[0] / 30.0 and gaps[2] <= gaps[1] / 30.0
+
+
+@pytest.mark.parametrize("name", ["single_road", "four_intersections", "grid_3x3",
+                                  "grid_4x4"])
+def test_curvature_matches_the_two_solve_form(name):
+    # with A_v = sum_k v_k A_k / T, differentiating the gradient
+    # 2 <Q P, A_v> gives v^T H v = 2 <Q' P + Q P', A_v>, where P' and Q'
+    # solve the state and adjoint equations driven by A_v P + P A_v^T and
+    # A_v^T Q + Q A_v; here all four come from scipy's solver
+    for ms, c, x0, d, v in _interior_splits(name, 3, np.random.default_rng(1)):
+        _, _, curvature = optimizer._cost_gradient(ms, c, x0, d)
+        a = dynamics.average_matrix(ms, d)
+        av = sum(vk * ak for vk, ak in zip(v, ms.modes)) / ms.cycle_time
+        p = linalg.solve_continuous_lyapunov(a, -np.outer(x0, x0))
+        q = linalg.solve_continuous_lyapunov(a.T, -(c.T @ c))
+        dp = linalg.solve_continuous_lyapunov(a, -(av @ p + p @ av.T))
+        dq = linalg.solve_continuous_lyapunov(a.T, -(av.T @ q + q @ av))
+        assert curvature(v) == pytest.approx(2.0 * np.vdot(dq @ p + q @ dp, av), rel=1e-12)
+
+
 _START_LINE = re.compile(r"start (\d+): (\d+) Newton steps, (\d+) factorizations, "
                          r"cost (\S+) -> (\S+), (stationary|no descent|budget)$")
 
@@ -342,27 +405,35 @@ def test_descent_keeps_a_phase_whose_drop_is_unstable(four_modes, four_output, s
                            four_output, x0) == np.inf
     first = optimizer._cost_gradient(four_modes, four_output, x0, d0)
     rows = []
-    d, cost, root, steps, _, reason = optimizer._inner_descent(
+    d, cost, steps, _, reason = optimizer._inner_descent(
         four_modes, four_output, x0, d0, first, rows, optimizer.MAX_ITERATIONS)
     assert rows[0]["cost"] == first[0] < np.inf
     assert steps > 0 and reason == "stationary"
-    assert cost == 1.0 / root.epsilon == pytest.approx(1179.0446779577082, rel=1e-12)
+    assert cost == congestion_cost(dynamics.average_matrix(four_modes, d), four_output, x0)
+    assert cost == pytest.approx(1179.0446779577082, rel=1e-12)
 
 
-def test_dirichlet_starts_whose_drop_is_unstable_reach_the_optimum(four_modes, four_output):
+def test_dirichlet_starts_whose_drop_is_unstable_reach_the_optimum(four_modes, four_output,
+                                                                   caplog):
     # the first and third draws of default_rng(0), the splits above before
     # rounding; the weight continuation took 26 and 36 iterations to the
-    # same cost, and the descent from the dropped split ended at inf
+    # same cost, and the descent from the dropped split ended at inf.  The
+    # descent takes 18 and 25 Newton steps with 20 and 27 factorizations
+    # (18 and 22 steps with 38 and 46 when a second factorization probed
+    # each step's curvature)
+    caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
     x0 = np.ones(four_modes.n)
     rng = np.random.default_rng(0)
     draws = [rng.dirichlet(np.ones(four_modes.n_modes)) * four_modes.cycle_time
              for _ in range(3)]
-    for d0, max_iterations in ((draws[0], 18), (draws[2], 22)):
+    for d0, max_factorizations in ((draws[0], 20), (draws[2], 27)):
         dropped = np.where(d0 < 0.01 * d0.sum() / d0.size, 0.0, d0)
         assert congestion_cost(dynamics.average_matrix(four_modes, dropped),
                                four_output, x0) == np.inf
+        caplog.clear()
         report = optimize(four_modes, four_output, x0, start=d0)
-        assert report.converged and report.iterations <= max_iterations
+        (start,) = _logged_starts(caplog)
+        assert report.converged and int(start[3]) <= max_factorizations
         assert report.trajectory[0]["cost"] == pytest.approx(congestion_cost(
             dynamics.average_matrix(four_modes, d0), four_output, x0), rel=1e-12)
         assert report.cost == pytest.approx(1179.0446779577082, rel=1e-12)
@@ -372,33 +443,32 @@ def test_dirichlet_starts_whose_drop_is_unstable_reach_the_optimum(four_modes, f
                                   "grid_4x4"])
 def test_cost_solve_gives_the_root_at_the_inverse_cost(name):
     # g(0) = trace(C P(0) C^T) = J, so a cold search at epsilon = 1/J lands
-    # on 0, with the P and Q of the cost solve
+    # on 0, with the Gramian of the cost solve
     net = scenario.load(name)
     ms = dynamics.assemble_modes(net, net_model.uniform_schedule(net))
     c = dynamics.output_map(net)
     x0 = np.ones(net.n)
     a = dynamics.average_matrix(ms, ms.durations)
-    cost, _, root = optimizer._cost_gradient(ms, c, x0, ms.durations)
-    assert cost == congestion_cost(a, c, x0)
-    assert (root.value, root.trace_value, root.epsilon) == (0.0, cost, 1.0 / cost)
-    searched = smoothed_abscissa(a, c, x0, root.epsilon)
-    assert searched.abscissa == root.abscissa
+    cost = congestion_cost(a, c, x0)
+    searched = smoothed_abscissa(a, c, x0, 1.0 / cost)
     assert abs(searched.value) <= 1e-8 * (1.0 + abs(searched.abscissa))
-    for mine, theirs in ((root.P, searched.P), (root.Q, searched.Q)):
-        assert np.linalg.norm(mine - theirs) <= 1e-8 * np.linalg.norm(theirs)
+    gramian = solve_lyapunov(a, np.outer(x0, x0))
+    assert np.linalg.norm(searched.P - gramian) <= 1e-8 * np.linalg.norm(gramian)
     # the search stops up to 5e-12 from 0, which moves the trace by up to
-    # 2.2e-9 relative; moved there along g'(0) = -2 trace(Q P), the cost
-    # solve's trace agrees to rounding
-    moved = root.trace_value - 2.0 * np.vdot(root.Q, root.P) * searched.value
-    assert moved == pytest.approx(searched.trace_value, rel=1e-12)
+    # 2.2e-9 relative; moved back to 0 along g'(s) = -2 trace(Q P), the
+    # trace agrees with the cost to rounding
+    at_zero = searched.trace_value + 2.0 * np.vdot(searched.Q, searched.P) * searched.value
+    assert at_zero == pytest.approx(cost, rel=1e-12)
 
 
 def test_factorizations_and_solves_of_a_run(four_modes, four_output, monkeypatch):
     # one factorization at the baseline gives its cost and the descent's
-    # first gradient, and each Newton step takes one for its curvature
-    # probe and one per split it tries, each with one P and one Q solve:
-    # 13 factorizations and 26 shifted solves on this run, against 24 and
-    # 90 with the weight continuation ahead of the descent
+    # first gradient, and each Newton step takes one solve on that factor
+    # for its curvature and one factorization per split it tries, each
+    # with one P and one Q solve: 7 factorizations and 20 shifted solves on
+    # this run, against 13 and 26 with a second factorization probing each
+    # step's curvature, and 24 and 90 with the weight continuation ahead of
+    # the descent
     counts = {"factor": 0, "solve": 0}
     factor, solve = ShiftedLyapunov.__init__, ShiftedLyapunov.solve
 
@@ -413,8 +483,45 @@ def test_factorizations_and_solves_of_a_run(four_modes, four_output, monkeypatch
     monkeypatch.setattr(ShiftedLyapunov, "__init__", counted_factor)
     monkeypatch.setattr(ShiftedLyapunov, "solve", counted_solve)
     optimize(four_modes, four_output, np.ones(four_modes.n))
-    assert counts["factor"] <= 13
-    assert counts["solve"] <= 26
+    assert counts["factor"] <= 7
+    assert counts["solve"] <= 20
+
+
+def test_each_split_tried_is_factored_once(four_modes, four_output, monkeypatch, caplog):
+    # a start factors its initial split, each split a Newton step tries,
+    # and the dropped split where the drop rule fires; the curvature takes
+    # no factorization of its own.  Of these 13 starts, the drop rule fires
+    # on 2: one dropped split is stable, the other is not
+    factorizations = []
+    factor = ShiftedLyapunov.__init__
+
+    def counted(self, *args, **kwargs):
+        factorizations.append(1)
+        factor(self, *args, **kwargs)
+
+    marks = [0]
+
+    class Mark(logging.Handler):
+        def emit(self, record):
+            marks.append(len(factorizations))
+
+    monkeypatch.setattr(ShiftedLyapunov, "__init__", counted)
+    handler = Mark()
+    optimizer.log.addHandler(handler)
+    caplog.set_level(logging.DEBUG, logger="greensplit.optimizer")
+    try:
+        optimize(four_modes, four_output, np.ones(four_modes.n), starts=13, seed=21)
+    finally:
+        optimizer.log.removeHandler(handler)
+    total, m = four_modes.cycle_time, four_modes.n_modes
+    rng = np.random.default_rng(21)
+    initial = [four_modes.durations] + [rng.dirichlet(np.ones(m)) * total for _ in range(12)]
+    drops = [bool(np.any(d0 < 0.01 * total / m)) for d0 in initial]
+    assert sum(drops) == 2
+    starts = _logged_starts(caplog)
+    assert len(starts) == len(initial) == len(marks) - 1
+    for start, dropped, before, after in zip(starts, drops, marks, marks[1:]):
+        assert after - before == int(start[3]) == 1 + int(start[2]) + dropped
 
 
 def test_three_starts_keep_their_cost_in_fewer_iterations(four_modes, four_output):

@@ -6,8 +6,8 @@ from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import brentq
 
 from greensplit import dynamics
-from greensplit.errors import (DegenerateSystem, SolveFailure, ValidationError,
-                               ZeroTrace)
+from greensplit.errors import (DegenerateSystem, DimensionError, SolveFailure,
+                               ValidationError, ZeroTrace)
 from greensplit.lyapunov import (ShiftedLyapunov, congestion_cost,
                                  spectral_abscissa)
 from greensplit.ssa import (ROOT_TOL, SmoothedAbscissa, duration_gradient,
@@ -170,6 +170,22 @@ def test_gradient_matches_finite_differences(four_modes, four_output):
     assert mask.any()
     rel = np.abs(fd[mask] - grad[mask]) / np.abs(grad[mask])
     assert rel.max() < 1e-5
+
+
+@pytest.mark.parametrize("durations, error", [
+    ([1.0, 2.0], DimensionError),
+    ([np.nan, 25.0, 25.0, 25.0], ValidationError),
+    ([-1.0, 35.0, 35.0, 31.0], ValidationError),
+    ([np.inf, 25.0, 25.0, 25.0], ValidationError),
+    ([0.0, 0.0, 0.0, 0.0], ValidationError),
+], ids=["length", "nan", "negative", "inf", "zero-sum"])
+def test_gradient_rejects_bad_durations(four_modes, four_output, durations, error):
+    # the gradient reads only the sum of the durations; it checks them as
+    # average_matrix does, where they gave NaN, zero or wrong gradients
+    a = dynamics.average_matrix(four_modes)
+    res = smoothed_abscissa(a, four_output, np.ones(four_modes.n), 0.001)
+    with pytest.raises(error):
+        duration_gradient(four_modes, res, np.array(durations))
 
 
 def test_identical_modes_share_gradient(four_modes):
