@@ -10,8 +10,9 @@ One Schur factorization per iterate gives ``J``, its exact gradient
 ``x0 x0^T`` and ``Q`` the adjoint solution driven by ``C^T C``, and its
 exact curvature along the Newton direction, from one more solve on the
 same factor (the second-order adjoint; Pearlmutter, "Fast exact
-multiplication by the Hessian", Neural Computation 6(1), 1994).  The
-descent stops where the projected gradient vanishes.
+multiplication by the Hessian", Neural Computation 6(1), 1994).  Its
+steps are Newton steps of ``log J``; it stops where the projected
+gradient vanishes.
 """
 
 from __future__ import annotations
@@ -157,9 +158,10 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     below 1% of ``T/m`` are dropped first and the rest rescaled to the
     cycle; where that leaves the average unstable (so short a phase can be
     the only one that drains a road), the descent starts from ``start``
-    itself.  Each step moves along the projected gradient ``v`` by
-    ``(g . v) / (v^T H v)``, stopped on the simplex boundary, with the
-    curvature ``v^T H v`` from the split's own factorization.
+    itself.  Each step moves along the projected gradient ``v`` by the
+    Newton step of ``log J``, ``(g . v) / (v^T H v - (g . v)^2 / J)``,
+    with ``v^T H v`` from the split's own factorization, stopped on the
+    simplex boundary; where ``J`` rises like ``1/d_k`` it doubles ``d_k``.
     A coordinate on the boundary stays there only while
     :func:`project_tangent` clamps it, so a dropped phase can come back.
     Only a step that lowers ``J`` is taken; a step that does not is halved
@@ -201,10 +203,10 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
         if iterations >= budget:
             reason = "budget"
             break
-        shrinking = v > 0
-        limit = float(np.min(d[shrinking] / v[shrinking]))
-        vhv = curvature(v)
-        step = float(g @ v) / vhv if vhv > 0.0 else 0.1 * total / vmax
+        limit = float(np.min(d[v > 0] / v[v > 0]))
+        slope = float(g @ v)
+        bend = curvature(v) - slope * slope / cost
+        step = slope / bend if bend > 0.0 else 0.1 * total / vmax
         step = min(step, limit)
         while True:
             d_new = d - step * v

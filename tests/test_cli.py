@@ -572,7 +572,9 @@ def test_optimize_rejects_negative_seed(tmp_path):
 
 def test_optimize_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
     from greensplit import optimizer
-    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 1)
+    # the descent reaches the optimum, a vertex, in 1 Newton step here, so
+    # only a budget of 0 stops it
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 0)
     out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
     result = CliRunner().invoke(cli.main, ["optimize", "single_road", "--out", str(out),
                                            "--plot-out", str(trace)])
@@ -585,7 +587,7 @@ def test_optimize_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
 
 def test_optimize_overall_budget_exit_4_writes_nothing(tmp_path, monkeypatch):
     from greensplit import optimizer
-    # the descent takes 6 Newton steps here
+    # the descent takes 5 Newton steps here
     monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 3)
     out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
     result = CliRunner().invoke(cli.main, ["optimize", "four_intersections", "--out", str(out),
