@@ -25,10 +25,34 @@ from .net_model import NetworkSpec, build_network, movement_label
 BUNDLED = ("single_road", "four_intersections", "grid_3x3", "grid_4x4")
 
 
+#: PyYAML's safe loader, in its libyaml build where PyYAML has one
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: deepest nesting of collections a scenario may have; a scenario needs 5
+_MAX_DEPTH = 64
+
+
+def _check_depth(text: str) -> None:
+    """Refuse text that nests collections deeper than ``_MAX_DEPTH``.
+
+    The parser's events come from a state machine, but the composers
+    recurse: PyYAML's raises RecursionError some 900 levels down, and
+    libyaml's, in C, overflows an 8 MiB stack some 30,000 levels down.
+    """
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise ValidationError(f"scenario nests deeper than {_MAX_DEPTH} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def load_document(text: str) -> Mapping[str, Any]:
     """Parse scenario text into a raw document mapping."""
     try:
-        doc = yaml.safe_load(text)
+        _check_depth(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario is not valid YAML: {exc}") from exc
     except ValueError as exc:

@@ -12,6 +12,16 @@ starts with those powers and fills the runs' interiors with matrix-matrix
 products.  Memory is checked from sizes alone (:func:`_check_size`), then
 from the plan with the exact exponentials a run adds (:func:`_check_plans`).
 
+In one signal mode only that phase's movements are green, so the network
+falls apart into corridors: the weakly connected components of the mode
+matrix (:func:`_corridors`, found once per sparsity pattern).  No state of
+one corridor reaches another, so the augmented exponential is block
+diagonal, one block per corridor (Van Loan, IEEE TAC 23(3), 1978).  The
+table keeps only those blocks, one stack per corridor order made by one
+``expm`` call, keyed by the nonzeros of the matrix (:func:`_key`); powers
+and steps work on the stacks.  The averaged matrix is one corridor of all
+cells, so it steps with one dense product through the same code.
+
 The agreement metric integrates the relative gap between the switched and
 averaged state trajectories over a horizon and normalizes by its length;
 samples where the averaged state has essentially vanished are excluded so
@@ -24,7 +34,7 @@ so cycles whose grids coincide run it once.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import logging
 import math
 from collections.abc import Iterator, Sequence
@@ -35,7 +45,7 @@ from scipy import linalg
 
 from .dynamics import ModeSet, assemble_modes, average_matrix
 from .errors import ValidationError, check_memory
-from .lyapunov import as_state
+from .lyapunov import _strong_components, as_state
 from .net_model import NetworkSpec, Schedule
 
 log = logging.getLogger(__name__)
@@ -54,18 +64,72 @@ class Trajectory:
     states: np.ndarray
 
 
-def _exponential(table: dict[tuple, np.ndarray], key: tuple, a: np.ndarray,
-                 b: np.ndarray, dt: float) -> np.ndarray:
-    """Augmented exponential ``E = expm([[A, b], [0, 0]] dt)`` of the system
-    ``key = (A digest, b bytes, dt)``, kept in ``table``.  Keying by a
-    BLAKE2 digest of ``A`` keeps no copy of the matrices."""
+#: a permutation of the states that lists the corridors of each order
+#: together, and the ``(count, order)`` of each such group
+_Corridors = tuple[np.ndarray, tuple[tuple[int, int], ...]]
+#: the augmented exponentials of a run, one stack of blocks per corridor
+#: order of each key
+_Table = dict[tuple, tuple[np.ndarray, ...]]
+
+
+def _key(a: np.ndarray) -> tuple[bytes, bytes]:
+    """Table key of a matrix: the flat indices and the values of its
+    nonzeros."""
+    flat = np.flatnonzero(a)
+    return flat.tobytes(), np.ravel(a)[flat].tobytes()
+
+
+@functools.lru_cache(maxsize=16)
+def _corridors(n: int, nonzeros: bytes) -> _Corridors:
+    """Corridors of an ``n x n`` matrix with the given flat nonzero indices:
+    the weakly connected components of its sparsity graph.
+
+    The groups come by falling order; within a group the corridors come by
+    their smallest state, and states keep their order within a corridor.
+    """
+    rows, cols = np.divmod(np.frombuffer(nonzeros, dtype=np.intp), n)
+    tails, heads = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    by_tail = np.argsort(tails, kind="stable")
+    _, labels = _strong_components(n, tails[by_tail], heads[by_tail])
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    perm = np.lexsort((first[labels], -sizes[labels]))
+    perm.setflags(write=False)
+    orders, counts = np.unique(sizes, return_counts=True)
+    return perm, tuple(zip(counts[::-1].tolist(), orders[::-1].tolist()))
+
+
+def _block_doubles(corridors: _Corridors) -> int:
+    """Doubles of one augmented exponential: a block of order ``s + 1``
+    per corridor of order ``s``."""
+    return sum(count * (order + 1) ** 2 for count, order in corridors[1])
+
+
+def _sizes(corridors: _Corridors) -> str:
+    """Corridor groups as ``count x order`` terms, such as ``8x27+8x3``."""
+    return "+".join(f"{count}x{order}" for count, order in corridors[1])
+
+
+def _exponential(table: _Table, key: tuple, a: np.ndarray, b: np.ndarray, dt: float,
+                 corridors: _Corridors) -> tuple[np.ndarray, ...]:
+    """Augmented exponentials ``expm([[A_c, b_c], [0, 0]] dt)`` of the
+    corridors ``c`` of the system ``key``, kept in ``table``: one stack per
+    corridor order, made by one ``expm`` call.  No state of one corridor
+    reaches another, so these blocks are the exponential of the whole
+    augmented system with its exact zeros left out."""
     hit = table.get(key)
     if hit is None:
-        n = a.shape[0]
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = a
-        aug[:n, n] = b
-        hit = table[key] = linalg.expm(aug * dt)
+        perm, groups = corridors
+        stacks = []
+        start = 0
+        for count, order in groups:
+            idx = perm[start:start + count * order].reshape(count, order)
+            aug = np.zeros((count, order + 1, order + 1))
+            aug[:, :order, :order] = a[idx[:, :, None], idx[:, None, :]]
+            aug[:, :order, order] = b[idx]
+            aug *= dt
+            stacks.append(linalg.expm(aug))
+            start += count * order
+        hit = table[key] = tuple(stacks)
     return hit
 
 
@@ -75,9 +139,10 @@ class _Plan:
     state or exponential.
 
     Run ``r`` starts at step ``starts[r]``, lasts ``lengths[r]`` steps and
-    has the key ``systems[labels[r]]``: its table key, ``A``, drift and
-    step length.  Where ``jump[r]``, it jumps to its end with a power of
-    its exponential; ``powers`` counts the (key, length) pairs raised.
+    has the key ``systems[labels[r]]``: its table key, ``A``, drift, step
+    length and corridors.  Where ``jump[r]``, it jumps to its end with a
+    power of its exponential; ``powers`` holds the label of each (key,
+    length) pair raised.
     """
 
     starts: np.ndarray
@@ -85,7 +150,7 @@ class _Plan:
     labels: np.ndarray
     jump: np.ndarray
     systems: list[tuple]
-    powers: int
+    powers: np.ndarray
 
 
 def _plan(matrices: list[np.ndarray], mode: np.ndarray, input_map: np.ndarray,
@@ -108,7 +173,7 @@ def _plan(matrices: list[np.ndarray], mode: np.ndarray, input_map: np.ndarray,
     starts = np.flatnonzero(cut)
     lengths = np.diff(starts, append=n_steps)
 
-    matrix_keys = [hashlib.blake2b(np.ascontiguousarray(a)).digest() for a in matrices]
+    matrix_keys = {k: _key(matrices[k]) for k in np.unique(mode[starts]).tolist()}
     labels: dict[tuple, int] = {}
     systems = []
     run_label = []
@@ -116,55 +181,75 @@ def _plan(matrices: list[np.ndarray], mode: np.ndarray, input_map: np.ndarray,
         label = labels.setdefault((k, inputs[s].tobytes(), dt), len(systems))
         if label == len(systems):
             drift = input_map @ inputs[s]
-            systems.append(((matrix_keys[k], drift.tobytes(), dt), matrices[k], drift, dt))
+            systems.append(((*matrix_keys[k], drift.tobytes(), dt), matrices[k], drift, dt,
+                            _corridors(n, matrix_keys[k][0])))
         run_label.append(label)
     run_label = np.asarray(run_label)
-    _, pair, repeats = np.unique(np.stack([run_label, lengths]), axis=1,
-                                 return_inverse=True, return_counts=True)
+    pairs, pair, repeats = np.unique(np.stack([run_label, lengths]), axis=1,
+                                     return_inverse=True, return_counts=True)
     pair = pair.ravel()
     jump = (lengths > 1) & (repeats[pair] * (lengths - 1) >= n)
-    return _Plan(starts, lengths, run_label, jump, systems, np.unique(pair[jump]).size)
+    return _Plan(starts, lengths, run_label, jump, systems, pairs[0, np.unique(pair[jump])])
 
 
-def _propagate(x0: np.ndarray, plan: _Plan, table: dict[tuple, np.ndarray]) -> np.ndarray:
+def _step(y: np.ndarray, out: np.ndarray, blocks: list[np.ndarray], drift: np.ndarray) -> None:
+    """One step of the rows ``y`` of states in corridor order into
+    ``out``: one batched product per corridor order, then the drift.  Both
+    are leading rows of C-contiguous arrays, so that splitting a column
+    range into corridors gives views and the products write into ``out``."""
+    start = 0
+    for phi_t in blocks:
+        count, order = phi_t.shape[:2]
+        cols = slice(start, start + count * order)
+        np.matmul(y[:, cols].reshape(-1, count, order).transpose(1, 0, 2), phi_t,
+                  out=out[:, cols].reshape(-1, count, order).transpose(1, 0, 2))
+        start += count * order
+    out += drift
+
+
+def _propagate(x0: np.ndarray, plan: _Plan, table: _Table) -> np.ndarray:
     """Exact states before and after every step of ``plan``.
 
-    A sequential pass walks the run boundaries: a run that jumps goes to
-    its end with the power ``E^L`` of its augmented exponential
-    (``np.linalg.matrix_power``, kept for this call), and every other run
-    is stepped one step at a time.  A fill pass then steps the interiors of
-    all jumped runs of one key together, one matrix-matrix product per step
-    index.  When every step has its own key, this is one matrix-vector
-    product per step.
+    Each key steps its states in its own corridor order, one batched
+    product per corridor order.  A sequential pass walks the run
+    boundaries: a run that jumps goes to its end with the power ``E^L`` of
+    its augmented exponential (``np.linalg.matrix_power`` on the stacks,
+    kept for this call), and every other run is stepped one step at a
+    time.  A fill pass then steps the interiors of all jumped runs of one
+    key together, one batched matrix-matrix product per corridor order and
+    step index.  When every step has its own key, this is one
+    matrix-vector product per corridor and step.
     """
     starts, lengths, run_label = plan.starts, plan.lengths, plan.labels
     n_steps, n = int(starts[-1] + lengths[-1]), x0.shape[0]
     states = np.empty((n_steps + 1, n))
     states[0] = x0
-    maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    maps: dict[tuple[int, int], tuple[np.ndarray, list[np.ndarray], np.ndarray]] = {}
 
-    def transition(label: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Blocks ``Phi, d`` of ``E^length`` for the key ``label``."""
+    def transition(label: int, length: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """Corridor order, transposed transition blocks and drift of
+        ``E^length`` for the key ``label``."""
         hit = maps.get((label, length))
         if hit is None:
-            e = _exponential(table, *plan.systems[label])
+            system = plan.systems[label]
+            stacks = _exponential(table, *system)
             if length > 1:
-                e = np.linalg.matrix_power(e, length)
-            hit = maps[label, length] = (e[:n, :n], e[:n, n])
+                stacks = [np.linalg.matrix_power(e, length) for e in stacks]
+            perm = system[-1][0]
+            hit = maps[label, length] = (
+                perm, [e[:, :-1, :-1].transpose(0, 2, 1) for e in stacks],
+                np.concatenate([e[:, :-1, -1].ravel() for e in stacks]))
         return hit
 
-    x = states[0]
+    y, out = np.empty((1, n)), np.empty((1, n))
     for s, length, label, jumps in zip(starts.tolist(), lengths.tolist(),
                                        run_label.tolist(), plan.jump.tolist()):
-        if jumps:
-            phi, d = transition(label, length)
-        else:
-            phi, d = transition(label, 1)
-            for i in range(s + 1, s + length):
-                x = phi @ x + d
-                states[i] = x
-        x = phi @ x + d
-        states[s + length] = x
+        perm, blocks, drift = transition(label, length if jumps else 1)
+        y[0] = states[s, perm]
+        for i in [s + length] if jumps else range(s + 1, s + length + 1):
+            _step(y, out, blocks, drift)
+            y, out = out, y
+            states[i, perm] = y[0]
 
     # runs that jumped, by key and then by falling length, so the runs of
     # one key still going at step j are a prefix of its group
@@ -174,12 +259,15 @@ def _propagate(x0: np.ndarray, plan: _Plan, table: dict[tuple, np.ndarray]) -> n
         if group.size == 0:
             continue
         first, length = starts[group], lengths[group]
-        phi, d = transition(int(run_label[group[0]]), 1)
-        y = states[first]
+        perm, blocks, drift = transition(int(run_label[group[0]]), 1)
+        inverse = np.argsort(perm)
+        y = np.take(states[first], perm, axis=1)
+        out = np.empty_like(y)
         for j in range(1, int(length[0])):
             active = int(np.count_nonzero(length > j))
-            y = y[:active] @ phi.T + d
-            states[first[:active] + j] = y
+            _step(y[:active], out[:active], blocks, drift)
+            y, out = out, y
+            states[first[:active] + j] = np.take(y[:active], inverse, axis=1)
     return states
 
 
@@ -255,7 +343,7 @@ def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
 
 
 def _planned_bytes(network: NetworkSpec, schedule: Schedule, samples: float,
-                   trajectories: int = 1) -> float:
+                   trajectories: int, work: int) -> float:
     """Bytes that ``trajectories`` runs of ``samples`` grid points hold at
     once, apart from their exponentials and powers.
 
@@ -266,11 +354,12 @@ def _planned_bytes(network: NetworkSpec, schedule: Schedule, samples: float,
     of :func:`_compare`.  The mode matrices, the averaged matrix, the input
     map and the base matrix :func:`assemble_modes` builds them from take
     ``n_modes + 3`` arrays of ``n^2`` doubles, and one ``expm`` or power
-    works in about ten arrays of ``(n+1)^2`` doubles.
+    works in about ten arrays of the ``work`` doubles of the largest
+    augmented exponential, at most its dense ``(n+1)^2``.
     """
     n = network.n
     return 8.0 * (trajectories * samples * (2 * n + 16) + (schedule.n_modes + 3) * n * n
-                  + 10.0 * (n + 1) ** 2)
+                  + 10.0 * work)
 
 
 def _check_memory(planned: float, samples: float, schedule: Schedule, horizon: float,
@@ -298,30 +387,32 @@ def _check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: fl
             f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
         )
     samples = _planned_samples(network, schedule, horizon, dt)
-    _check_memory(_planned_bytes(network, schedule, samples, trajectories), samples,
-                  schedule, horizon, dt)
+    _check_memory(_planned_bytes(network, schedule, samples, trajectories,
+                                 (network.n + 1) ** 2), samples, schedule, horizon, dt)
     _check_span(horizon, dt)
 
 
 def _check_plans(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-                 samples: int, plans: list[_Plan], table: dict[tuple, np.ndarray]) -> None:
+                 samples: int, plans: list[_Plan], table: _Table) -> None:
     """Refuse runs whose plans would hold over half of physical memory.
 
     This is the second step of the memory check, after the plans and
     before any state or exponential: the rows of one run per plan at the
     grid's ``samples`` (:func:`_planned_bytes`), the exponentials the table
-    holds, and one augmented exponential of ``(n+1)^2`` doubles for each
-    key of the plans that is not yet in the table and for each power.
+    holds, and the corridor blocks (:func:`_block_doubles`) of each key of
+    the plans that is not yet in the table and of each power.
     """
-    keys = {system[0] for plan in plans for system in plan.systems}
-    new = sum(key not in table for key in keys)
-    powers = sum(plan.powers for plan in plans)
-    planned = (_planned_bytes(network, schedule, samples, len(plans))
-               + sum(e.nbytes for e in table.values())
-               + 8.0 * (network.n + 1) ** 2 * (new + powers))
+    corridors = {system[0]: system[-1] for plan in plans for system in plan.systems}
+    new = [c for key, c in corridors.items() if key not in table]
+    powers = [plan.systems[label][-1] for plan in plans for label in plan.powers.tolist()]
+    planned = (_planned_bytes(network, schedule, samples, len(plans),
+                              max(map(_block_doubles, corridors.values())))
+               + sum(e.nbytes for stacks in table.values() for e in stacks)
+               + 8.0 * sum(map(_block_doubles, new + powers)))
     log.debug("%d samples, %d runs, %d new keys and %d in the table, %d powers, "
-              "%.0f bytes planned", samples, sum(plan.starts.shape[0] for plan in plans),
-              new, len(keys) - new, powers, planned)
+              "%.0f bytes planned, new keys' corridors [%s]", samples,
+              sum(plan.starts.shape[0] for plan in plans), len(new), len(corridors) - len(new),
+              len(powers), planned, ", ".join(map(_sizes, new)))
     _check_memory(planned, samples, schedule, horizon, dt)
 
 
@@ -401,7 +492,7 @@ def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     """
     _check_size(network, schedule, horizon, dt)
     x = as_state(x0, network.n)
-    table: dict[tuple, np.ndarray] = {}
+    table: _Table = {}
     grid, _, plan = _switching_plan(network, schedule, assemble_modes(network, schedule),
                                     horizon, dt)
     _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
@@ -413,7 +504,7 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     """Integrate the averaged surrogate on the same kind of grid."""
     _check_size(network, schedule, horizon, dt)
     x = as_state(x0, network.n)
-    table: dict[tuple, np.ndarray] = {}
+    table: _Table = {}
     modes = assemble_modes(network, schedule)
     grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
     plan = _average_plan(network, modes, _step_lengths(grid, horizon))
@@ -422,8 +513,7 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
 
 
 def _compare(network: NetworkSpec, schedule: Schedule, x0: np.ndarray, horizon: float,
-             dt: float, table: dict[tuple, np.ndarray],
-             kept: dict[tuple, np.ndarray]) -> float:
+             dt: float, table: _Table, kept: dict[tuple, np.ndarray]) -> float:
     """Averaging error percent of one cycle time.
 
     Its switched and averaged runs take their exponentials from ``table``
@@ -480,7 +570,7 @@ def averaging_sweep(network: NetworkSpec, schedules: Sequence[Schedule], x0: np.
     for schedule in schedules:
         _check_size(network, schedule, horizon, dt, trajectories=2)
     x0 = as_state(x0, network.n)
-    table: dict[tuple, np.ndarray] = {}
+    table: _Table = {}
     kept: dict[tuple, np.ndarray] = {}
     for schedule in schedules:
         yield _compare(network, schedule, x0, horizon, dt, table, kept)

@@ -393,11 +393,14 @@ def test_compare_averaging_shares_exponentials_within_one_command(runner, monkey
     args = ["compare-averaging", "four_intersections", "--cycles", "32,40,48,56"]
     first = invoke(runner, *args)
     assert first.exit_code == 0
-    # four modes and the averaged matrix, the same at every uniform split
-    assert len(calls) == 5
+    # five keys, the same at every uniform split: four modes with
+    # corridors of two orders each (4x6+4x3 or 1x12+8x3), one expm call per
+    # order, and the averaged matrix, one corridor of 36 cells
+    assert sorted(calls) == sorted([(4, 7, 7), (4, 4, 4)] * 3 + [(1, 13, 13), (8, 4, 4)]
+                                   + [(1, 37, 37)])
     calls.clear()
     second = invoke(runner, *args)
-    assert len(calls) == 5          # nothing is kept between commands
+    assert len(calls) == 9          # nothing is kept between commands
     assert second.output == first.output
 
 
@@ -466,9 +469,9 @@ def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path, caplog):
 def test_sweep_refused_by_a_later_cycle_plan_is_one_validation_line(tmp_path, monkeypatch,
                                                                      caplog):
     # T=60 puts every step on the 1 s grid; the 9.25 s switches of T=37
-    # add exponentials to the table.  With half of memory between the two
-    # plans, every cycle passes the check from sizes alone, the first cycle
-    # runs, and the second is refused by its plan.
+    # add exponentials to the table.  With half of memory just below the
+    # second plan, every cycle passes the check from sizes alone, the first
+    # cycle runs, and the second is refused by its plan.
     from greensplit import errors
     caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     args = ["compare-averaging", "four_intersections", "--cycles", "60,37",
@@ -478,7 +481,7 @@ def test_sweep_refused_by_a_later_cycle_plan_is_one_validation_line(tmp_path, mo
     assert first < second
     sysconf = errors.os.sysconf
     monkeypatch.setattr(errors.os, "sysconf", lambda name: {
-        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": first + second}.get(name) or sysconf(name))
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * second - 2}.get(name) or sysconf(name))
     caplog.clear()
     out = tmp_path / "err.csv"
     result = CliRunner().invoke(cli.main, [*args, "--out", str(out)])
@@ -762,6 +765,17 @@ def test_integer_too_long_to_read_is_one_validation_line(tmp_path):
                                     "be read: ")
     assert "5001 digits" in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+def test_deeply_nested_value_is_one_validation_line(tmp_path):
+    # h as 900 nested lists: PyYAML's composer once raised RecursionError,
+    # a traceback with exit 1
+    path = tmp_path / "deep.yaml"
+    path.write_text(scenario.resolve("single_road").replace(
+        "\nh: 100.0\n", "\nh: " + "[" * 900 + "]" * 900 + "\n"))
+    result = CliRunner().invoke(cli.main, ["build", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == "ValidationError: scenario nests deeper than 64 levels\n"
 
 
 def test_distributed_memory_preflight_is_one_validation_line(tmp_path):

@@ -89,6 +89,31 @@ def test_non_mapping_document_rejected(tmp_path):
         scenario.load(bad)
 
 
+@pytest.mark.parametrize("name", scenario.BUNDLED)
+def test_libyaml_reads_what_pure_python_reads(name):
+    text = scenario.resolve(name)
+    assert scenario.load_document(text) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 900 + "]" * 900,                     # PyYAML's composer: RecursionError
+    "[" * 100_000 + "]" * 100_000,             # libyaml's composer: stack overflow
+    "a: " + "{b: " * 64 + "1" + "}" * 64,      # 65 mappings
+    "- " * 65 + "1",                           # 65 block sequences on one line
+], ids=["900-flow", "100000-flow", "65-mappings", "65-block"])
+def test_deep_nesting_is_refused(text):
+    with pytest.raises(ValidationError, match="^scenario nests deeper than 64 levels$"):
+        scenario.load_document(text)
+
+
+def test_nesting_to_the_limit_loads():
+    # the mapping and 63 sequences in it
+    expected = []
+    for _ in range(62):
+        expected = [expected]
+    assert scenario.load_document("a: " + "[" * 63 + "]" * 63) == {"a": expected}
+
+
 def test_grid_block_excludes_explicit_sections(tmp_path):
     doc = tmp_path / "mix.yaml"
     doc.write_text(

@@ -356,6 +356,121 @@ def test_long_averaged_run_matches_stepped_reference(four_net, four_schedule):
     _assert_close_rows(traj.states, ref)
 
 
+def _augmented(a, b):
+    n = a.shape[0]
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = a
+    aug[:n, n] = b
+    return aug
+
+
+def _plan_systems(network, schedule, dt):
+    """Every key of a switched run over two cycles and of its averaged run:
+    table key, ``A``, drift, step length and corridors."""
+    modes = dynamics.assemble_modes(network, schedule)
+    _, steps, plan = sim._switching_plan(network, schedule, modes, 2 * schedule.cycle_time,
+                                         dt)
+    return plan.systems + sim._average_plan(network, modes, steps).systems
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.7])
+@pytest.mark.parametrize("name", [*scenario.BUNDLED, "three_segment"])
+def test_corridor_blocks_match_the_dense_exponential(three_segment_net, name, dt):
+    # every key of the bundled scenarios at a uniform split and with every
+    # second window of zero length, and of a piecewise inflow, whose three
+    # segments give three drifts; at dt 0.7 the steps cut short at a switch
+    # have their own keys.  Each corridor block agrees with the dense
+    # exponential of the whole augmented matrix entrywise to 1e-12, above a
+    # floor of one unit roundoff of the block's largest entry: expm is
+    # accurate normwise only.  Entries under that floor (down to 1e-34 in
+    # the mode blocks) differ relatively by up to 3e-3 between the two, and
+    # both stray further from a sum of nonnegative series terms.
+    network = three_segment_net if name == "three_segment" else scenario.load(name)
+    n, eps = network.n, np.finfo(float).eps
+    uniform = net_model.uniform_schedule(network)
+    zero = uniform.with_durations(np.where(np.arange(uniform.n_modes) % 2, 0.0,
+                                           uniform.durations))
+    drifts = set()
+    for schedule in (uniform, zero):
+        for key, a, b, step, corridors in _plan_systems(network, schedule, dt):
+            drifts.add(b.tobytes())
+            dense = linalg.expm(_augmented(a, b) * step)
+            on = np.zeros(dense.shape, dtype=bool)
+            perm, groups = corridors
+            start = 0
+            for (count, order), e in zip(groups, sim._exponential({}, key, a, b, step,
+                                                                  corridors)):
+                # each corridor's states, then the constant input's
+                idx = np.column_stack([perm[start:start + count * order].reshape(count, order),
+                                       np.full(count, n)])
+                start += count * order
+                ref = dense[idx[:, :, None], idx[:, None, :]]
+                on[idx[:, :, None], idx[:, None, :]] = True
+                np.testing.assert_array_equal(e == 0, ref == 0)
+                floor = eps * np.abs(e).max(axis=(1, 2), keepdims=True)
+                assert np.all(np.abs(e - ref) <= 1e-12 * np.abs(ref) + floor)
+            assert start == n
+            # no state of one corridor reaches another
+            assert not dense[~on].any()
+    if name == "three_segment":
+        assert len(drifts) == 4      # the three segments' and the cycle average's
+
+
+def _dense_states(x0, plan):
+    """The states of ``plan`` stepped with the dense augmented exponential of
+    each key and one dense product per step, in the order and batches of
+    ``sim._propagate``: a jump with the power ``E^L``, a single step as
+    ``phi @ x + d``, and the interiors of the jumped runs of one key as
+    ``rows @ phi.T + d`` for each step index."""
+    starts, lengths, labels = plan.starts, plan.lengths, plan.labels
+    n = x0.shape[0]
+    states = np.empty((int(starts[-1] + lengths[-1]) + 1, n))
+    states[0] = x0
+
+    def blocks(label, length):
+        _, a, b, step, _ = plan.systems[label]
+        e = np.linalg.matrix_power(linalg.expm(_augmented(a, b) * step), length)
+        return e[:n, :n], e[:n, n]
+
+    for s, length, label, jumps in zip(starts, lengths, labels, plan.jump):
+        phi, d = blocks(label, length if jumps else 1)
+        for i in [s + length] if jumps else range(s + 1, s + length + 1):
+            states[i] = phi @ states[s if jumps else i - 1] + d
+    runs = np.flatnonzero(plan.jump)
+    runs = runs[np.lexsort((-lengths[runs], labels[runs]))]
+    for label in np.unique(labels[runs]):
+        group = runs[labels[runs] == label]
+        first, length = starts[group], lengths[group]
+        phi, d = blocks(label, 1)
+        y = states[first]
+        for j in range(1, int(length[0])):
+            active = int(np.count_nonzero(length > j))
+            y = y[:active] @ phi.T + d
+            states[first[:active] + j] = y
+    return states
+
+
+@pytest.mark.parametrize("name", scenario.BUNDLED)
+def test_one_corridor_steps_with_one_dense_product(name):
+    # the averaged matrix of every bundled scenario is one corridor of all
+    # its cells, in state order; through the same code its exponential is
+    # the dense one and its run has the states of dense stepping, bit for bit
+    network = scenario.load(name)
+    schedule = net_model.uniform_schedule(network)
+    x0 = np.random.default_rng(10).uniform(0.0, 1.0, network.n)
+    for horizon, dt in [(6000.0, 1.0), (300.0, 0.7)]:
+        traj = sim.simulate_average(network, schedule, x0, horizon, dt)
+        plan = sim._average_plan(network, dynamics.assemble_modes(network, schedule),
+                                 sim._step_lengths(traj.times, horizon))
+        for key, a, b, step, corridors in plan.systems:
+            np.testing.assert_array_equal(corridors[0], np.arange(network.n))
+            assert corridors[1] == ((1, network.n),)
+            [e] = sim._exponential({}, key, a, b, step, corridors)
+            np.testing.assert_array_equal(e[0], linalg.expm(_augmented(a, b) * step))
+        assert plan.jump.any()
+        np.testing.assert_array_equal(traj.states, _dense_states(x0, plan))
+
+
 def _count_expm(monkeypatch):
     """Wrap the simulator's ``expm``; the list gets one entry per call."""
     calls = []
@@ -369,17 +484,31 @@ def _count_expm(monkeypatch):
     return calls
 
 
-def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch):
+def _expm_shapes(keys):
+    """Shapes of the ``expm`` calls that make the exponentials of keys with
+    the given corridors, such as ``8x27+8x3``: one stack per key and
+    corridor order."""
+    return sorted((int(count), int(order) + 1, int(order) + 1) for key in keys
+                  for count, order in (term.split("x") for term in key.split("+")))
+
+
+def test_steps_equal_up_to_rounding_share_one_exponential(monkeypatch, caplog):
     # at dt 0.7 the 1,463 steps of this run have 39 distinct float lengths,
     # 7 up to the grid tolerance (0.1, 0.2, ..., 0.7 s): 28 keys over the
     # four modes, against 89 exponentials when every float length was its
-    # own key
+    # own key.  Every mode of grid_4x4 has corridors of two orders (8x27+8x3
+    # or 32x6+16x3), so each key's exponential is two expm calls.
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     net = scenario.load("grid_4x4")
     schedule = net_model.uniform_schedule(net)
     x0 = np.random.default_rng(8).uniform(0.0, 1.0, net.n)
     calls = _count_expm(monkeypatch)
     traj = sim.simulate_switching(net, schedule, x0, 1000.0, dt=0.7)
-    assert len(calls) == 28
+    [(_, _, new, _, _, _)] = _logged_plans(caplog)
+    [corridors] = _logged_corridors(caplog)
+    assert new == 28
+    assert len(calls) == 56
+    assert sorted(calls) == _expm_shapes(corridors)
     assert np.unique(np.diff(traj.times)).size == 39
     monkeypatch.undo()
     ref = _stepped_reference(net, schedule, x0, traj.times)
@@ -391,11 +520,14 @@ def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
     x0 = np.ones(four_net.n)
     schedules = [net_model.uniform_schedule(four_net, cycle_time=c) for c in (32.0, 40.0)]
     errors = list(sim.averaging_sweep(four_net, schedules, x0, 400.0))
-    # four modes and the averaged matrix, all at dt = 1
-    assert len(calls) == 5
+    # five keys, all at dt = 1: the four modes, each with corridors of two
+    # orders (4x6+4x3 or 1x12+8x3), and the averaged matrix, one corridor
+    # of 36 cells.  The second cycle adds none.
+    assert sorted(calls) == _expm_shapes(["4x6+4x3"] * 3 + ["1x12+8x3", "1x36"])
+    assert len(calls) == 9
     calls.clear()
     fresh = [sim.averaging_error(four_net, schedule, x0, 400.0) for schedule in schedules]
-    assert len(calls) == 10
+    assert len(calls) == 18
     assert fresh == errors
 
 
@@ -542,12 +674,22 @@ def _traced_peak(run):
             tracemalloc.stop()
 
 
+_PLAN_LINE = re.compile(r"(\d+) samples, (\d+) runs, (\d+) new keys and (\d+) in the "
+                        r"table, (\d+) powers, (\d+) bytes planned, new keys' corridors "
+                        r"\[((?:\d+x\d+(?:\+\d+x\d+)*(?:, )?)*)\]")
+
+
 def _logged_plans(caplog):
     """Samples, runs, new keys, keys in the table, powers and planned bytes
     of each plan the simulator logged."""
-    pattern = re.compile(r"(\d+) samples, (\d+) runs, (\d+) new keys and (\d+) in the "
-                         r"table, (\d+) powers, (\d+) bytes planned")
-    return [tuple(int(g) for g in pattern.fullmatch(r.getMessage()).groups())
+    return [tuple(int(g) for g in _PLAN_LINE.fullmatch(r.getMessage()).groups()[:6])
+            for r in caplog.records if r.name == "greensplit.sim"]
+
+
+def _logged_corridors(caplog):
+    """The corridors of each new key of each plan the simulator logged, as
+    ``count x order`` terms such as ``8x27+8x3``."""
+    return [[key for key in _PLAN_LINE.fullmatch(r.getMessage()).group(7).split(", ") if key]
             for r in caplog.records if r.name == "greensplit.sim"]
 
 
@@ -582,7 +724,10 @@ def test_planned_bytes_cover_the_traced_peak(name, horizon, dt, caplog):
 def test_plan_of_a_switched_run_is_within_twice_its_traced_peak(cycle, caplog):
     # at dt 0.7 the steps ending at a switch have their own lengths; a
     # bound on the keys the grid could give planned 169.3 and 360.8 MB for
-    # runs that traced 34.2 and 49.8 MB, 4.9 and 7.2 times their peak
+    # runs that traced 34.2 and 49.8 MB, 4.9 and 7.2 times their peak.
+    # Kept as corridor blocks, the exponentials leave peaks of 11.9 and
+    # 13.9 MB, and counting each key at its dense (n+1)^2 would plan 3.4
+    # and 4.0 times them
     caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     network = scenario.load("grid_4x4")
     schedule = net_model.uniform_schedule(network, cycle_time=cycle)
@@ -648,7 +793,9 @@ def test_planned_table_covers_every_key(tmp_path, three_segment_net, caplog, mon
     peak = _traced_peak(lambda: sim.simulate_switching(network, schedule, np.ones(network.n),
                                                        horizon, dt))
     [(_, _, new, held, _, planned)] = _logged_plans(caplog)
-    assert (new, held) == (len(calls), 0)
+    [corridors] = _logged_corridors(caplog)
+    assert (len(corridors), held) == (new, 0)
+    assert sorted(calls) == _expm_shapes(corridors)
     assert peak <= planned
     # a sweep of the schedule twice: the first cycle adds the switched and
     # the averaged keys, and the second adds none and finds them all held
@@ -656,9 +803,11 @@ def test_planned_table_covers_every_key(tmp_path, three_segment_net, caplog, mon
     caplog.clear()
     list(sim.averaging_sweep(network, [schedule, schedule], np.ones(network.n), horizon, dt))
     [(_, _, first, held, _, _), (_, _, second, again, _, _)] = _logged_plans(caplog)
-    assert (first, held) == (len(calls), 0)
+    [added, none] = _logged_corridors(caplog)
+    assert (len(added), held) == (first, 0)
+    assert sorted(calls) == _expm_shapes(added)
     assert first > new
-    assert (second, again) == (0, len(calls))
+    assert (second, again, none) == (0, first, [])
 
 
 def test_each_run_logs_its_plan(four_net, caplog, monkeypatch):
@@ -668,16 +817,28 @@ def test_each_run_logs_its_plan(four_net, caplog, monkeypatch):
     traj = sim.simulate_switching(four_net, net_model.uniform_schedule(four_net), x0, 400.0,
                                   0.7)
     [(samples, runs, new, held, powers, planned)] = _logged_plans(caplog)
+    [corridors] = _logged_corridors(caplog)
     assert samples == traj.times.shape[0]
-    assert (new, held) == (len(calls), 0)
+    assert held == 0
+    assert sorted(calls) == _expm_shapes(corridors)
     assert new <= runs < samples
-    assert planned >= traj.states.nbytes + new * 8 * (four_net.n + 1) ** 2
+    blocks = sum(count * side * side for count, side, _ in _expm_shapes(corridors))
+    assert planned >= traj.states.nbytes + 8 * blocks
+    # each key's corridors: in three modes of four_intersections each
+    # intersection joins two roads (4x6+4x3); in the second, r7, r4, r6
+    # and r9 form one ring of 12 cells (1x12+8x3)
+    assert len(corridors) == new
+    assert set(corridors) == {"4x6+4x3", "1x12+8x3"}
     # one line for both runs of an averaging error: the modes' keys and
-    # the averaged system's are new
+    # the averaged system's are new, and the averaged matrix is one
+    # corridor of all 36 cells
     calls.clear()
     caplog.clear()
     sim.averaging_error(four_net, net_model.uniform_schedule(four_net), x0, 400.0, 0.7)
     [(samples2, runs2, new2, held2, _, _)] = _logged_plans(caplog)
+    [corridors2] = _logged_corridors(caplog)
     assert (samples2, held2) == (samples, 0)
-    assert new2 == len(calls) > new
+    assert sorted(calls) == _expm_shapes(corridors2)
+    assert new2 == len(corridors2) > new
+    assert set(corridors2) == {"4x6+4x3", "1x12+8x3", "1x36"}
     assert runs2 > runs
