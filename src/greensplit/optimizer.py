@@ -148,13 +148,15 @@ def _cost_gradient(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, d: np.
 
 def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
                    start: np.ndarray,
-                   first: tuple[float, np.ndarray | None, Curvature | None],
+                   first: list[tuple[float, np.ndarray | None, Curvature | None]],
                    rows: list[dict[str, float]], budget: int
                    ) -> tuple[np.ndarray, float, int, int, str]:
     """Projected Newton descent on ``J`` from ``start``, in at most
     ``budget`` steps.
 
-    ``first`` is what :func:`_cost_gradient` gives at ``start``.  Durations
+    ``first`` holds what :func:`_cost_gradient` gives at ``start``; the
+    descent takes it out, so that once a step is accepted no frame keeps
+    the start's factorization.  Durations
     below 1% of ``T/m`` are dropped first and the rest rescaled to the
     cycle; where that leaves the average unstable (so short a phase can be
     the only one that drains a road), the descent starts from ``start``
@@ -180,17 +182,17 @@ def _inner_descent(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray,
     descends, as ``optimizer.outer_iters``.
     """
     total = start.sum()
-    cost, g, curvature = first
+    cost, g, curvature = first.pop()
     factorizations = 1
     d = np.where(start < 0.01 * total / start.size, 0.0, start)
     if not np.array_equal(d, start):
         d *= total / d.sum()
-        dropped = _cost_gradient(mode_set, output, x0, d)
+        cost_new, g_new, curvature_new = _cost_gradient(mode_set, output, x0, d)
         factorizations += 1
-        if dropped[1] is None:
+        if g_new is None:
             d = start
         else:
-            cost, g, curvature = dropped
+            cost, g, curvature = cost_new, g_new, curvature_new
     iterations = 0
     while True:
         v = project_tangent(g, d)
@@ -276,8 +278,10 @@ def optimize(mode_set: ModeSet, output: np.ndarray, x0: np.ndarray, *,
     best: dict[str, Any] | None = None
     for idx, d0 in enumerate(initial):
         d0 = d0 * (total / d0.sum())
-        first = _cost_gradient(mode_set, output, x0, d0)
-        cost0 = first[0]
+        # in a list the descent empties, so no frame here keeps the start's
+        # factor once the descent has moved on
+        first = [_cost_gradient(mode_set, output, x0, d0)]
+        cost0 = first[0][0]
         if baseline_cost is None:
             # the baseline sums to the cycle time, so there d0 is the baseline
             baseline_cost = cost0

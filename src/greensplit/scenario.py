@@ -75,7 +75,13 @@ def resolve(source: str | Path) -> str:
         raise ValidationError(
             f"scenario {name!r} is neither a bundled name {list(BUNDLED)} nor an existing file"
         )
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario file {name!r} is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read scenario file {name!r}: {exc.strerror or exc}") from exc
 
 
 def load(source: str | Path) -> NetworkSpec:

@@ -8,9 +8,10 @@ and the exogenous inflow of every step are looked up once per grid, for all
 step midpoints at once.  Steps of one mode, inflow and length come in
 runs.  A plan (:func:`_plan`) lists the runs, their keys and the powers
 that jump over them; the stepping (:func:`_propagate`) jumps between run
-starts with those powers and fills the runs' interiors with matrix-matrix
-products.  Memory is checked from sizes alone (:func:`_check_size`), then
-from the plan with the exact exponentials a run adds (:func:`_check_plans`).
+starts with those powers, fills the runs' interiors with matrix-matrix
+products, and hands the states out in batches as it makes them.  Memory is
+checked from sizes alone (:func:`_check_size`), then from the plan with the
+exact exponentials a run adds (:func:`_check_plans`).
 
 In one signal mode only that phase's movements are green, so the network
 falls apart into corridors: the weakly connected components of the mode
@@ -29,7 +30,9 @@ the ratio stays meaningful.  :func:`averaging_sweep` runs it over a list of
 schedules.  It owns the sweep: it checks every size up front, shares one
 dict of exponentials across the cycles and keeps the last averaged run, and
 at a uniform split the averaged system does not depend on the cycle time,
-so cycles whose grids coincide run it once.
+so cycles whose grids coincide run it once.  A sweep holds one trajectory,
+the averaged run: each cycle's switched run is streamed into its row norms
+against it and never built.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ log = logging.getLogger(__name__)
 
 #: relative floor under which the averaged state counts as vanished
 _EXCLUDE_FLOOR = 1e-6
-#: rows per block of the error integral's row norms
+#: rows per batch the stepping hands out, and per block of the error
+#: integral's row norms
 _NORM_ROWS = 512
 
 
@@ -207,23 +211,27 @@ def _step(y: np.ndarray, out: np.ndarray, blocks: list[np.ndarray], drift: np.nd
     out += drift
 
 
-def _propagate(x0: np.ndarray, plan: _Plan, table: _Table) -> np.ndarray:
-    """Exact states before and after every step of ``plan``.
+def _propagate(x0: np.ndarray, plan: _Plan, table: _Table
+               ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact states before and after every step of ``plan``, handed out in
+    ``(indices, rows)`` batches: row ``k`` of ``rows`` is the state at grid
+    point ``indices[k]``, in natural state order.  A batch is valid until
+    the next one is asked for.
 
     Each key steps its states in its own corridor order, one batched
     product per corridor order.  A sequential pass walks the run
     boundaries: a run that jumps goes to its end with the power ``E^L`` of
     its augmented exponential (``np.linalg.matrix_power`` on the stacks,
     kept for this call), and every other run is stepped one step at a
-    time.  A fill pass then steps the interiors of all jumped runs of one
-    key together, one batched matrix-matrix product per corridor order and
-    step index.  When every step has its own key, this is one
+    time.  Its states go out in blocks of ``_NORM_ROWS``; it keeps only the
+    start states of the runs that jump.  A fill pass then steps the
+    interiors of all jumped runs of one key together, one batched
+    matrix-matrix product per corridor order and step index, and hands out
+    each step as it is made.  When every step has its own key, this is one
     matrix-vector product per corridor and step.
     """
     starts, lengths, run_label = plan.starts, plan.lengths, plan.labels
-    n_steps, n = int(starts[-1] + lengths[-1]), x0.shape[0]
-    states = np.empty((n_steps + 1, n))
-    states[0] = x0
+    n = x0.shape[0]
     maps: dict[tuple[int, int], tuple[np.ndarray, list[np.ndarray], np.ndarray]] = {}
 
     def transition(label: int, length: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -241,18 +249,37 @@ def _propagate(x0: np.ndarray, plan: _Plan, table: _Table) -> np.ndarray:
                 np.concatenate([e[:, :-1, -1].ravel() for e in stacks]))
         return hit
 
+    # the start state of each run that jumps, in run order
+    jumped = np.empty((int(np.count_nonzero(plan.jump)), n))
+    indices = np.empty(_NORM_ROWS, dtype=np.intp)
+    block = np.empty((_NORM_ROWS, n))
+    indices[0], block[0], filled = 0, x0, 1
+    x, k = x0.copy(), 0
     y, out = np.empty((1, n)), np.empty((1, n))
     for s, length, label, jumps in zip(starts.tolist(), lengths.tolist(),
                                        run_label.tolist(), plan.jump.tolist()):
         perm, blocks, drift = transition(label, length if jumps else 1)
-        y[0] = states[s, perm]
+        if jumps:
+            jumped[k] = x
+            k += 1
+        y[0] = x[perm]
         for i in [s + length] if jumps else range(s + 1, s + length + 1):
             _step(y, out, blocks, drift)
             y, out = out, y
-            states[i, perm] = y[0]
+            if filled == _NORM_ROWS:
+                yield indices, block
+                filled = 0
+            indices[filled] = i
+            block[filled, perm] = y[0]
+            filled += 1
+        x[perm] = y[0]
+    yield indices[:filled], block[:filled]
+    # the fill pass hands out arrays of its own
+    del indices, block
 
     # runs that jumped, by key and then by falling length, so the runs of
     # one key still going at step j are a prefix of its group
+    slot = np.cumsum(plan.jump) - 1
     runs = np.flatnonzero(plan.jump)
     runs = runs[np.lexsort((-lengths[runs], run_label[runs]))]
     for group in np.split(runs, np.flatnonzero(np.diff(run_label[runs])) + 1):
@@ -261,13 +288,21 @@ def _propagate(x0: np.ndarray, plan: _Plan, table: _Table) -> np.ndarray:
         first, length = starts[group], lengths[group]
         perm, blocks, drift = transition(int(run_label[group[0]]), 1)
         inverse = np.argsort(perm)
-        y = np.take(states[first], perm, axis=1)
+        y = jumped[np.ix_(slot[group], perm)]
         out = np.empty_like(y)
         for j in range(1, int(length[0])):
             active = int(np.count_nonzero(length > j))
             _step(y[:active], out[:active], blocks, drift)
             y, out = out, y
-            states[first[:active] + j] = np.take(y[:active], inverse, axis=1)
+            yield first[:active] + j, np.take(y[:active], inverse, axis=1)
+
+
+def _states(x0: np.ndarray, plan: _Plan, table: _Table) -> np.ndarray:
+    """The states at every grid point of ``plan``, collected from
+    :func:`_propagate`."""
+    states = np.empty((int(plan.starts[-1] + plan.lengths[-1]) + 1, x0.shape[0]))
+    for indices, rows in _propagate(x0, plan, table):
+        states[indices] = rows
     return states
 
 
@@ -278,7 +313,12 @@ def _grid_tol(horizon: float) -> float:
 
 def _sample_grid(horizon: float, dt: float, extra: np.ndarray) -> np.ndarray:
     """Uniform samples merged with event instants, deduplicated; the last
-    point is the horizon."""
+    point is the horizon.
+
+    Going up the grid, an instant within the tolerance of the last kept
+    one is dropped.  An instant further than that from its predecessor is
+    always kept, so only the instants within it are looked at one by one.
+    """
     tol = _grid_tol(horizon)
     n_steps = int(math.floor(horizon / dt + 1e-9))
     samples = np.arange(n_steps + 1) * dt
@@ -289,13 +329,20 @@ def _sample_grid(horizon: float, dt: float, extra: np.ndarray) -> np.ndarray:
     grid = np.concatenate([samples, extra])
     grid = grid[(grid >= 0.0) & (grid <= horizon * (1 + 1e-12))]
     grid = np.unique(grid)
-    keep = [grid[0]]
-    for t in grid[1:]:
-        if t - keep[-1] > tol:
-            keep.append(t)
+    keep = np.ones(grid.shape[0], dtype=bool)
+    previous = -1
+    for i in (np.flatnonzero(np.diff(grid) <= tol) + 1).tolist():
+        if i - 1 != previous:
+            last = grid[i - 1]
+        if grid[i] - last > tol:
+            last = grid[i]
+        else:
+            keep[i] = False
+        previous = i
+    grid = grid[keep]
     # the horizon is in the grid, so the last kept instant is within tol of it
-    keep[-1] = horizon
-    return np.asarray(keep)
+    grid[-1] = horizon
+    return grid
 
 
 def _step_lengths(grid: np.ndarray, horizon: float) -> np.ndarray:
@@ -342,24 +389,40 @@ def _planned_samples(network: NetworkSpec, schedule: Schedule, horizon: float,
                                     for period, marks in _event_families(network, schedule))
 
 
-def _planned_bytes(network: NetworkSpec, schedule: Schedule, samples: float,
-                   trajectories: int, work: int) -> float:
-    """Bytes that ``trajectories`` runs of ``samples`` grid points hold at
-    once, apart from their exponentials and powers.
+def _planned_bytes(network: NetworkSpec, schedule: Schedule, samples: float, rows: int,
+                   work: int) -> float:
+    """Bytes that a run of ``samples`` grid points holds at once, apart from
+    its exponentials and powers.
 
-    A grid point costs up to two rows of ``n`` doubles (the state and the
-    step's inflows) and about sixteen words of grid work: event times, the
-    grid and the list :func:`_sample_grid` deduplicates through, step
-    midpoints, modes and lengths, the plan's run bookkeeping, the row norms
-    of :func:`_compare`.  The mode matrices, the averaged matrix, the input
-    map and the base matrix :func:`assemble_modes` builds them from take
-    ``n_modes + 3`` arrays of ``n^2`` doubles, and one ``expm`` or power
-    works in about ten arrays of the ``work`` doubles of the largest
-    augmented exponential, at most its dense ``(n+1)^2``.
+    A run holds one trajectory: its own states, or in a sweep the averaged
+    run the switched run is streamed against.  A grid point costs a row of
+    ``n`` doubles of it and about sixteen words of grid work: event times,
+    the grid, step midpoints, modes and lengths, the plan's run
+    bookkeeping, the row norms of :func:`_compare`.  Beside them the plan
+    holds the steps' inflows, up to a row of ``n`` doubles per grid point,
+    and the stepping, after the plan, holds ``rows`` rows of ``n`` doubles
+    (:func:`_stepping_rows`): the larger of the two counts.  The mode
+    matrices, the averaged matrix, the input map and the base matrix
+    :func:`assemble_modes` builds them from take ``n_modes + 3`` arrays of
+    ``n^2`` doubles, and one ``expm`` or power works in about ten arrays of
+    the ``work`` doubles of the largest augmented exponential, at most its
+    dense ``(n+1)^2``.
     """
     n = network.n
-    return 8.0 * (trajectories * samples * (2 * n + 16) + (schedule.n_modes + 3) * n * n
-                  + 10.0 * work)
+    return 8.0 * (samples * (n + 16) + max(samples, rows) * n
+                  + (schedule.n_modes + 3) * n * n + 10.0 * work)
+
+
+def _stepping_rows(plan: _Plan) -> int:
+    """Rows of states that :func:`_propagate` and its caller hold at once
+    beside the trajectory: the start state of each run that jumps, and
+    five arrays of one emission block.  A block is ``_NORM_ROWS`` rows, or
+    in the fill pass the jumped runs of one key: the step's two arrays, the
+    rows handed out, and the caller's averaged rows and difference.
+    """
+    jumped = plan.labels[plan.jump]
+    block = max(_NORM_ROWS, int(np.bincount(jumped).max()) if jumped.size else 0)
+    return jumped.size + 5 * block
 
 
 def _check_memory(planned: float, samples: float, schedule: Schedule, horizon: float,
@@ -368,16 +431,16 @@ def _check_memory(planned: float, samples: float, schedule: Schedule, horizon: f
                           f"{schedule.cycle_time:g} s) with about {samples:.3g} samples")
 
 
-def _check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: float,
-                trajectories: int = 1) -> None:
+def _check_size(network: NetworkSpec, schedule: Schedule, horizon: float,
+                dt: float) -> None:
     """Refuse, from sizes alone, a run whose arrays would hold over half of
     physical memory.
 
     This is the first step of the memory check, before any per-sample
-    array exists: ``trajectories`` runs held at once over the bound
-    :func:`_planned_samples` on their grid points (:func:`_planned_bytes`).
-    A comparison holds two, the switched run of one cycle time and the
-    averaged run.  The second step, :func:`_check_plans`, counts the
+    array exists: one trajectory over the bound :func:`_planned_samples`
+    on its grid points (:func:`_planned_bytes`).  A comparison holds one
+    too, the averaged run, and streams its switched run against it.  The
+    second step, :func:`_check_plans`, counts the stepping's rows and the
     exponentials from the run's plan.  A span that is not finite and
     positive is refused first, and one that :func:`_check_span` refuses
     after the memory check.
@@ -387,8 +450,8 @@ def _check_size(network: NetworkSpec, schedule: Schedule, horizon: float, dt: fl
             f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
         )
     samples = _planned_samples(network, schedule, horizon, dt)
-    _check_memory(_planned_bytes(network, schedule, samples, trajectories,
-                                 (network.n + 1) ** 2), samples, schedule, horizon, dt)
+    _check_memory(_planned_bytes(network, schedule, samples, 0, (network.n + 1) ** 2),
+                  samples, schedule, horizon, dt)
     _check_span(horizon, dt)
 
 
@@ -397,15 +460,18 @@ def _check_plans(network: NetworkSpec, schedule: Schedule, horizon: float, dt: f
     """Refuse runs whose plans would hold over half of physical memory.
 
     This is the second step of the memory check, after the plans and
-    before any state or exponential: the rows of one run per plan at the
-    grid's ``samples`` (:func:`_planned_bytes`), the exponentials the table
-    holds, and the corridor blocks (:func:`_block_doubles`) of each key of
-    the plans that is not yet in the table and of each power.
+    before any state or exponential: one trajectory at the grid's
+    ``samples`` and the rows of the plan that steps the most
+    (:func:`_planned_bytes`), the exponentials the table holds, and the
+    corridor blocks (:func:`_block_doubles`) of each key of the plans that
+    is not yet in the table and of each power.  The plans of a comparison
+    run one after the other, the averaged run first, so one trajectory is
+    held at a time.
     """
     corridors = {system[0]: system[-1] for plan in plans for system in plan.systems}
     new = [c for key, c in corridors.items() if key not in table]
     powers = [plan.systems[label][-1] for plan in plans for label in plan.powers.tolist()]
-    planned = (_planned_bytes(network, schedule, samples, len(plans),
+    planned = (_planned_bytes(network, schedule, samples, max(map(_stepping_rows, plans)),
                               max(map(_block_doubles, corridors.values())))
                + sum(e.nbytes for stacks in table.values() for e in stacks)
                + 8.0 * sum(map(_block_doubles, new + powers)))
@@ -435,13 +501,22 @@ def _inflows_at(network: NetworkSpec, t: np.ndarray) -> np.ndarray:
     """Per-road exogenous inflow at each time in ``t`` (``len(t) x n_roads``).
 
     A segment holds until ``1e-9`` of its profile's period before it ends;
-    past the last threshold the last segment holds.
+    past the last threshold the last segment holds.  A profile of one
+    segment is its value at every time; where every profile is, the result
+    is one row broadcast to every time, read-only.
     """
-    u = np.zeros((t.shape[0], network.n_roads))
+    row = np.zeros(network.n_roads)
+    varying = []
     for i, r in enumerate(network.roads):
         profile = network.inflows.get(r.id)
-        if not profile:
-            continue
+        if profile and len(profile) == 1:
+            row[i] = profile[0][1]
+        elif profile:
+            varying.append((i, profile))
+    if not varying:
+        return np.broadcast_to(row, (t.shape[0], row.shape[0]))
+    u = np.tile(row, (t.shape[0], 1))
+    for i, profile in varying:
         ends = np.cumsum([dur for dur, _ in profile], dtype=float)
         period = ends[-1]
         local = t - np.floor(t / period + 1e-12) * period
@@ -496,7 +571,7 @@ def simulate_switching(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     grid, _, plan = _switching_plan(network, schedule, assemble_modes(network, schedule),
                                     horizon, dt)
     _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
-    return Trajectory(grid, _propagate(x, plan, table))
+    return Trajectory(grid, _states(x, plan, table))
 
 
 def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
@@ -509,7 +584,7 @@ def simulate_average(network: NetworkSpec, schedule: Schedule, x0: np.ndarray,
     grid = _sample_grid(horizon, dt, _cycle_events(schedule, network, horizon))
     plan = _average_plan(network, modes, _step_lengths(grid, horizon))
     _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan], table)
-    return Trajectory(grid, _propagate(x, plan, table))
+    return Trajectory(grid, _states(x, plan, table))
 
 
 def _compare(network: NetworkSpec, schedule: Schedule, x0: np.ndarray, horizon: float,
@@ -520,26 +595,27 @@ def _compare(network: NetworkSpec, schedule: Schedule, x0: np.ndarray, horizon: 
     and pass one memory check.  ``kept`` holds the states of at most one
     averaged run, keyed by its system's table key and the grid's bytes; a
     run under the same key is reused, and otherwise the kept run is let go
-    before the new one is built.
+    before the new one is built.  The switched run is never held: each
+    batch of its states becomes its row norms against the averaged run.
     """
     modes = assemble_modes(network, schedule)
     grid, steps, plan = _switching_plan(network, schedule, modes, horizon, dt)
     averaged_plan = _average_plan(network, modes, steps)
     _check_plans(network, schedule, horizon, dt, grid.shape[0], [plan, averaged_plan], table)
-    switched = _propagate(x0, plan, table)
     key = (averaged_plan.systems[0][0], grid.tobytes())
     averaged = kept.get(key)
     if averaged is None:
         kept.clear()
-        averaged = kept[key] = _propagate(x0, averaged_plan, table)
+        averaged = kept[key] = _states(x0, averaged_plan, table)
     # row norms a block of rows at a time, with no temporary of the
-    # trajectories' size; each row sums as in one call on the whole array
+    # trajectory's size; each row sums as in one call on the whole array
     ref = np.empty(grid.shape[0])
-    gap = np.empty_like(ref)
     for start in range(0, ref.shape[0], _NORM_ROWS):
         rows = slice(start, start + _NORM_ROWS)
         ref[rows] = np.linalg.norm(averaged[rows], axis=1)
-        gap[rows] = np.linalg.norm(switched[rows] - averaged[rows], axis=1)
+    gap = np.empty_like(ref)
+    for indices, rows in _propagate(x0, plan, table):
+        gap[indices] = np.linalg.norm(rows - averaged[indices], axis=1)
     floor = _EXCLUDE_FLOOR * np.linalg.norm(x0)
     ratio = np.where(ref > floor, gap / np.where(ref > floor, ref, 1.0), 0.0)
     return 100.0 * float(np.trapezoid(ratio, grid) / horizon)
@@ -568,7 +644,7 @@ def averaging_sweep(network: NetworkSpec, schedules: Sequence[Schedule], x0: np.
     run is let go before the next one is built.
     """
     for schedule in schedules:
-        _check_size(network, schedule, horizon, dt, trajectories=2)
+        _check_size(network, schedule, horizon, dt)
     x0 = as_state(x0, network.n)
     table: _Table = {}
     kept: dict[tuple, np.ndarray] = {}

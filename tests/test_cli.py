@@ -415,8 +415,12 @@ def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_pa
     propagate = sim._propagate
 
     def counting(x0, plan, table):
-        calls.append(plan)
-        return propagate(x0, plan, table)
+        # the grid points each run hands out, one entry per run stepped
+        points = []
+        calls.append(points)
+        for indices, states in propagate(x0, plan, table):
+            points.append(indices.copy())
+            yield indices, states
 
     monkeypatch.setattr(sim, "_propagate", counting)
     out = tmp_path / "err.csv"
@@ -424,8 +428,12 @@ def test_compare_averaging_runs_the_averaged_system_once_per_grid(runner, tmp_pa
     result = invoke(runner, *args, *(["--cycles", cycles] if cycles else []))
     assert result.exit_code == 0
     _, rows = read_artifact(out)
-    # one switched run per cycle, and the averaged runs
+    # one switched run per cycle, and the averaged runs; each hands out
+    # every point of its grid once
     assert len(calls) == len(rows) - 1 + runs
+    for points in calls:
+        handed = np.sort(np.concatenate(points))
+        np.testing.assert_array_equal(handed, np.arange(handed.shape[0]))
     network = scenario.load("four_intersections")
     horizon = 10.0 * max(float(r[0]) for r in rows[1:])
     for cycle, error in rows[1:]:
@@ -441,9 +449,10 @@ def _planned(caplog):
 
 
 def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path, caplog):
-    # a sweep holds one switched run and the averaged run it shares; the
-    # traced peak stays under what the largest cycle's plan counts (a sweep
-    # that also held the previous cycle's runs peaked at 89.5 MB here)
+    # a sweep holds the averaged run and streams each switched run against
+    # it; the traced peak, 19.4 MB, stays under what the largest cycle's
+    # plan counts (a sweep that held the switched run too peaked at 29.7 MB
+    # here, and one that also held the previous cycle's runs at 89.5 MB)
     import tracemalloc
     caplog.set_level(logging.DEBUG, logger="greensplit.sim")
     cycles, horizon = [40.0, 80.0, 96.0, 112.0], 6000.0
@@ -463,7 +472,7 @@ def test_compare_averaging_sweep_stays_within_its_memory_plan(tmp_path, caplog):
     plans = _planned(caplog)
     assert len(plans) == len(cycles)
     assert peak < max(plans)
-    assert peak < 50e6
+    assert peak < 25e6
 
 
 def test_sweep_refused_by_a_later_cycle_plan_is_one_validation_line(tmp_path, monkeypatch,
@@ -490,6 +499,41 @@ def test_sweep_refused_by_a_later_cycle_plan_is_one_validation_line(tmp_path, mo
     assert result.stdout.startswith("T=60: error ")
     assert result.stderr.count("\n") == 1
     assert result.stderr.startswith("ValidationError: a run of 600 s at dt 1 s (cycle 37 s)")
+    assert "physical memory" in result.stderr
+    assert not out.exists()
+
+
+def test_sweep_plans_one_trajectory(tmp_path, monkeypatch, caplog):
+    # 6001 points at 1 s.  A plan that counted the switched run beside the
+    # averaged one held two rows of 2n+16 doubles per point, 47.6 MB
+    # (56.7 MB with the rest).  With half of memory just below that the
+    # sweep runs; with half of memory just below its own plan it is one
+    # ValidationError line and writes nothing
+    from greensplit import errors
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
+    n, points = scenario.load("grid_4x4").n, 6001
+    two_runs = 2 * points * (2 * n + 16) * 8
+    sysconf = errors.os.sysconf
+
+    def half_of_memory(size):
+        monkeypatch.setattr(errors.os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * size}.get(name) or sysconf(name))
+
+    args = ["compare-averaging", "grid_4x4", "--cycles", "40,80,96,112", "--horizon", "6000"]
+    half_of_memory(two_runs - 1)
+    result = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path / "err.csv")])
+    assert result.exit_code == 0, result.output
+    plans = _planned(caplog)
+    assert len(plans) == 4
+    assert max(plans) < two_runs - 1
+    assert all(f"{points} samples" in r.getMessage() for r in caplog.records
+               if r.name == "greensplit.sim")
+    half_of_memory(max(plans) - 1)
+    out = tmp_path / "refused.csv"
+    result = CliRunner().invoke(cli.main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("ValidationError: a run of 6000 s at dt 1 s (cycle 40 s)")
     assert "physical memory" in result.stderr
     assert not out.exists()
 
@@ -765,6 +809,30 @@ def test_integer_too_long_to_read_is_one_validation_line(tmp_path):
                                     "be read: ")
     assert "5001 digits" in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("failure", ["utf8", "oserror"])
+def test_unreadable_scenario_file_is_one_validation_line(tmp_path, monkeypatch, failure):
+    # Path.read_text once ran outside any handler: bytes that are not
+    # UTF-8 ended as a UnicodeDecodeError traceback with exit 1
+    path = tmp_path / "bad.yaml"
+    if failure == "utf8":
+        path.write_bytes(b"name: x\n\xff\xfe\n")
+        expected = f"ValidationError: scenario file {str(path)!r} is not UTF-8: "
+    else:
+        path.write_text(scenario.resolve("single_road"))
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(path), "read_text", refuse)
+        expected = f"ValidationError: cannot read scenario file {str(path)!r}: Permission denied"
+    out = tmp_path / "canon.yaml"
+    result = CliRunner().invoke(cli.main, ["build", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith(expected)
+    assert not out.exists()
 
 
 def test_deeply_nested_value_is_one_validation_line(tmp_path):

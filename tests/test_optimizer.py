@@ -406,7 +406,7 @@ def test_descent_keeps_a_phase_whose_drop_is_unstable(four_modes, four_output, s
     first = optimizer._cost_gradient(four_modes, four_output, x0, d0)
     rows = []
     d, cost, steps, _, reason = optimizer._inner_descent(
-        four_modes, four_output, x0, d0, first, rows, optimizer.MAX_ITERATIONS)
+        four_modes, four_output, x0, d0, [first], rows, optimizer.MAX_ITERATIONS)
     assert rows[0]["cost"] == first[0] < np.inf
     assert steps > 0 and reason == "stationary"
     assert cost == congestion_cost(dynamics.average_matrix(four_modes, d), four_output, x0)
@@ -487,6 +487,32 @@ def test_factorizations_and_solves_of_a_run(four_modes, four_output, monkeypatch
     optimize(four_modes, four_output, np.ones(four_modes.n))
     assert counts["factor"] <= 6
     assert counts["solve"] <= 17
+
+
+def test_start_factor_is_let_go_after_the_first_step(four_modes, four_output, monkeypatch):
+    # the start's curvature closure holds its factor U, T and its Y_p, Y_q;
+    # once the first step is accepted, no frame keeps it, so it is gone
+    # before the next split is factored (the start's factor is the first
+    # made, the first candidate's the second)
+    import gc
+    import weakref
+    made, alive = [], []
+    factor = ShiftedLyapunov.__init__
+
+    def tracked(self, *args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in made])
+        factor(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ShiftedLyapunov, "__init__", tracked)
+    report = optimize(four_modes, four_output, np.ones(four_modes.n))
+    assert report.iterations >= 2
+    # the start and the first candidate's split, both accepted
+    assert report.trajectory[1]["cost"] < report.trajectory[0]["cost"]
+    assert len(alive) >= 3
+    assert alive[1] == [True]
+    assert not any(flags[0] for flags in alive[2:])
 
 
 def test_each_split_tried_is_factored_once(four_modes, four_output, monkeypatch, caplog):

@@ -114,6 +114,28 @@ def test_nesting_to_the_limit_loads():
     assert scenario.load_document("a: " + "[" * 63 + "]" * 63) == {"a": expected}
 
 
+def test_file_that_is_not_utf8_is_a_validation_error(tmp_path):
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"name: x\n\xff\xfe\n")
+    with pytest.raises(ValidationError, match=r"^scenario file '.*latin\.yaml' is not UTF-8: "
+                                              r".*can't decode byte 0xff"):
+        scenario.resolve(path)
+
+
+def test_file_that_cannot_be_read_is_a_validation_error(tmp_path, monkeypatch):
+    # chmod does not stop root from reading a file, so the read itself fails
+    path = tmp_path / "locked.yaml"
+    path.write_text(scenario.resolve("single_road"))
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(type(path), "read_text", refuse)
+    with pytest.raises(ValidationError, match=r"^cannot read scenario file '.*locked\.yaml': "
+                                              r"Permission denied$"):
+        scenario.resolve(path)
+
+
 def test_grid_block_excludes_explicit_sections(tmp_path):
     doc = tmp_path / "mix.yaml"
     doc.write_text(

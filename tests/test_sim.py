@@ -291,6 +291,28 @@ def test_array_lookups_match_scalar_reference(four_schedule, durations, cycle,
     assert set(inflows[:, 0].tolist()) == {val for _, val in profile}
 
 
+@pytest.mark.parametrize("name", [*scenario.BUNDLED, "two"])
+def test_constant_inflows_are_one_broadcast_row(name, tmp_path):
+    # where every profile is one segment, no array of a row per time is
+    # made; a piecewise profile beside a constant one fills only its road
+    if name == "two":
+        path = tmp_path / "two.yaml"
+        path.write_text(TWO_PHASES.replace("PERIOD", "13.0")
+                        .replace("INFLOW", "[[7.5, 0.1], [5.5, 0.0]]"))
+        network = scenario.load(path)
+    else:
+        network = scenario.load(name)
+    t = np.random.default_rng(13).uniform(0.0, 500.0, 300)
+    inflows = sim._inflows_at(network, t)
+    np.testing.assert_array_equal(inflows, [_scalar_inflow(network, x) for x in t])
+    constant = all(len(profile) == 1 for profile in network.inflows.values())
+    assert constant == (name != "two")
+    assert (inflows.strides[0] == 0) == constant
+    if name == "two":
+        assert set(inflows[:, 0].tolist()) == {0.1, 0.0}
+        assert set(inflows[:, 1].tolist()) == {0.2}
+
+
 def _stepped_reference(network, schedule, x0, times, average=False):
     """States on ``times`` stepped one window at a time, each step with
     the ``expm`` of the augmented system over its own exact length: the
@@ -532,18 +554,29 @@ def test_shared_table_computes_each_exponential_once(four_net, monkeypatch):
 
 
 def _count_runs(monkeypatch):
-    """Wrap the simulator's stepping; the list gets one entry per run.  A
-    sweep makes one switched run per cycle and one averaged run per
-    distinct averaged system and grid."""
+    """Wrap the simulator's stepping; the list gets one entry per run that
+    is stepped: the grid points of each batch it hands out.  A sweep makes
+    one switched run per cycle and one averaged run per distinct averaged
+    system and grid."""
     calls = []
     propagate = sim._propagate
 
     def counting(x0, plan, table):
-        calls.append(plan)
-        return propagate(x0, plan, table)
+        points = []
+        calls.append(points)
+        for indices, rows in propagate(x0, plan, table):
+            assert rows.shape == (indices.shape[0], x0.shape[0])
+            points.append(indices.copy())
+            yield indices, rows
 
     monkeypatch.setattr(sim, "_propagate", counting)
     return calls
+
+
+def _each_point_once(calls, samples):
+    """Each run handed out every one of the ``samples`` grid points once."""
+    for points in calls:
+        np.testing.assert_array_equal(np.sort(np.concatenate(points)), np.arange(samples))
 
 
 def test_sweep_shares_one_averaged_run(four_net, monkeypatch):
@@ -554,9 +587,11 @@ def test_sweep_shares_one_averaged_run(four_net, monkeypatch):
     schedules = [net_model.uniform_schedule(four_net, cycle_time=c) for c in (40.0, 80.0, 96.0)]
     errors = list(sim.averaging_sweep(four_net, schedules, x0, 600.0))
     assert len(calls) == 3 + 1
+    _each_point_once(calls, 601)
     calls.clear()
     fresh = [sim.averaging_error(four_net, schedule, x0, 600.0) for schedule in schedules]
     assert len(calls) == 3 + 3
+    _each_point_once(calls, 601)
     assert errors == fresh
 
 
@@ -571,6 +606,11 @@ def test_kept_averaged_run_is_keyed_on_matrix_and_grid(four_net, four_schedule, 
                  net_model.uniform_schedule(four_net, cycle_time=30.0), uniform, uniform]
     errors = list(sim.averaging_sweep(four_net, schedules, x0, 300.0))
     assert len(calls) == 5 + 4
+    # 301 points at 1 s, and 321 where the switches of T=30 at 7.5 and
+    # 22.5 s add 20; each run hands out each of its points once
+    assert sorted({sum(map(len, points)) for points in calls}) == [301, 321]
+    for points in calls:
+        _each_point_once([points], sum(map(len, points)))
     fresh = [sim.averaging_error(four_net, schedule, x0, 300.0) for schedule in schedules]
     assert errors == fresh
     assert errors[0] == errors[3] == errors[4]
@@ -584,6 +624,39 @@ def test_sweep_checks_every_size_before_the_first_cycle(single, monkeypatch):
     with pytest.raises(ValidationError, match="physical memory"):
         next(sweep)
     assert calls == []
+
+
+def _two_trajectory_error(network, schedule, x0, horizon, dt):
+    """The averaging error integrated from the whole trajectories of
+    ``simulate_switching`` and ``simulate_average``: their row norms, the
+    ``1e-6 |x0|`` floor and the trapezoid over the grid."""
+    switched = sim.simulate_switching(network, schedule, x0, horizon, dt)
+    averaged = sim.simulate_average(network, schedule, x0, horizon, dt)
+    np.testing.assert_array_equal(switched.times, averaged.times)
+    ref = np.linalg.norm(averaged.states, axis=1)
+    gap = np.linalg.norm(switched.states - averaged.states, axis=1)
+    floor = 1e-6 * np.linalg.norm(x0)
+    ratio = np.where(ref > floor, gap / np.where(ref > floor, ref, 1.0), 0.0)
+    return 100.0 * float(np.trapezoid(ratio, switched.times) / horizon)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.7])
+@pytest.mark.parametrize("name", [*scenario.BUNDLED, "three_segment"])
+def test_streamed_sweep_equals_the_two_trajectory_integral(name, dt, three_segment_net):
+    # the sweep streams each switched run against the kept averaged run;
+    # every row sums as on the whole arrays, so each error is the same
+    # float.  T=37 and T=30 switch off the 1 s grid, an uneven split moves
+    # the averaged matrix, and three_segment's inflow is piecewise
+    network = three_segment_net if name == "three_segment" else scenario.load(name)
+    x0 = np.random.default_rng(11).uniform(0.0, 1.0, network.n)
+    schedules = [net_model.uniform_schedule(network, cycle_time=c) for c in (40.0, 37.0, 30.0)]
+    uneven = schedules[0].durations.copy()
+    uneven[0] *= 1.5
+    schedules.append(schedules[0].with_durations(uneven * 40.0 / uneven.sum()))
+    errors = list(sim.averaging_sweep(network, schedules, x0, 500.0, dt))
+    assert errors == [_two_trajectory_error(network, schedule, x0, 500.0, dt)
+                      for schedule in schedules]
+    assert all(error > 0.0 for error in errors)
 
 
 def test_sample_grid_ends_at_the_horizon():
@@ -610,6 +683,51 @@ def test_sample_grid_at_unit_dt_is_the_union_of_samples_and_events(four_net, cyc
     expected = np.unique(np.concatenate([np.arange(math.floor(horizon) + 1.0),
                                          [horizon], events[events <= horizon]]))
     np.testing.assert_array_equal(grid, expected)
+
+def _loop_grid(horizon, dt, extra):
+    """The grid of ``sim._sample_grid`` deduplicated one instant at a time:
+    an instant within the tolerance of the last kept one is dropped."""
+    tol = sim._grid_tol(horizon)
+    n_steps = int(math.floor(horizon / dt + 1e-9))
+    samples = np.arange(n_steps + 1) * dt
+    if samples[-1] < horizon - tol:
+        samples = np.append(samples, horizon)
+    else:
+        samples[-1] = horizon
+    grid = np.concatenate([samples, extra])
+    grid = np.unique(grid[(grid >= 0.0) & (grid <= horizon * (1 + 1e-12))])
+    keep = [grid[0]]
+    for t in grid[1:]:
+        if t - keep[-1] > tol:
+            keep.append(t)
+    keep[-1] = horizon
+    return np.asarray(keep)
+
+
+@pytest.mark.parametrize("horizon, dt", [(10.0, 1.0), (1000.3, 0.7), (1e-8, 1.1e-9)])
+def test_sample_grid_keeps_the_instants_of_a_one_by_one_scan(horizon, dt):
+    # chains of gaps below the tolerance, some long enough that an instant
+    # further along is kept again, next to every sample, event and the
+    # horizon, and gaps just past the tolerance
+    tol = sim._grid_tol(horizon)
+    rng = np.random.default_rng(12)
+    chains = []
+    for start in np.concatenate([rng.uniform(0.0, horizon, 40), np.arange(0.0, horizon, dt)[:40],
+                                 [horizon - 5 * tol, horizon]]):
+        gaps = rng.uniform(0.1, 1.2, rng.integers(1, 12)) * tol
+        chains.append(start + np.cumsum(gaps) * rng.choice([-1.0, 1.0]))
+    extra = np.concatenate(chains)
+    grid = sim._sample_grid(horizon, dt, extra)
+    np.testing.assert_array_equal(grid, _loop_grid(horizon, dt, extra))
+    assert np.diff(grid).min() > tol
+    if dt > 10 * tol:
+        # a chain of gaps of 0.6 tol between two samples keeps every second
+        # instant
+        chain = 4.5 * dt + 0.6 * tol * np.arange(7)
+        grid = sim._sample_grid(horizon, dt, chain)
+        np.testing.assert_array_equal(grid, _loop_grid(horizon, dt, chain))
+        assert np.isin(chain[::2], grid).all() and not np.isin(chain[1::2], grid).any()
+
 
 def _loop_events(schedule, network, horizon):
     """Event instants one cycle at a time: the reference for
