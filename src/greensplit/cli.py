@@ -412,9 +412,7 @@ def _parse_layout(layout: str, n: int) -> dist.CommGraph:
     if min(dims) < 1:
         raise ValidationError(f"agent layout {layout!r} needs positive sizes")
     agents = math.prod(dims)
-    # the plan reads only the shape, so a zero-stride view stands in for A
-    check_memory(dist.planned_bytes(np.broadcast_to(0.0, (n, n)), agents),
-                 f"{agents} agents on a {n}-state system")
+    check_memory(dist.planned_bytes(n, agents), f"{agents} agents on a {n}-state system")
     return build(*dims)
 
 

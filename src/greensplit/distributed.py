@@ -378,9 +378,9 @@ def synchronous_round(agents: list[Agent], graph: CommGraph) -> None:
             agent.fold(messages[j])
 
 
-def planned_bytes(a: np.ndarray, n_agents: int) -> int:
-    """Memory a distributed solve of ``a`` holds at its peak, from the
-    sizes of ``a`` alone.
+def planned_bytes(n: int, n_agents: int) -> int:
+    """Memory a distributed solve on ``n`` states holds at its peak, from
+    the sizes alone.
 
     Held throughout are every agent's ``X``, ``n^2`` doubles, and the row
     blocks that the agents pass around, one copy of each, ``n^2`` doubles
@@ -401,7 +401,6 @@ def planned_bytes(a: np.ndarray, n_agents: int) -> int:
     ``single_road`` (4 states) peaks at 13 KB on one agent, 115 KB on 36
     and 3.6 MB on 196, traced with ``tracemalloc``.
     """
-    n = np.shape(a)[0]
     return 8 * n * n * (2 * n_agents + 26) + 2048 * (n_agents + 6) + 128 * n_agents**2
 
 
@@ -454,7 +453,7 @@ def run_distributed(a: np.ndarray, d: np.ndarray, graph: CommGraph,
     nu = graph.n_agents
     if assignment is None:
         assignment = default_assignment(n, nu)
-    check_memory(planned_bytes(a, nu), f"{nu} agents on a {n}-state system")
+    check_memory(planned_bytes(n, nu), f"{nu} agents on a {n}-state system")
     reference = solve_lyapunov(a, d)
     ref_norm = np.linalg.norm(reference)
 

@@ -260,17 +260,21 @@ class ShiftedLyapunov:
 
         With ``adjoint=True`` the transposed equation
         ``(T - s I)^T Y + Y (T - s I) = R`` is solved instead, still on
-        the cached factors.  :meth:`to_schur` and :meth:`from_schur` map a
+        the cached factors, as the plain equation on ``J T^T J`` for
+        ``J Y J`` with ``J R J``, where ``J`` reverses the state order;
+        ``J T^T J`` is quasi-triangular, as its entry ``(i, j)`` is
+        ``T[n-1-j, n-1-i]``.  :meth:`to_schur` and :meth:`from_schur` map a
         right-hand side ``D`` and the solution between coordinates.
         """
         rhs = self._check(rhs, "right-hand side")
-        t = self.t.copy()
+        t, rhs = (self.t.T[::-1, ::-1], rhs[::-1, ::-1]) if adjoint else (self.t, rhs)
+        t = t.copy()    # never a view of self.t: the shift is subtracted in place
         t[np.diag_indices(self.n)] -= shift
         y = rhs.copy()
         # an overflow shows as a non-finite solution or norm and is raised
         # as SolveFailure below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = self._recursive(t, y, adjoint)
+            scale = self._recursive(t, y)
             if not np.all(np.isfinite(y)):
                 raise SolveFailure(
                     f"triangular Sylvester solve overflowed (scale={scale})"
@@ -278,7 +282,7 @@ class ShiftedLyapunov:
             y /= scale
             y = 0.5 * (y + y.T)
             # T Y + Y T^T = M + M^T with M = T Y, as Y is symmetric
-            m = y @ t if adjoint else t @ y
+            m = t @ y
             resid = np.linalg.norm(m + m.T - rhs)
             # backward-stable solves leave a residual of order eps (|R| + 2|T||Y|)
             size = np.linalg.norm(rhs) + 2.0 * np.linalg.norm(t) * np.linalg.norm(y)
@@ -290,9 +294,9 @@ class ShiftedLyapunov:
             raise SolveFailure(
                 f"Lyapunov residual {resid:.3e} exceeds tolerance for shift {shift}"
             )
-        return y
+        return y[::-1, ::-1].copy() if adjoint else y
 
-    def _recursive(self, t: np.ndarray, c: np.ndarray, adjoint: bool) -> float:
+    def _recursive(self, t: np.ndarray, c: np.ndarray) -> float:
         """Overwrite ``c`` with ``scale`` times the symmetric solution of the
         Lyapunov equation on the quasi-triangular ``t``; return ``scale``.
 
@@ -302,50 +306,38 @@ class ShiftedLyapunov:
         """
         n = t.shape[0]
         if n <= BASE:
-            return self._sylvester(t, t, c, adjoint)
+            return self._sylvester(t, t, c)
         k = _split(t)
         t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
         c11, c12, c22 = c[:k, :k], c[:k, k:], c[k:, k:]
-        if adjoint:
-            # T11^T Y11 + Y11 T11 = R11, then
-            # T11^T Y12 + Y12 T22 = R12 - Y11 T12, then
-            # T22^T Y22 + Y22 T22 = R22 - T12^T Y12 - Y12^T T12
-            first, last = c11, c22
-        else:
-            # T22 Y22 + Y22 T22^T = R22, then
-            # T11 Y12 + Y12 T22^T = R12 - T12 Y22, then
-            # T11 Y11 + Y11 T11^T = R11 - T12 Y12^T - Y12 T12^T
-            first, last = c22, c11
-        scale = self._recursive(t11 if adjoint else t22, first, adjoint)
+        # T22 Y22 + Y22 T22^T = R22, then
+        # T11 Y12 + Y12 T22^T = R12 - T12 Y22, then
+        # T11 Y11 + Y11 T11^T = R11 - T12 Y12^T - Y12 T12^T
+        scale = self._recursive(t22, c22)
         if scale != 1.0:
             c12 *= scale
-            last *= scale
-        c12 -= first @ t12 if adjoint else t12 @ first
-        s = self._sylvester(t11, t22, c12, adjoint)
+            c11 *= scale
+        c12 -= t12 @ c22
+        s = self._sylvester(t11, t22, c12)
         if s != 1.0:
-            first *= s
-            last *= s
+            c22 *= s
+            c11 *= s
             scale *= s
-        m = t12.T @ c12 if adjoint else t12 @ c12.T
-        last -= m
-        last -= m.T
-        s = self._recursive(t22 if adjoint else t11, last, adjoint)
+        m = t12 @ c12.T
+        c11 -= m
+        c11 -= m.T
+        s = self._recursive(t11, c11)
         if s != 1.0:
-            first *= s
+            c22 *= s
             c12 *= s
             scale *= s
         c[k:, :k] = c12.T
         return scale
 
-    def _sylvester(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   adjoint: bool) -> float:
-        """Overwrite ``c`` with ``scale`` times the solution of
-        ``A Y + Y B^T = C`` (``A^T Y + Y B = C`` for the adjoint), for
-        quasi-triangular ``A`` and ``B``; return ``scale``."""
-        if adjoint:
-            y, scale, info = self._trsyl(a, b, c, trana="C")
-        else:
-            y, scale, info = self._trsyl(a, b, c, tranb="C")
+    def _sylvester(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+        """Overwrite ``c`` with ``scale`` times the solution of ``A Y + Y B^T
+        = C`` for quasi-triangular ``A`` and ``B``; return ``scale``."""
+        y, scale, info = self._trsyl(a, b, c, tranb="C")
         # info == 1: the shifted spectrum nearly meets its mirror image and
         # trsyl perturbed it to finish, so y solves a different equation
         if info != 0 or scale == 0.0:
@@ -378,12 +370,18 @@ def congestion_cost(a: np.ndarray, output: np.ndarray, x0: np.ndarray) -> float:
     always defined and comparisons just work.
     """
     a, output, x0 = validate_triple(a, output, x0)
-    # one Schur factorization serves the stability test and the solve, which
-    # stays in Schur coordinates: W = U Y U^T, so trace(C W C^T) = <(CU) Y, CU>
+    # one Schur factorization serves the stability test and the solve
     solver = ShiftedLyapunov(a)
     if not solver.stable:
         return math.inf
+    return _gramian_cost(solver, output, x0)[0]
+
+
+def _gramian_cost(solver: ShiftedLyapunov, output: np.ndarray,
+                  x0: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``J = trace(C W C^T) = <(C U) Y_p, C U>`` on a stable factor, with
+    ``Y_p = U^T W U`` and ``C U``: the solve stays in Schur coordinates."""
     z = solver.u.T @ x0
     cu = output @ solver.u
-    value = float(np.vdot(cu @ solver.solve(-np.outer(z, z)), cu))
-    return max(value, 0.0)
+    yp = solver.solve(-np.outer(z, z))
+    return max(float(np.vdot(cu @ yp, cu)), 0.0), yp, cu

@@ -10,8 +10,9 @@ runs.  A plan (:func:`_plan`) lists the runs, their keys and the powers
 that jump over them; the stepping (:func:`_propagate`) jumps between run
 starts with those powers, fills the runs' interiors with matrix-matrix
 products, and hands the states out in batches as it makes them.  Memory is
-checked from sizes alone (:func:`_check_size`), then from the plan with the
-exact exponentials a run adds (:func:`_check_plans`).
+checked from sizes alone (:func:`_check_size`: the grid work and the steps'
+inflows over a bound on the grid points), then from the plan with the
+trajectory and the exact exponentials a run adds (:func:`_check_plans`).
 
 In one signal mode only that phase's movements are green, so the network
 falls apart into corridors: the weakly connected components of the mode
@@ -437,21 +438,20 @@ def _check_size(network: NetworkSpec, schedule: Schedule, horizon: float,
     physical memory.
 
     This is the first step of the memory check, before any per-sample
-    array exists: one trajectory over the bound :func:`_planned_samples`
-    on its grid points (:func:`_planned_bytes`).  A comparison holds one
-    too, the averaged run, and streams its switched run against it.  The
-    second step, :func:`_check_plans`, counts the stepping's rows and the
-    exponentials from the run's plan.  A span that is not finite and
-    positive is refused first, and one that :func:`_check_span` refuses
-    after the memory check.
+    array exists.  It counts what the plan builds before the second step,
+    :func:`_check_plans`, runs: over the bound :func:`_planned_samples` on
+    the grid points, the grid work and the steps' inflows, ``n + 16``
+    doubles a point (:func:`_planned_bytes`).  The trajectory, the
+    stepping's rows and the exponentials are counted by the plan alone.  A
+    span that is not finite and positive is refused first, and one that
+    :func:`_check_span` refuses after the memory check.
     """
     if not (math.isfinite(horizon) and math.isfinite(dt) and horizon > 0 and dt > 0):
         raise ValidationError(
             f"horizon and dt must be finite and positive, got {horizon!r} and {dt!r}"
         )
     samples = _planned_samples(network, schedule, horizon, dt)
-    _check_memory(_planned_bytes(network, schedule, samples, 0, (network.n + 1) ** 2),
-                  samples, schedule, horizon, dt)
+    _check_memory(8.0 * samples * (network.n + 16), samples, schedule, horizon, dt)
     _check_span(horizon, dt)
 
 

@@ -538,6 +538,30 @@ def test_sweep_plans_one_trajectory(tmp_path, monkeypatch, caplog):
     assert not out.exists()
 
 
+def test_sweep_whose_plans_fit_passes_the_check_from_sizes(tmp_path, monkeypatch, caplog):
+    # the check from sizes alone counts the grid work and the inflows of
+    # the bound on the grid points; the trajectory and the exponentials are
+    # counted by the plan alone.  Counting a trajectory over that bound,
+    # 6,615 points for T=40 where the grid has 6,001, it read 34.1 MB
+    # against the plan's 32.9 MB, and refused a sweep whose plans all fit
+    from greensplit import errors
+    caplog.set_level(logging.DEBUG, logger="greensplit.sim")
+    args = ["compare-averaging", "grid_4x4", "--cycles", "40,80,96,112", "--horizon", "6000"]
+    assert CliRunner().invoke(cli.main, args).exit_code == 0
+    plans = _planned(caplog)
+    assert len(plans) == 4
+    sysconf = errors.os.sysconf
+    monkeypatch.setattr(errors.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * max(plans) + 2}.get(name) or sysconf(name))
+    caplog.clear()
+    out = tmp_path / "err.csv"
+    result = CliRunner().invoke(cli.main, [*args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _planned(caplog) == plans
+    _, rows = read_artifact(out)
+    assert len(rows) == 5
+
+
 @pytest.mark.parametrize("mode", ["switching", "average"])
 def test_simulate_ends_at_the_horizon(runner, tmp_path, mode):
     # the last uniform sample, 9.9e-9 s, is within the grid's 1e-9 s
@@ -929,6 +953,31 @@ def test_network_whose_mode_matrices_cannot_fit_is_one_validation_line(tmp_path,
     assert result.stderr.startswith("ValidationError: the 2 mode matrices of 400000 cells")
     assert "physical memory" in result.stderr
     assert not out.exists()
+
+
+def test_optimize_whose_working_set_cannot_fit_is_one_validation_line(tmp_path, monkeypatch):
+    # with half of memory between what the mode matrices take, (m + 1) n^2
+    # doubles, and what the descent works in beside them, the run is
+    # refused before any split is factored
+    from greensplit import errors, lyapunov
+    n, m = scenario.load("grid_4x4").n, 4
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a split was factored")
+
+    monkeypatch.setattr(lyapunov.ShiftedLyapunov, "__init__", no_factor)
+    sysconf = errors.os.sysconf
+    monkeypatch.setattr(errors.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * 8 * (m + 2) * n * n}.get(name) or sysconf(name))
+    out, plot = tmp_path / "r.json", tmp_path / "trace.csv"
+    result = CliRunner().invoke(cli.main, ["optimize", "grid_4x4", "--out", str(out),
+                                           "--plot-out", str(plot)])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith(
+        f"ValidationError: an optimization over {m} modes of {n} cells would hold about ")
+    assert "physical memory" in result.stderr
+    assert not out.exists() and not plot.exists()
 
 
 @pytest.mark.parametrize("grid, message", [

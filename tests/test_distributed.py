@@ -670,7 +670,7 @@ def test_planned_bytes_bounds_the_traced_peak(name, graph):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= dist.planned_bytes(a, graph.n_agents) <= 4 * peak
+    assert peak <= dist.planned_bytes(a.shape[0], graph.n_agents) <= 4 * peak
     if graph.n_agents == 36:
         # agents that stored the stacked [X, D_1, ..., D_36] peaked at 240 MB
         assert peak < 40e6
@@ -684,7 +684,7 @@ def test_memory_preflight_refuses_before_building(monkeypatch):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 8 * 400 * n**2 > physical / 2
     a, d = np.broadcast_to(-1.0, (n, n)), np.broadcast_to(1.0, (n, n))
-    assert dist.planned_bytes(a, graph.n_agents) > 8 * 400 * n**2
+    assert dist.planned_bytes(n, graph.n_agents) > 8 * 400 * n**2
 
     def refused(*args, **kwargs):
         raise AssertionError("an agent was built or a system solved")

@@ -338,6 +338,54 @@ def test_any_block_breakdown_is_a_solve_failure(adjoint, scale, info):
             solver.solve(rhs, shift=shift, adjoint=adjoint)
 
 
+@pytest.mark.parametrize("a", [np.array([[-2.0]]),
+                               quasi_triangular(np.random.default_rng(5), 6, [0, 3])],
+                         ids=["1x1", "pairs"])
+def test_adjoint_solve_leaves_the_factor_as_it_was(a):
+    # the adjoint equation is solved on the reversed factor, which must be
+    # a copy: np.ascontiguousarray of the 1x1 reversal is the same memory,
+    # and the shift was then subtracted from solver.t itself
+    solver = ShiftedLyapunov(a)
+    t = solver.t.copy()
+    rhs = -np.eye(a.shape[0])
+    shift = solver.abscissa + 0.5
+    solver.solve(rhs, shift=shift, adjoint=True)
+    np.testing.assert_array_equal(solver.t, t)
+    np.testing.assert_array_equal(solver.solve(rhs, shift=shift),
+                                  ShiftedLyapunov(a).solve(rhs, shift=shift))
+
+
+def _cut_pairs(start, n, pairs):
+    """First rows of 2x2 blocks that sit across every cut :func:`_split`
+    makes when the recursion halves a block of order ``n`` at ``start``."""
+    if n > BASE:
+        k = n // 2
+        pairs.append(start + k - 1)
+        _cut_pairs(start, k + 1, pairs)
+        _cut_pairs(start + k + 1, n - k - 1, pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [2 * BASE + 1, 4 * BASE + 3])
+def test_adjoint_solve_with_pairs_across_the_cuts_of_the_reversed_factor(n):
+    # the adjoint solve recurses on J T^T J; row j of it is row n - 1 - j
+    # of T, so a pair on rows (j, j + 1) there is on rows (n - 2 - j, n - 1 - j)
+    rng = np.random.default_rng(n)
+    cuts = _cut_pairs(0, n, [])
+    assert len(cuts) >= 2
+    a = quasi_triangular(rng, n, [n - 2 - j for j in cuts])
+    solver = ShiftedLyapunov(a)
+    flipped = solver.t.T[::-1, ::-1]
+    assert all(flipped[j + 1, j] != 0.0 for j in cuts)
+    u = solver.u
+    z = rng.standard_normal(n)
+    d = np.outer(z, z)
+    for shift in (solver.abscissa + 1e-6, solver.abscissa + 1.0):
+        ref = linalg.solve_continuous_lyapunov((a - shift * np.eye(n)).T, -d)
+        x = u @ solver.solve(-(u.T @ d @ u), shift=shift, adjoint=True) @ u.T
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("n", [6, 40, 144])
 def test_abscissa_from_schur_diagonal_with_a_pair_on_top(n):
     # the rightmost eigenvalues are a complex pair; LAPACK's standardized
